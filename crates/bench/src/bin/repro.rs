@@ -50,11 +50,10 @@
 //! counts and speedups to `<path>` as JSON. With no explicit experiment
 //! list, `--bench-json` runs only the benchmark.
 //!
-//! `--runtime {deterministic,threaded,pool}` selects the execution model
-//! for the live-grid experiments (fig2, lb, chaos, overload):
-//! `deterministic` (default) is the in-order stepper, `threaded` runs one
-//! OS thread per container, `pool` ticks collector containers on a
-//! work-stealing thread pool. All three produce byte-identical reports
+//! `--runtime {deterministic,pool}` selects the execution model for the
+//! live-grid experiments (fig2, lb, chaos, overload): `deterministic`
+//! (default) is the in-order stepper, `pool` ticks collector containers
+//! on a work-stealing thread pool. Both produce byte-identical reports
 //! on these seeded scenarios — CI diffs `--runtime pool` output against
 //! the default to prove it. (`mobility` always uses the deterministic
 //! stepper: migration is a stepper-only API.)
@@ -109,14 +108,12 @@ use agentgrid_platform::{ReliabilityConfig, Telemetry, TelemetryHandle};
 use agentgrid_rules::{parse_rules, Engine, KnowledgeBase, NaiveEngine};
 use agentgrid_store::{AggKind, Classifier, LabelFilter, ManagementStore, StoreBackend};
 
-/// Execution model for the live-grid experiments; all three produce
+/// Execution model for the live-grid experiments; both produce
 /// byte-identical reports on the seeded scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RuntimeChoice {
     /// In-order deterministic stepper (the default).
     Deterministic,
-    /// One OS thread per container.
-    Threaded,
     /// Work-stealing pool over collector containers.
     Pool,
 }
@@ -133,12 +130,6 @@ fn run_grid(
     match runtime {
         RuntimeChoice::Deterministic => {
             let mut grid = builder.build();
-            let report = grid.run(duration_ms, tick_ms);
-            let stats = grid.overload_stats();
-            (report, stats)
-        }
-        RuntimeChoice::Threaded => {
-            let mut grid = builder.build_threaded();
             let report = grid.run(duration_ms, tick_ms);
             let stats = grid.overload_stats();
             (report, stats)
@@ -382,16 +373,15 @@ fn take_overload_flag(args: &mut Vec<String>) -> Option<u64> {
 fn take_runtime_flag(args: &mut Vec<String>) -> RuntimeChoice {
     let parse = |raw: &str| match raw {
         "deterministic" => RuntimeChoice::Deterministic,
-        "threaded" => RuntimeChoice::Threaded,
         "pool" => RuntimeChoice::Pool,
         other => {
-            eprintln!("--runtime must be deterministic, threaded or pool, got `{other}`");
+            eprintln!("--runtime must be deterministic or pool, got `{other}`");
             std::process::exit(2);
         }
     };
     if let Some(i) = args.iter().position(|a| a == "--runtime") {
         if i + 1 >= args.len() {
-            eprintln!("--runtime needs an argument (deterministic, threaded or pool)");
+            eprintln!("--runtime needs an argument (deterministic or pool)");
             std::process::exit(2);
         }
         let raw = args.remove(i + 1);

@@ -4,7 +4,7 @@
 //! container crashes, restarts and transport-fault windows. The grid
 //! applies due actions at the top of each tick, so the same plan
 //! produces the same failure sequence on the deterministic runtime and
-//! the threaded runtime — no wall clocks, no global RNG.
+//! the pool runtime — no wall clocks, no global RNG.
 //!
 //! # Examples
 //!

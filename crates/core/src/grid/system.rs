@@ -8,7 +8,7 @@ use agentgrid_acl::{AclMessage, AgentId, Performative, Value};
 use agentgrid_net::{FaultInjector, Network, ScheduledFault};
 use agentgrid_platform::{
     NetCommand, NetStats, Platform, PoolRuntime, ReliabilityConfig, Runtime, TelemetryHandle,
-    ThreadedRuntime, TransportFault,
+    TransportFault,
 };
 use agentgrid_rules::{parse_rules, KnowledgeBase};
 use agentgrid_store::{Classifier, ManagementStore, StoreBackend};
@@ -278,17 +278,6 @@ impl GridBuilder {
     /// was configured.
     pub fn build(self) -> ManagementGrid {
         self.build_on::<Platform>()
-    }
-
-    /// Builds and wires the grid on the threaded runtime: one OS thread
-    /// per container, nondeterministic cross-container ordering — the
-    /// deployment-shaped execution model.
-    ///
-    /// # Panics
-    ///
-    /// As [`build`](Self::build).
-    pub fn build_threaded(self) -> ManagementGrid<ThreadedRuntime> {
-        self.build_on::<ThreadedRuntime>()
     }
 
     /// Builds and wires the grid on the work-stealing pool runtime:
@@ -1091,8 +1080,7 @@ impl ManagementGrid {
     /// Starts building a grid with defaults: 60 s polls, one collector
     /// per site, [`KnowledgeCapacityIdle`] balancing, [`DEFAULT_RULES`].
     /// Finish with [`GridBuilder::build`] (deterministic),
-    /// [`GridBuilder::build_threaded`], [`GridBuilder::build_pool`] or
-    /// [`GridBuilder::build_on`].
+    /// [`GridBuilder::build_pool`] or [`GridBuilder::build_on`].
     pub fn builder() -> GridBuilder {
         GridBuilder {
             network: Network::new(),

@@ -15,8 +15,7 @@
 //!
 //! Everything here is driven by **simulated time** and a caller-provided
 //! seed — no wall clocks, no global RNG — so recovery decisions are
-//! exactly reproducible on the deterministic runtime and statistically
-//! reproducible on the threaded one.
+//! exactly reproducible on both the deterministic and the pool runtime.
 //!
 //! # Examples
 //!

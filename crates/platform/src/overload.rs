@@ -12,17 +12,14 @@
 //!
 //! # Why windows, not instantaneous queue depth
 //!
-//! Both runtimes must agree on *how many* messages are shed for the same
-//! scenario, or cross-runtime comparisons become meaningless. An
-//! instantaneous-depth bound cannot deliver that: on the threaded
-//! runtime the observed depth depends on thread interleaving. A budget
-//! per **simulated-clock window** (one distinct timestamp = one window)
-//! does, because all traffic in this codebase is driven by the simulated
-//! clock — the multiset of messages bound for a container within one
-//! window is a property of the scenario, not of scheduling. Within a
-//! window the runtimes may disagree on arrival *order* (so
-//! [`ShedByPriority`](OverflowPolicy::ShedByPriority) may attribute
-//! sheds to different victims), but the shed *totals* agree.
+//! *How many* messages are shed must be a property of the scenario, not
+//! of how a runtime schedules its work. An instantaneous-depth bound
+//! cannot deliver that: the observed depth depends on when the queue
+//! happens to be drained. A budget per **simulated-clock window** (one
+//! distinct timestamp = one window) does, because all traffic in this
+//! codebase is driven by the simulated clock — the multiset of messages
+//! bound for a container within one window is a property of the
+//! scenario, not of scheduling.
 //!
 //! # Message classes
 //!
@@ -214,9 +211,8 @@ struct Window {
 }
 
 /// The bookkeeping both runtimes drive: per-container window budgets,
-/// the waiting queues, and the shed/deferral counters. The deterministic
-/// platform owns one directly; the threaded runtime shares one behind a
-/// mutex (admission already happens under its routing lock).
+/// the waiting queues, and the shed/deferral counters. The platform owns
+/// one directly; the pool reaches it through the platform it wraps.
 #[derive(Debug)]
 pub(crate) struct MailboxTracker {
     config: MailboxConfig,

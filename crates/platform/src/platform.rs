@@ -415,8 +415,7 @@ impl Platform {
         self.delivered
     }
 
-    /// Number of dead-lettered messages so far. Same introspection
-    /// surface as [`RunningPlatform`](crate::RunningPlatform).
+    /// Number of dead-lettered messages so far.
     pub fn dead_letter_count(&self) -> usize {
         self.dead_letters.len()
     }
@@ -990,5 +989,20 @@ mod tests {
         p.post(msg);
         p.step(0);
         assert_eq!(p.delivered_count(), 2);
+
+        // A ghost among the receivers dead-letters exactly once and
+        // leaves delivery to the live residents untouched.
+        let msg = AclMessage::builder(Performative::Inform)
+            .sender(AgentId::new("outside"))
+            .receiver(AgentId::new("a@t"))
+            .receiver(AgentId::new("b@t"))
+            .receiver(AgentId::new("ghost@t"))
+            .build()
+            .unwrap();
+        p.post(msg);
+        p.step(0);
+        assert_eq!(p.delivered_count(), 4, "each live receiver hears it once");
+        assert_eq!(p.dead_letters().len(), 1);
+        assert_eq!(p.dead_letters()[0].receivers().len(), 3);
     }
 }

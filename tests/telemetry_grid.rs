@@ -31,13 +31,13 @@ fn small_network() -> Network {
     net
 }
 
-/// On the threaded runtime, a collector's poll must be traceable hop by
+/// On the pool runtime, a collector's poll must be traceable hop by
 /// hop through the whole pipeline: the batch lands on the classifier,
 /// the classifier notifies the root, the root brokers to an analyzer,
 /// and the analyzer reports to the interface — all within one
 /// conversation, linked by parent spans.
 #[test]
-fn threaded_grid_trace_covers_collector_to_interface() {
+fn pool_grid_trace_covers_collector_to_interface() {
     let telemetry = Telemetry::new();
     let mut grid = ManagementGrid::builder()
         .network(small_network())
@@ -46,7 +46,7 @@ fn threaded_grid_trace_covers_collector_to_interface() {
         // pipeline's last hop into the interface grid.
         .fault(ScheduledFault::from("srv-0", FaultKind::CpuRunaway, 60_000))
         .telemetry(telemetry.clone())
-        .build_threaded();
+        .build_pool();
     grid.run(6 * 60_000, 60_000);
 
     let tracer = telemetry.tracer();
