@@ -448,6 +448,9 @@ pub struct AnalysisTask {
     pub level: u8,
     /// Relative size (number of records to analyze).
     pub size: u64,
+    /// Site whose data the task covers; `None` covers every site.
+    /// Correlation sweeps and spilled tasks are site-less.
+    pub site: Option<String>,
 }
 
 impl AnalysisTask {
@@ -465,20 +468,33 @@ impl AnalysisTask {
             partition: partition.into(),
             level,
             size,
+            site: None,
         }
+    }
+
+    /// Scopes the task to one site (builder style).
+    pub fn with_site(mut self, site: impl Into<String>) -> Self {
+        self.site = Some(site.into());
+        self
     }
 }
 
 impl ToContent for AnalysisTask {
     fn to_content(&self) -> Value {
-        Value::map([
+        let mut pairs = vec![
             ("concept", Value::symbol("analysis-task")),
             ("task-id", Value::from(self.task_id.clone())),
             ("skill", Value::from(self.skill.clone())),
             ("partition", Value::from(self.partition.clone())),
             ("level", Value::Int(self.level.into())),
             ("size", Value::Int(self.size as i64)),
-        ])
+        ];
+        // The key is written only when set: a site-less task (a
+        // correlation sweep, a spill) encodes without it.
+        if let Some(site) = &self.site {
+            pairs.push(("site", Value::from(site.clone())));
+        }
+        Value::map(pairs)
     }
 }
 
@@ -495,6 +511,10 @@ impl FromContent for AnalysisTask {
             partition: req_str(value, "partition", C)?,
             level,
             size: req_u64(value, "size", C)?,
+            site: match value.get("site") {
+                None => None,
+                Some(_) => Some(req_str(value, "site", C)?),
+            },
         })
     }
 }
@@ -556,6 +576,30 @@ mod tests {
     fn task_round_trips() {
         let t = AnalysisTask::new("t-9", "disk-analysis", "site-1/disk", 2, 120);
         assert_eq!(AnalysisTask::from_content(&t.to_content()).unwrap(), t);
+    }
+
+    #[test]
+    fn task_round_trips_with_and_without_a_site() {
+        let siteless = AnalysisTask::new("t-1", "cpu", "cpu", 1, 10);
+        let content = siteless.to_content();
+        assert!(content.get("site").is_none(), "no site key when unset");
+        assert_eq!(AnalysisTask::from_content(&content).unwrap(), siteless);
+
+        let scoped = siteless.clone().with_site("site-2");
+        let content = scoped.to_content();
+        assert_eq!(content.get("site").and_then(Value::as_str), Some("site-2"));
+        let back = AnalysisTask::from_content(&content).unwrap();
+        assert_eq!(back, scoped);
+        assert_eq!(back.site.as_deref(), Some("site-2"));
+    }
+
+    #[test]
+    fn task_with_a_non_string_site_is_rejected() {
+        let mut content = AnalysisTask::new("t-1", "cpu", "cpu", 1, 10).to_content();
+        if let Value::Map(map) = &mut content {
+            map.insert("site".to_owned(), Value::Int(3));
+        }
+        assert!(AnalysisTask::from_content(&content).is_err());
     }
 
     #[test]

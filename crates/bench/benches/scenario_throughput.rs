@@ -6,10 +6,9 @@
 //! * `fig2_grid/*/64` — the full [`ManagementGrid`] (real collectors,
 //!   classifier, broker, analyzers, rules) at 64 collector containers.
 //!   Beyond a few hundred containers the grid's *analysis* stage
-//!   dominates: every per-partition task scans the partition across all
-//!   devices, so total analysis work grows quadratically with site
-//!   count, identically on every runtime — it would both dwarf and
-//!   serialize a runtime comparison (and takes minutes per run at 1k).
+//!   dominates: rule matching and store reads cost the same on every
+//!   runtime, so they would both dwarf and serialize a runtime
+//!   comparison.
 //! * `fig2_pipeline/*/{64,256,1024}` — the same Fig. 2 topology
 //!   (per-site collector containers → classifier → processor root →
 //!   analyzers → interface sink) with synthetic lightweight agents, so

@@ -1308,10 +1308,9 @@ fn overload(
 /// includes a two-pattern cross-device join (`correlated-cpu`) whose
 /// match cost is quadratic in device count *for every shard count* — at
 /// 10 000 devices it would dwarf the pipeline under measurement (the
-/// same reason `scenario_throughput.rs` trims its rule set). The cost
-/// the shards actually cut is the task-fan-in × store-scan product, so
-/// the bench keeps single-pattern alert rules plus a stats rule that
-/// still forces the per-series consolidation sweep.
+/// same reason `scenario_throughput.rs` trims its rule set). The bench
+/// keeps single-pattern alert rules plus a stats rule that still forces
+/// the per-series consolidation sweep.
 const SHARD_BENCH_RULES: &str = r#"
 rule "high-cpu" salience 10 {
     when cpu(device: ?d, value: ?v)
@@ -1556,11 +1555,10 @@ fn sharded(shards: usize, seed: u64, json_path: Option<&str>) {
 /// `shards`, prints the comparison, and writes the `BENCH_pr10.json`
 /// artifact. Scenario throughput is records stored per wall-second:
 /// both configurations ingest the identical record stream (asserted),
-/// so the ratio is purely the wall-time ratio. The win is algorithmic,
-/// not parallel-hardware: unsharded, every data-ready fans into tasks
-/// that each scan the whole store (sites × devices compounding — the
-/// quadratic called out in `scenario_throughput.rs`); sharded, each
-/// root sees only its sites and each task scans only its shard's store.
+/// so the ratio is purely the wall-time ratio. Analysis tasks are
+/// site-scoped at any shard count, so the ratio measures what domain
+/// partitioning adds on top: per-shard brokering, stores and level-3
+/// sweeps, and parallelism when the host has the cores for it.
 fn shard_throughput_bench(shards: usize, seed: u64, path: &str) {
     const SITES: usize = 40;
     const DEVICES_PER_SITE: usize = 250;

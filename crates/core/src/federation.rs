@@ -91,8 +91,15 @@ impl LoadDigest {
     }
 }
 
-/// Wire encoding of a spill-over: the full task plus its origin shard.
+/// Wire encoding of a spill-over: the task plus its origin shard.
+///
+/// The task travels site-less: its site names devices in the origin's
+/// store, and the peer runs the partition across its own store.
 pub fn spill_content(origin_shard: usize, task: &AnalysisTask) -> Value {
+    let task = AnalysisTask {
+        site: None,
+        ..task.clone()
+    };
     Value::map([
         ("concept", Value::symbol("spill")),
         ("origin-shard", Value::Int(origin_shard as i64)),
@@ -217,6 +224,16 @@ mod tests {
         assert_eq!(origin, 0);
         assert_eq!(parsed, task);
         assert_eq!(parse_spill_done(&content), None, "concepts are disjoint");
+    }
+
+    #[test]
+    fn spill_content_carries_no_site() {
+        let siteless = AnalysisTask::new("s0-t7", "cpu", "cpu", 2, 40);
+        let scoped = siteless.clone().with_site("site-3");
+        let content = spill_content(0, &scoped);
+        assert!(content.get("task").unwrap().get("site").is_none());
+        assert_eq!(content, spill_content(0, &siteless), "byte-identical");
+        assert_eq!(parse_spill(&content).unwrap().1, siteless);
     }
 
     #[test]

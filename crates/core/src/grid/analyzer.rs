@@ -125,35 +125,34 @@ pub fn facts_for(device: &str, metric: &str, value: f64) -> Vec<Fact> {
         .with("device", device)
         .with("metric", metric)
         .with("value", value)];
-    if metric.starts_with("cpu.load.") {
-        facts.push(Fact::new("cpu").with("device", device).with("value", value));
-    } else if metric == "storage.disk.used-pct" {
-        facts.push(
-            Fact::new("disk")
-                .with("device", device)
-                .with("value", value),
-        );
-    } else if metric == "storage.ram.used-pct" {
-        facts.push(Fact::new("mem").with("device", device).with("value", value));
-    } else if metric == "processes.count" {
-        facts.push(
-            Fact::new("procs")
-                .with("device", device)
-                .with("value", value),
-        );
-    } else if let Some(rest) = metric.strip_prefix("if.") {
-        if let Some((index, "oper-status")) = rest.split_once('.') {
-            if let Ok(index) = index.parse::<i64>() {
-                facts.push(
-                    Fact::new("if_status")
-                        .with("device", device)
-                        .with("index", index)
-                        .with("value", value),
-                );
-            }
+    if let Some(kind) = typed_kind(metric) {
+        let mut fact = Fact::new(kind).with("device", device).with("value", value);
+        if let Some(index) = if_index(metric) {
+            fact = fact.with("index", index);
         }
+        facts.push(fact);
     }
     facts
+}
+
+/// The typed fact kind [`facts_for`] extracts from a metric, if any.
+fn typed_kind(metric: &str) -> Option<&'static str> {
+    match metric {
+        "storage.disk.used-pct" => Some("disk"),
+        "storage.ram.used-pct" => Some("mem"),
+        "processes.count" => Some("procs"),
+        _ if metric.starts_with("cpu.load.") => Some("cpu"),
+        _ if if_index(metric).is_some() => Some("if_status"),
+        _ => None,
+    }
+}
+
+/// The interface index of an `if.<index>.oper-status` metric.
+fn if_index(metric: &str) -> Option<i64> {
+    match metric.strip_prefix("if.")?.split_once('.')? {
+        (index, "oper-status") => index.parse().ok(),
+        _ => None,
+    }
 }
 
 /// Runs one [`AnalysisTask`] against a store with a knowledge base —
@@ -176,6 +175,17 @@ pub fn analyze_task(
 /// [`analyze_task`] against a caller-owned engine, which is `reset()`
 /// first: working memory and refraction are per-task, but the engine's
 /// allocations and compiled knowledge base are reused across tasks.
+///
+/// A level-1/2 task with a site covers its partition at that site only;
+/// without one (spilled tasks, the baselines) it covers the partition
+/// across every site. Level 3 and partition `*` always span every
+/// partition and site.
+///
+/// Analysis is rule-pruned: facts no rule pattern can match (per the
+/// knowledge base's [`AlphaKeys`](agentgrid_rules::AlphaKeys)) are never
+/// inserted, and the `stat`/`trend` store queries run only for series
+/// whose fact some pattern could match. Such facts can never activate,
+/// so the findings are those of the unpruned procedure.
 pub fn analyze_task_with(
     engine: &mut Engine,
     store: &ManagementStore,
@@ -195,33 +205,56 @@ pub fn analyze_task_with(
             .flat_map(|p| store.select(&LabelFilter::class(p)))
             .collect()
     } else {
-        store.select(&LabelFilter::class(&task.partition))
+        let class = LabelFilter::class(&task.partition);
+        store.select(&match &task.site {
+            Some(site) => class.and(LabelFilter::site(site)),
+            None => class,
+        })
+    };
+    let keys = engine.knowledge().alpha_keys();
+    let mut facts = Vec::new();
+    let mut keep = |fact: Fact| {
+        if keys.admits(&fact) {
+            facts.push(fact);
+        }
     };
     for (device, metric) in &series {
-        if let Some((_, value)) = store.latest(device, metric) {
-            engine.insert_all(facts_for(device, metric, value));
+        let known = [("device", device.as_str()), ("metric", metric.as_str())];
+        let latest_admitted = keys.may_admit("obs", &known)
+            || typed_kind(metric).is_some_and(|kind| keys.may_admit(kind, &known[..1]));
+        if latest_admitted {
+            if let Some((_, value)) = store.latest(device, metric) {
+                for fact in facts_for(device, metric, value) {
+                    keep(fact);
+                }
+            }
         }
         if task.level >= 2 {
-            if let Some(stats) = store.stats(device, metric, 0, u64::MAX) {
-                engine.insert(
-                    Fact::new("stat")
-                        .with("device", device.as_str())
-                        .with("metric", metric.as_str())
-                        .with("mean", stats.mean)
-                        .with("max", stats.max)
-                        .with("count", stats.count as i64),
-                );
+            if keys.may_admit("stat", &known) {
+                if let Some(stats) = store.stats(device, metric, 0, u64::MAX) {
+                    keep(
+                        Fact::new("stat")
+                            .with("device", device.as_str())
+                            .with("metric", metric.as_str())
+                            .with("mean", stats.mean)
+                            .with("max", stats.max)
+                            .with("count", stats.count as i64),
+                    );
+                }
             }
-            if let Some(slope) = store.trend_per_min(device, metric, 0, u64::MAX) {
-                engine.insert(
-                    Fact::new("trend")
-                        .with("device", device.as_str())
-                        .with("metric", metric.as_str())
-                        .with("per-min", slope),
-                );
+            if keys.may_admit("trend", &known) {
+                if let Some(slope) = store.trend_per_min(device, metric, 0, u64::MAX) {
+                    keep(
+                        Fact::new("trend")
+                            .with("device", device.as_str())
+                            .with("metric", metric.as_str())
+                            .with("per-min", slope),
+                    );
+                }
             }
         }
     }
+    engine.insert_all(facts);
     let outcome = engine.run();
     let alerts = outcome
         .findings
@@ -302,6 +335,7 @@ mod tests {
     use crate::grid::DEFAULT_RULES;
     use agentgrid_platform::DirectoryFacilitator;
     use agentgrid_store::Record;
+    use std::collections::BTreeSet;
 
     fn kb() -> KnowledgeBase {
         KnowledgeBase::from_rules(parse_rules(DEFAULT_RULES).unwrap())
@@ -364,10 +398,7 @@ mod tests {
         assert_eq!(facts.len(), 1, "only the generic obs fact");
     }
 
-    #[test]
-    fn learn_rule_message_extends_knowledge() {
-        let mut analyzer = analyzer_with_data(&[("r1", "processes.count", 3.0)]);
-        let before = analyzer.knowledge().len();
+    fn learn(analyzer: &mut AnalyzerAgent, text: &str) {
         let id = AgentId::new("an@g");
         let mut outbox = Vec::new();
         let mut df = DirectoryFacilitator::new();
@@ -377,20 +408,83 @@ mod tests {
             .receiver(id.clone())
             .content(Value::map([
                 ("concept", Value::symbol("learn-rule")),
-                (
-                    "text",
-                    Value::from(
-                        r#"rule "few-procs" { when procs(device: ?d, value: ?v) if ?v < 10 then emit info ?d "only ?v processes" }"#,
-                    ),
-                ),
+                ("text", Value::from(text)),
             ]))
             .build()
             .unwrap();
         analyzer.on_message(&learn, &mut ctx);
+    }
+
+    #[test]
+    fn learn_rule_message_extends_knowledge() {
+        let mut analyzer = analyzer_with_data(&[("r1", "processes.count", 3.0)]);
+        let before = analyzer.knowledge().len();
+        learn(
+            &mut analyzer,
+            r#"rule "few-procs" { when procs(device: ?d, value: ?v) if ?v < 10 then emit info ?d "only ?v processes" }"#,
+        );
         assert_eq!(analyzer.knowledge().len(), before + 1);
         // And the learned rule fires on the next task.
         let alerts = analyzer.run_task(&task("process", 1), 0);
         assert!(alerts.iter().any(|a| a.rule == "few-procs"));
+    }
+
+    #[test]
+    fn learned_rules_over_pruned_metrics_fire_on_the_next_task() {
+        let mut store = ManagementStore::default();
+        for t in 0..5u64 {
+            store.insert(Record::new(
+                "r1",
+                "storage.ram.used-pct",
+                40.0 + 5.0 * t as f64,
+                t * 60_000,
+            ));
+            store.insert(Record::new("r1", "if.1.in-octets", 1e6, t * 60_000));
+        }
+        let mut analyzer =
+            AnalyzerAgent::new(Arc::new(Mutex::new(store)), kb(), AgentId::new("ig@g"));
+        // Before learning, the default rules prune both facts.
+        let keys = analyzer.knowledge().alpha_keys();
+        assert!(!keys.may_admit("trend", &[("metric", "storage.ram.used-pct")]));
+        assert!(!keys.admits(&facts_for("r1", "if.1.in-octets", 1e6)[0]));
+        assert!(analyzer.run_task(&task("memory", 2), 0).is_empty());
+
+        learn(
+            &mut analyzer,
+            r#"rule "ram-rising" { when trend(device: ?d, metric: "storage.ram.used-pct", per-min: ?r) if ?r > 1 then emit warning ?d "ram rising" }"#,
+        );
+        let alerts = analyzer.run_task(&task("memory", 2), 0);
+        assert!(alerts.iter().any(|a| a.rule == "ram-rising"), "{alerts:?}");
+
+        learn(
+            &mut analyzer,
+            r#"rule "octets-seen" { when obs(device: ?d, metric: "if.1.in-octets", value: ?v) if ?v > 0 then emit info ?d "traffic" }"#,
+        );
+        let alerts = analyzer.run_task(&task("interface", 1), 0);
+        assert!(alerts.iter().any(|a| a.rule == "octets-seen"), "{alerts:?}");
+    }
+
+    #[test]
+    fn site_scoped_task_covers_its_site_only() {
+        let mut store = ManagementStore::default();
+        store.insert(Record::new("a1", "cpu.load.1", 97.0, 1000).with_site("a"));
+        store.insert(Record::new("b1", "cpu.load.1", 98.0, 1000).with_site("b"));
+        let mut analyzer =
+            AnalyzerAgent::new(Arc::new(Mutex::new(store)), kb(), AgentId::new("ig@g"));
+        let devices = |alerts: Vec<Alert>| -> Vec<String> {
+            alerts
+                .into_iter()
+                .filter(|a| a.rule == "high-cpu")
+                .map(|a| a.device)
+                .collect()
+        };
+        let at_a = analyzer.run_task(&task("cpu", 1).with_site("a"), 0);
+        assert_eq!(devices(at_a), ["a1"]);
+        let everywhere = analyzer.run_task(&task("cpu", 1), 0);
+        assert_eq!(devices(everywhere), ["b1", "a1"]);
+        assert!(analyzer
+            .run_task(&task("cpu", 1).with_site("ghost"), 0)
+            .is_empty());
     }
 
     #[test]
@@ -426,5 +520,223 @@ mod tests {
         assert_eq!(done.content().get("findings").unwrap().as_int(), Some(1));
         // Load was bumped in the directory.
         assert!(df.container_profile("pg-1").unwrap().load > 0.0);
+    }
+
+    /// Property tests over random multi-site stores: site scoping and
+    /// rule pruning against executable specifications.
+    mod properties {
+        use super::*;
+        use agentgrid_rules::Finding;
+        use proptest::prelude::*;
+
+        const SITES: [&str; 3] = ["site-0", "site-1", "site-2"];
+        const METRICS: [&str; 9] = [
+            "cpu.load.1",
+            "cpu.load.5",
+            "storage.disk.used-pct",
+            "storage.ram.used-pct",
+            "processes.count",
+            "if.1.oper-status",
+            "if.2.in-octets",
+            "agent.reachable",
+            "system.uptime",
+        ];
+        const VALUES: [f64; 8] = [0.0, 1.0, 2.0, 50.0, 86.0, 92.0, 97.0, 450.0];
+
+        /// Single-pattern rules over every fact kind the analyzer
+        /// builds, constrained and unconstrained.
+        const EXTRA_RULES: &str = r#"
+        rule "ram-rising" {
+            when trend(device: ?d, metric: "storage.ram.used-pct", per-min: ?r)
+            if ?r > 0
+            then emit info ?d "ram rising at ?r"
+        }
+        rule "any-stat" {
+            when stat(device: ?d, metric: ?m, max: ?x)
+            if ?x > 90
+            then emit info ?d "?m peaked at ?x"
+        }
+        rule "octets" {
+            when obs(device: ?d, metric: "if.2.in-octets", value: ?v)
+            if ?v > 1
+            then emit info ?d "traffic ?v"
+        }
+        "#;
+
+        /// Rules that join and chain through asserted facts, so pruning
+        /// is checked against recency, refraction and multi-pattern
+        /// activations too.
+        const CHAIN_RULES: &str = r#"
+        rule "mark-hot" salience 3 {
+            when cpu(device: ?d, value: ?v)
+            if ?v > 90
+            then assert hot(device: ?d)
+        }
+        rule "hot-and-full" salience 2 {
+            when hot(device: ?d)
+            when disk(device: ?d, value: ?x)
+            if ?x > 50
+            then emit warning ?d "hot and full on ?d"
+        }
+        "#;
+
+        /// A store of 1–20 series, each on a device that belongs to one
+        /// site, each 1–5 points one minute apart.
+        fn store_strategy() -> impl Strategy<Value = ManagementStore> {
+            prop::collection::vec(
+                (
+                    0usize..SITES.len(),
+                    0usize..3,
+                    0usize..METRICS.len(),
+                    prop::collection::vec(0usize..VALUES.len(), 1..6),
+                ),
+                1..20,
+            )
+            .prop_map(|series| {
+                let mut seen = BTreeSet::new();
+                let mut store = ManagementStore::default();
+                for (site, dev, metric, values) in series {
+                    if !seen.insert((site, dev, metric)) {
+                        continue;
+                    }
+                    let device = format!("{}-d{dev}", SITES[site]);
+                    for (i, v) in values.into_iter().enumerate() {
+                        store.insert(
+                            Record::new(&device, METRICS[metric], VALUES[v], i as u64 * 60_000)
+                                .with_site(SITES[site]),
+                        );
+                    }
+                }
+                store
+            })
+        }
+
+        fn rules(text: &str) -> KnowledgeBase {
+            KnowledgeBase::from_rules(parse_rules(text).unwrap())
+        }
+
+        fn sorted(alerts: Vec<Alert>) -> Vec<(String, String, String)> {
+            let mut keys: Vec<_> = alerts
+                .into_iter()
+                .map(|a| (a.rule, a.device, a.message))
+                .collect();
+            keys.sort();
+            keys
+        }
+
+        /// The analysis procedure without pruning: every `facts_for`,
+        /// `stat` and `trend` fact of the task's series goes into a
+        /// fresh engine. Site scope is spelled out as a device filter.
+        fn unpruned(
+            kb: &KnowledgeBase,
+            store: &ManagementStore,
+            task: &AnalysisTask,
+        ) -> Vec<Finding> {
+            let grid_wide = task.level >= 3 || task.partition == "*";
+            let partitions: Vec<String> = if grid_wide {
+                store.partitions().iter().map(|p| (*p).to_owned()).collect()
+            } else {
+                vec![task.partition.clone()]
+            };
+            let at_site: Option<BTreeSet<&str>> = match &task.site {
+                Some(site) if !grid_wide => Some(store.devices_at(site).collect()),
+                _ => None,
+            };
+            let mut engine = Engine::new(kb.clone());
+            for partition in &partitions {
+                for (device, metric) in store.select(&LabelFilter::class(partition)) {
+                    if at_site
+                        .as_ref()
+                        .is_some_and(|at| !at.contains(device.as_str()))
+                    {
+                        continue;
+                    }
+                    if let Some((_, value)) = store.latest(&device, &metric) {
+                        engine.insert_all(facts_for(&device, &metric, value));
+                    }
+                    if task.level >= 2 {
+                        if let Some(stats) = store.stats(&device, &metric, 0, u64::MAX) {
+                            engine.insert(
+                                Fact::new("stat")
+                                    .with("device", device.as_str())
+                                    .with("metric", metric.as_str())
+                                    .with("mean", stats.mean)
+                                    .with("max", stats.max)
+                                    .with("count", stats.count as i64),
+                            );
+                        }
+                        if let Some(slope) = store.trend_per_min(&device, &metric, 0, u64::MAX) {
+                            engine.insert(
+                                Fact::new("trend")
+                                    .with("device", device.as_str())
+                                    .with("metric", metric.as_str())
+                                    .with("per-min", slope),
+                            );
+                        }
+                    }
+                }
+            }
+            engine.run().findings
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// For every single-pattern rule, level 1/2 findings summed
+            /// over the sites equal the site-less task's findings.
+            #[test]
+            fn per_site_findings_union_to_the_siteless_findings(store in store_strategy()) {
+                let mut all = parse_rules(DEFAULT_RULES).unwrap();
+                all.extend(parse_rules(EXTRA_RULES).unwrap());
+                let partitions: Vec<String> =
+                    store.partitions().iter().map(|p| (*p).to_owned()).collect();
+                for rule in all.into_iter().filter(|r| r.patterns().len() == 1) {
+                    let kb = KnowledgeBase::from_rules([rule]);
+                    for partition in &partitions {
+                        for level in [1, 2] {
+                            let siteless = AnalysisTask::new("t", partition, partition, level, 1);
+                            let mut union = Vec::new();
+                            for site in SITES {
+                                let scoped = siteless.clone().with_site(site);
+                                union.extend(analyze_task(&store, &kb, &scoped, 0).0);
+                            }
+                            let whole = analyze_task(&store, &kb, &siteless, 0).0;
+                            prop_assert_eq!(sorted(union), sorted(whole));
+                        }
+                    }
+                }
+            }
+
+            /// Pruned analysis emits exactly the unpruned procedure's
+            /// findings, in the same order, at every level and scope.
+            #[test]
+            fn pruned_findings_equal_the_unpruned_oracle(store in store_strategy()) {
+                let mut kb = rules(DEFAULT_RULES);
+                kb.absorb(rules(EXTRA_RULES));
+                kb.absorb(rules(CHAIN_RULES));
+                let mut engine = Engine::new(kb.clone());
+                let mut partitions: Vec<String> =
+                    store.partitions().iter().map(|p| (*p).to_owned()).collect();
+                partitions.push("*".to_owned());
+                for partition in &partitions {
+                    for level in [1, 2, 3] {
+                        let siteless = AnalysisTask::new("t", partition, partition, level, 1);
+                        let scoped = SITES.iter().map(|s| siteless.clone().with_site(*s));
+                        for task in std::iter::once(siteless.clone()).chain(scoped) {
+                            let (alerts, _) = analyze_task_with(&mut engine, &store, &task, 0);
+                            let got: Vec<(String, String, String)> = alerts
+                                .into_iter()
+                                .map(|a| (a.rule, a.device, a.message))
+                                .collect();
+                            let want: Vec<(String, String, String)> = unpruned(&kb, &store, &task)
+                                .into_iter()
+                                .map(|f| (f.rule, f.device, f.message))
+                                .collect();
+                            prop_assert_eq!(got, want);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

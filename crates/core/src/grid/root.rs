@@ -205,7 +205,13 @@ pub struct RootStats {
 pub struct ProcessorRootAgent {
     policy: Box<dyn LoadBalancer>,
     task_seq: u64,
+    /// `data-ready` notifications seen, grid-wide: paces the level-3
+    /// correlation sweep.
     ready_seen: u64,
+    /// `data-ready` notifications seen per site: alternates each site's
+    /// level-1/2 tasks, so every site gets consolidation on every other
+    /// pass over its own data whatever the interleaving of sites.
+    ready_by_site: BTreeMap<String, u64>,
     pending: Vec<Pending>,
     stats: Arc<Mutex<RootStats>>,
     metrics: Option<BrokerMetrics>,
@@ -285,6 +291,7 @@ impl ProcessorRootAgent {
             policy,
             task_seq: 0,
             ready_seen: 0,
+            ready_by_site: BTreeMap::new(),
             pending: Vec::new(),
             stats: Arc::new(Mutex::new(RootStats::default())),
             metrics: None,
@@ -1175,10 +1182,13 @@ impl Agent for ProcessorRootAgent {
             }
         }
         // Fresh-data notifications.
-        let Some((_site, partitions)) = parse_data_ready(message.content()) else {
+        let Some((site, partitions)) = parse_data_ready(message.content()) else {
             return;
         };
         self.ready_seen += 1;
+        let site_seen = self.ready_by_site.entry(site.clone()).or_insert(0);
+        *site_seen += 1;
+        let site_seen = *site_seen;
         // The collector's observation timestamp rides the data-ready
         // content ("ts"); it anchors each task span's end-to-end
         // latency at the moment the data was observed, not brokered.
@@ -1189,12 +1199,9 @@ impl Agent for ProcessorRootAgent {
             .and_then(|ts| u64::try_from(ts).ok())
             .unwrap_or_else(|| ctx.now_ms());
         // Alternate level 1 and level 2 so consolidation happens on every
-        // other pass over a partition.
-        let level = if self.ready_seen.is_multiple_of(2) {
-            2
-        } else {
-            1
-        };
+        // other pass over a site's partition. The tasks cover this site's
+        // data only; level-3 correlation below stays grid-wide.
+        let level = if site_seen.is_multiple_of(2) { 2 } else { 1 };
         for (partition, size) in partitions {
             let task = AnalysisTask::new(
                 self.next_task_id(),
@@ -1202,7 +1209,8 @@ impl Agent for ProcessorRootAgent {
                 partition,
                 level,
                 size,
-            );
+            )
+            .with_site(site.clone());
             if let Some(m) = &self.metrics {
                 m.telemetry
                     .task_created(&task.task_id, observed_ms, ctx.now_ms());
@@ -1289,11 +1297,15 @@ mod tests {
     }
 
     fn data_ready_msg(partitions: &[(&str, u64)]) -> AclMessage {
+        data_ready_at("hq", partitions)
+    }
+
+    fn data_ready_at(site: &str, partitions: &[(&str, u64)]) -> AclMessage {
         let mut map = BTreeMap::new();
         for (p, s) in partitions {
             map.insert((*p).to_owned(), *s);
         }
-        let content = crate::grid::classifier::data_ready_content("hq", &map, 0);
+        let content = crate::grid::classifier::data_ready_content(site, &map, 0);
         AclMessage::builder(Performative::Inform)
             .sender(AgentId::new("clg@g"))
             .receiver(AgentId::new("pg-root@g"))
@@ -1353,6 +1365,35 @@ mod tests {
             .map(|m| AnalysisTask::from_content(m.content()).unwrap().level)
             .collect();
         assert_eq!(levels, [1, 2]);
+
+        // Two sites interleaved: each alternates on its own count, so
+        // neither is pinned to one level; the correlation sweep keeps
+        // the grid-wide cadence and stays site-less.
+        let mut root = ProcessorRootAgent::new(Box::new(KnowledgeCapacityIdle));
+        let mut outbox = Vec::new();
+        for site in ["hq", "branch", "hq", "branch", "hq", "branch"] {
+            let mut ctx = AgentCtx::new(&id, "root-ct", 0, &mut outbox, &mut df);
+            root.on_message(&data_ready_at(site, &[("cpu", 1)]), &mut ctx);
+        }
+        let tasks: Vec<(Option<String>, u8)> = outbox
+            .iter()
+            .map(|m| AnalysisTask::from_content(m.content()).unwrap())
+            .map(|t| (t.site, t.level))
+            .collect();
+        let at = |site: &str, level| (Some(site.to_owned()), level);
+        assert_eq!(
+            tasks,
+            [
+                at("hq", 1),
+                at("branch", 1),
+                at("hq", 2),
+                (None, 3),
+                at("branch", 2),
+                at("hq", 1),
+                at("branch", 1),
+                (None, 3),
+            ]
+        );
     }
 
     #[test]

@@ -55,4 +55,6 @@ pub use engine::{Engine, RunOutcome, RunStats};
 pub use fact::{Fact, FactId, Term, WorkingMemory};
 pub use naive::NaiveEngine;
 pub use pattern::{Bindings, FieldPattern, Pattern};
-pub use rule::{Effect, Finding, Guard, GuardOp, KnowledgeBase, Operand, Rule, RuleSeverity};
+pub use rule::{
+    AlphaKeys, Effect, Finding, Guard, GuardOp, KnowledgeBase, Operand, Rule, RuleSeverity,
+};

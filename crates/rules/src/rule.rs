@@ -1,8 +1,9 @@
+use std::collections::BTreeMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Bindings, Fact, Pattern, Term};
+use crate::{Bindings, Fact, FieldPattern, Pattern, Term};
 
 /// Severity attached to a [`Finding`].
 #[derive(
@@ -310,11 +311,95 @@ impl Rule {
     }
 }
 
+/// The facts a knowledge base can react to, compiled from its rules'
+/// patterns: for each fact kind some pattern names, the constant field
+/// constraints of every pattern over that kind — the TREAT alpha keys,
+/// e.g. `obs` only with `metric: "agent.reachable"`.
+///
+/// A fact no key admits matches no pattern, so it can never activate,
+/// retract or join: leaving it out of working memory changes no finding,
+/// and the facts that remain keep their relative recency order.
+///
+/// # Examples
+///
+/// ```
+/// use agentgrid_rules::{parse_rules, Fact, KnowledgeBase};
+///
+/// let kb = KnowledgeBase::from_rules(parse_rules(r#"
+///     rule "down" {
+///         when obs(device: ?d, metric: "agent.reachable", value: ?v)
+///         if ?v == 0
+///         then emit critical ?d "down"
+///     }
+/// "#)?);
+/// let keys = kb.alpha_keys();
+/// assert!(keys.admits(&Fact::new("obs").with("metric", "agent.reachable")));
+/// assert!(!keys.admits(&Fact::new("obs").with("metric", "cpu.load.1")));
+/// assert!(!keys.may_admit("stat", &[]));
+/// # Ok::<(), agentgrid_rules::ParseRuleError>(())
+/// ```
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct AlphaKeys {
+    /// Fact kind → the constant `(field, value)` constraints of each
+    /// distinct pattern over it; an empty list admits every fact of the
+    /// kind.
+    kinds: BTreeMap<String, Vec<Vec<(String, Term)>>>,
+}
+
+impl AlphaKeys {
+    fn compile(rules: &[Rule]) -> Self {
+        let mut kinds: BTreeMap<String, Vec<Vec<(String, Term)>>> = BTreeMap::new();
+        for pattern in rules.iter().flat_map(Rule::patterns) {
+            let consts: Vec<(String, Term)> = pattern
+                .fields()
+                .iter()
+                .filter_map(|(name, fp)| match fp {
+                    FieldPattern::Const(value) => Some((name.clone(), value.clone())),
+                    FieldPattern::Var(_) | FieldPattern::Any => None,
+                })
+                .collect();
+            let keys = kinds.entry(pattern.kind().to_owned()).or_default();
+            if !keys.contains(&consts) {
+                keys.push(consts);
+            }
+        }
+        AlphaKeys { kinds }
+    }
+
+    /// Whether some pattern could match `fact`.
+    pub fn admits(&self, fact: &Fact) -> bool {
+        self.kinds.get(fact.kind()).is_some_and(|keys| {
+            keys.iter().any(|consts| {
+                consts
+                    .iter()
+                    .all(|(field, value)| fact.field(field) == Some(value))
+            })
+        })
+    }
+
+    /// Whether some pattern could match a fact of `kind` whose string
+    /// fields include `known`; fields not listed are assumed to match.
+    /// Lets a caller skip computing a fact that could never be admitted.
+    pub fn may_admit(&self, kind: &str, known: &[(&str, &str)]) -> bool {
+        self.kinds.get(kind).is_some_and(|keys| {
+            keys.iter().any(|consts| {
+                consts.iter().all(|(field, value)| {
+                    known
+                        .iter()
+                        .find(|(name, _)| name == field)
+                        .is_none_or(|(_, v)| value.as_str() == Some(v))
+                })
+            })
+        })
+    }
+}
+
 /// A named collection of rules — the paper's *knowledge base* (KdB).
 ///
 /// Knowledge bases can be merged (`absorb`) and extended at runtime
 /// (`learn`), which is how the interface grid feeds user-defined rules
-/// back into the processor grid (§3.4).
+/// back into the processor grid (§3.4). Every edit recompiles the
+/// base's [`AlphaKeys`].
 ///
 /// # Examples
 ///
@@ -328,6 +413,7 @@ impl Rule {
 #[derive(Debug, Clone, Default)]
 pub struct KnowledgeBase {
     rules: Vec<Rule>,
+    alpha: AlphaKeys,
 }
 
 impl KnowledgeBase {
@@ -340,14 +426,37 @@ impl KnowledgeBase {
     /// earlier ones by name).
     pub fn from_rules(rules: impl IntoIterator<Item = Rule>) -> Self {
         let mut kb = KnowledgeBase::new();
-        for rule in rules {
-            kb.learn(rule);
-        }
+        kb.extend(rules);
         kb
     }
 
     /// Adds a rule, replacing any existing rule with the same name.
     pub fn learn(&mut self, rule: Rule) {
+        self.put(rule);
+        self.recompile();
+    }
+
+    /// Removes a rule by name. Returns it if present.
+    pub fn forget(&mut self, name: &str) -> Option<Rule> {
+        let idx = self.rules.iter().position(|r| r.name() == name)?;
+        let rule = self.rules.remove(idx);
+        self.recompile();
+        Some(rule)
+    }
+
+    /// Merges all rules of `other` into `self` (the paper's "shared
+    /// knowledge" across sites).
+    pub fn absorb(&mut self, other: KnowledgeBase) {
+        self.extend(other.rules);
+    }
+
+    /// The facts any rule can react to, compiled on every edit.
+    pub fn alpha_keys(&self) -> &AlphaKeys {
+        &self.alpha
+    }
+
+    /// Replace-by-name insertion without recompiling the alpha keys.
+    fn put(&mut self, rule: Rule) {
         if let Some(existing) = self.rules.iter_mut().find(|r| r.name() == rule.name()) {
             *existing = rule;
         } else {
@@ -355,18 +464,8 @@ impl KnowledgeBase {
         }
     }
 
-    /// Removes a rule by name. Returns it if present.
-    pub fn forget(&mut self, name: &str) -> Option<Rule> {
-        let idx = self.rules.iter().position(|r| r.name() == name)?;
-        Some(self.rules.remove(idx))
-    }
-
-    /// Merges all rules of `other` into `self` (the paper's "shared
-    /// knowledge" across sites).
-    pub fn absorb(&mut self, other: KnowledgeBase) {
-        for rule in other.rules {
-            self.learn(rule);
-        }
+    fn recompile(&mut self) {
+        self.alpha = AlphaKeys::compile(&self.rules);
     }
 
     /// Looks up a rule by name.
@@ -408,15 +507,15 @@ impl FromIterator<Rule> for KnowledgeBase {
 impl Extend<Rule> for KnowledgeBase {
     fn extend<T: IntoIterator<Item = Rule>>(&mut self, iter: T) {
         for rule in iter {
-            self.learn(rule);
+            self.put(rule);
         }
+        self.recompile();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FieldPattern;
 
     #[test]
     fn guard_comparisons() {
@@ -530,6 +629,58 @@ mod tests {
             Rule::new("d"), // no pattern, no skill
         ]);
         assert_eq!(kb.skills(), ["obs", "problem"]);
+    }
+
+    fn obs_rule(name: &str, metric: &str) -> Rule {
+        Rule::new(name).when(
+            Pattern::new("obs")
+                .field("metric", FieldPattern::Const(Term::from(metric)))
+                .field("value", FieldPattern::Var("v".into())),
+        )
+    }
+
+    fn obs(metric: &str) -> Fact {
+        Fact::new("obs")
+            .with("device", "d")
+            .with("metric", metric)
+            .with("value", 1.0)
+    }
+
+    #[test]
+    fn alpha_keys_admit_only_matchable_facts() {
+        let kb = KnowledgeBase::from_rules([
+            obs_rule("reach", "agent.reachable"),
+            Rule::new("cpu").when(Pattern::new("cpu").field("value", FieldPattern::Any)),
+        ]);
+        let keys = kb.alpha_keys();
+        assert!(keys.admits(&obs("agent.reachable")));
+        assert!(!keys.admits(&obs("cpu.load.1")));
+        assert!(keys.admits(&Fact::new("cpu").with("value", 3.0)));
+        assert!(!keys.admits(&Fact::new("mem").with("value", 3.0)));
+        assert!(keys.may_admit("obs", &[("device", "d"), ("metric", "agent.reachable")]));
+        assert!(!keys.may_admit("obs", &[("metric", "cpu.load.1")]));
+        // Unlisted fields are assumed to match.
+        assert!(keys.may_admit("obs", &[("device", "d")]));
+        assert!(!keys.may_admit("stat", &[]));
+    }
+
+    #[test]
+    fn alpha_keys_follow_every_edit() {
+        let mut kb = KnowledgeBase::new();
+        assert!(!kb.alpha_keys().admits(&obs("m1")));
+        kb.learn(obs_rule("a", "m1"));
+        assert!(kb.alpha_keys().admits(&obs("m1")));
+        kb.extend([obs_rule("b", "m2")]);
+        assert!(kb.alpha_keys().admits(&obs("m2")));
+        kb.absorb(KnowledgeBase::from_rules([obs_rule("c", "m3")]));
+        assert!(kb.alpha_keys().admits(&obs("m3")));
+        // Replacing a rule by name drops the old rule's keys.
+        kb.learn(obs_rule("a", "m4"));
+        assert!(!kb.alpha_keys().admits(&obs("m1")));
+        assert!(kb.alpha_keys().admits(&obs("m4")));
+        kb.forget("b");
+        assert!(!kb.alpha_keys().admits(&obs("m2")));
+        assert_eq!(kb.alpha_keys(), &AlphaKeys::compile(&kb.rules));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Label index and multi-series selection.
 //!
-//! Every series carries three labels: `device` (the managed element),
-//! `oid` (the metric identifier, SNMP-style) and `class` (the partition
-//! assigned by the [`Classifier`](crate::Classifier)). [`LabelIndex`]
-//! maintains the inverted maps for all three plus the site roster, and
-//! [`LabelFilter`] selects series with AND/OR matcher expressions such
-//! as `device=r1 & (class=cpu | class=disk)` — evaluated as set algebra
+//! Every series carries four labels: `device` (the managed element),
+//! `oid` (the metric identifier, SNMP-style), `class` (the partition
+//! assigned by the [`Classifier`](crate::Classifier)) and `site` (where
+//! its device was collected). [`LabelIndex`] maintains the inverted maps
+//! for the first three plus the site roster, and [`LabelFilter`] selects
+//! series with AND/OR matcher expressions such as
+//! `device=r1 & (class=cpu | class=disk)` — evaluated as set algebra
 //! over the inverted maps, never by scanning points.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -13,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// A series key: `(device, metric)`.
 pub type SeriesKey = (String, String);
 
-/// The three indexed label axes of a series.
+/// The four indexed label axes of a series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Label {
     /// The managed device the series was observed on.
@@ -22,6 +23,8 @@ pub enum Label {
     Oid,
     /// The partition class assigned by the classifier.
     Class,
+    /// The site the series' device was collected at.
+    Site,
 }
 
 impl Label {
@@ -30,6 +33,7 @@ impl Label {
             "device" => Some(Label::Device),
             "oid" | "metric" => Some(Label::Oid),
             "class" | "partition" => Some(Label::Class),
+            "site" => Some(Label::Site),
             _ => None,
         }
     }
@@ -43,7 +47,7 @@ impl Label {
 /// expr   := term ( '|' term )*
 /// term   := factor ( '&' factor )*
 /// factor := label '=' value | '(' expr ')' | '*'
-/// label  := 'device' | 'oid' | 'metric' | 'class' | 'partition'
+/// label  := 'device' | 'oid' | 'metric' | 'class' | 'partition' | 'site'
 /// ```
 ///
 /// `&` binds tighter than `|`; `*` matches every series.
@@ -73,6 +77,11 @@ impl LabelFilter {
     /// Matches one partition class.
     pub fn class(name: &str) -> LabelFilter {
         LabelFilter::Eq(Label::Class, name.to_owned())
+    }
+
+    /// Matches every series of the devices seen at one site.
+    pub fn site(name: &str) -> LabelFilter {
+        LabelFilter::Eq(Label::Site, name.to_owned())
     }
 
     /// Intersection with another filter.
@@ -165,7 +174,7 @@ impl Parser<'_> {
             .unwrap_or(self.rest.len());
         let (name, rest) = self.rest.split_at(name_len);
         let label = Label::parse(name)
-            .ok_or_else(|| format!("unknown label {name:?} (expected device/oid/class)"))?;
+            .ok_or_else(|| format!("unknown label {name:?} (expected device/oid/class/site)"))?;
         self.rest = rest;
         if !self.eat('=') {
             return Err(format!("expected '=' after {name:?}"));
@@ -281,17 +290,43 @@ impl LabelIndex {
             LabelFilter::Eq(Label::Class, value) => {
                 self.partition_index.get(value).cloned().unwrap_or_default()
             }
-            LabelFilter::And(a, b) => {
-                let left = self.select(a);
-                let right = self.select(b);
-                left.intersection(&right).cloned().collect()
-            }
+            LabelFilter::Eq(Label::Site, value) => self
+                .devices_at(value)
+                .flat_map(|d| self.metrics_of(d).map(|m| (d.to_owned(), m.to_owned())))
+                .collect(),
+            // A site side filters the other side by device membership
+            // instead of materialising every series of the site: the
+            // analyzer runs `class=p & site=s` for each level-1/2 task.
+            LabelFilter::And(a, b) => match (site_of(a), site_of(b)) {
+                (_, Some(site)) => self.narrow_to_site(self.select(a), site),
+                (Some(site), None) => self.narrow_to_site(self.select(b), site),
+                (None, None) => {
+                    let left = self.select(a);
+                    let right = self.select(b);
+                    left.intersection(&right).cloned().collect()
+                }
+            },
             LabelFilter::Or(a, b) => {
                 let mut left = self.select(a);
                 left.extend(self.select(b));
                 left
             }
         }
+    }
+
+    /// Keeps the keys whose device was seen at `site`.
+    fn narrow_to_site(&self, mut keys: BTreeSet<SeriesKey>, site: &str) -> BTreeSet<SeriesKey> {
+        let devices = self.site_index.get(site);
+        keys.retain(|(d, _)| devices.is_some_and(|at| at.contains(d)));
+        keys
+    }
+}
+
+/// The site a filter names, when it is a bare `site=` matcher.
+fn site_of(filter: &LabelFilter) -> Option<&str> {
+    match filter {
+        LabelFilter::Eq(Label::Site, site) => Some(site),
+        _ => None,
     }
 }
 
@@ -345,6 +380,34 @@ mod tests {
             ]
         );
         assert_eq!(keys(&ix.select(&LabelFilter::Any)).len(), 4);
+    }
+
+    #[test]
+    fn site_matcher_selects_the_series_of_the_sites_devices() {
+        let ix = sample_index();
+        assert_eq!(
+            keys(&ix.select(&LabelFilter::site("hq"))),
+            [("r1", "cpu.load.1"), ("r1", "if.1.in-octets")]
+        );
+        let cpu_at_branch = LabelFilter::class("cpu").and(LabelFilter::site("branch"));
+        assert_eq!(keys(&ix.select(&cpu_at_branch)), [("r2", "cpu.load.1")]);
+        // Either operand order, and the same set as the generic
+        // intersection of the two sides.
+        let flipped = LabelFilter::site("branch").and(LabelFilter::class("cpu"));
+        assert_eq!(ix.select(&flipped), ix.select(&cpu_at_branch));
+        let generic: BTreeSet<SeriesKey> = ix
+            .select(&LabelFilter::class("cpu"))
+            .intersection(&ix.select(&LabelFilter::site("branch")))
+            .cloned()
+            .collect();
+        assert_eq!(ix.select(&cpu_at_branch), generic);
+        assert!(ix
+            .select(&LabelFilter::class("cpu").and(LabelFilter::site("ghost")))
+            .is_empty());
+        assert_eq!(
+            LabelFilter::parse("class=cpu & site=branch").unwrap(),
+            cpu_at_branch
+        );
     }
 
     #[test]

@@ -673,7 +673,7 @@ mod parity_matrix {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
         #[test]
-        fn reports_agree_across_all_three_runtimes(
+        fn reports_agree_across_det_and_pool_runtimes(
             seed in 0u64..500,
             sites in 1usize..3,
             devices in 2usize..5,

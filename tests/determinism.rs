@@ -96,7 +96,7 @@ fn fig2_builder(
 /// each other, so any nondeterminism the chunked store introduced would
 /// surface here.
 #[test]
-fn fig2_runs_diff_clean_across_all_three_runtimes() {
+fn fig2_runs_diff_clean_across_det_and_pool_runtimes() {
     use agentgrid_suite::store::StoreBackend;
 
     let horizon = 10 * 60_000;
