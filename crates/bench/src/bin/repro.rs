@@ -1413,7 +1413,7 @@ fn sharded(shards: usize, seed: u64, json_path: Option<&str>) {
     )
     .0;
     let pool = run_grid(build_correlation(), RuntimeChoice::Pool, horizon, 60_000).0;
-    let per_shard = if first.shard_created.is_empty() {
+    let per_shard = if first.shards == 1 {
         "single domain".to_owned()
     } else {
         first

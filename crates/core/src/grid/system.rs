@@ -29,12 +29,9 @@ use crate::recovery::RecoveryConfig;
 
 pub use agentgrid_platform::OverloadStats;
 
-/// Container hosting the processor-grid root.
-const ROOT_CONTAINER: &str = "pg-root-ct";
-
 /// Name of the agent platform a grid builds on. Agent ids are a pure
-/// function of local name and platform name, so the sharded wiring can
-/// compute every peer root's id before any root is spawned.
+/// function of local name and platform name, so the wiring can compute
+/// every peer root's id before any root is spawned.
 const PLATFORM_NAME: &str = "grid";
 
 /// How long a healed container stays quarantined (Suspect) after its
@@ -64,6 +61,91 @@ struct AnalyzerSpec {
     name: String,
     cpu_capacity: f64,
     skills: Vec<String>,
+}
+
+/// Container and agent names of one shard's root and classifier: the
+/// classic single-domain names for a one-shard grid, shard-suffixed
+/// ones when the grid is federated.
+struct ShardNames {
+    root_container: String,
+    root_agent: String,
+    classifier_container: String,
+    classifier_agent: String,
+}
+
+impl ShardNames {
+    fn of(shard: usize, shards: usize) -> Self {
+        if shards == 1 {
+            ShardNames {
+                root_container: "pg-root-ct".to_owned(),
+                root_agent: "pg-root".to_owned(),
+                classifier_container: "clg".to_owned(),
+                classifier_agent: "classifier".to_owned(),
+            }
+        } else {
+            ShardNames {
+                root_container: format!("pg-root-s{shard}"),
+                root_agent: format!("pg-root-s{shard}"),
+                classifier_container: format!("clg-s{shard}"),
+                classifier_agent: format!("classifier-s{shard}"),
+            }
+        }
+    }
+}
+
+/// One domain of a built grid — a one-shard grid has exactly one.
+struct Shard {
+    network: Arc<Mutex<Network>>,
+    store: Arc<Mutex<ManagementStore>>,
+    root_stats: Arc<Mutex<RootStats>>,
+    /// Federation counters (stay zero when the grid has one shard).
+    federation: Arc<Mutex<FederationStats>>,
+    root_container: String,
+    /// The shard-scoped directory service this shard's root brokers
+    /// over; `None` when there are no peers and it brokers over the
+    /// global `"analysis"`.
+    service: Option<String>,
+    /// The analyzer containers dealt to this shard, kept for chaos
+    /// restarts.
+    analyzers: Vec<AnalyzerSpec>,
+}
+
+/// Spawns a fresh analyzer for `spec` into its (already added)
+/// container against `shard`'s store and lists it in the directory:
+/// under the global `"analysis"` service, which interface-grid rule
+/// broadcasts reach, and under the shard's own service when federated.
+fn spawn_analyzer<R: Runtime>(
+    platform: &mut R,
+    spec: &AnalyzerSpec,
+    shard: &Shard,
+    kb: &Arc<KnowledgeBase>,
+    interface_id: &AgentId,
+    match_attempts: &Arc<AtomicU64>,
+) {
+    let analyzer = AnalyzerAgent::shared(
+        Arc::clone(&shard.store),
+        Arc::clone(kb),
+        interface_id.clone(),
+    )
+    .with_match_counter(Arc::clone(match_attempts));
+    let analyzer_id = platform
+        .spawn_agent(&spec.name, &format!("analyzer-{}", spec.name), analyzer)
+        .expect("container just added");
+    let mut profile = ResourceProfile::new(
+        &spec.name,
+        spec.cpu_capacity,
+        1.0,
+        4096,
+        spec.skills.iter().cloned(),
+    );
+    profile.load = 0.0;
+    platform.with_df(|df| {
+        df.register_container(profile);
+        df.register_service(analyzer_id.clone(), "analysis", [spec.name.clone()]);
+        if let Some(service) = &shard.service {
+            df.register_service(analyzer_id, service.clone(), [spec.name.clone()]);
+        }
+    });
 }
 
 /// Builder for [`ManagementGrid`] (see [`ManagementGrid::builder`]).
@@ -234,8 +316,9 @@ impl GridBuilder {
     /// as one parallel group, so shards run concurrently — the source
     /// of the near-linear device-count scaling.
     ///
-    /// `1` (the default) keeps the single-domain wiring byte-identical
-    /// to the unsharded grid.
+    /// `1` (the default) is a federation of one: the same wiring, with
+    /// the federation protocol attached only when a root has peers, so
+    /// a one-shard grid keeps the classic names and task ids.
     ///
     /// # Panics
     ///
@@ -295,19 +378,23 @@ impl GridBuilder {
 
     /// Builds and wires the grid on any [`Runtime`]. The wiring — and
     /// all agent code — is identical across runtimes; only the execution
-    /// model differs.
+    /// model differs. One loop wires every shard (root, analyzer subset,
+    /// classifier, site collectors) around a shared interface grid,
+    /// whatever the shard count.
     ///
     /// # Panics
     ///
     /// As [`build`](Self::build).
     pub fn build_on<R: Runtime>(self) -> ManagementGrid<R> {
+        let shards = self.shards;
         assert!(
             !self.analyzers.is_empty(),
             "configure at least one analyzer container"
         );
-        if self.shards > 1 {
-            return self.build_sharded_on::<R>();
-        }
+        assert!(
+            self.analyzers.len() >= shards,
+            "need at least one analyzer container per shard"
+        );
         // One compiled knowledge base, shared by every analyzer (and kept
         // for chaos restarts); analyzers copy-on-write if they learn.
         let kb = Arc::new(KnowledgeBase::from_rules(
@@ -324,11 +411,19 @@ impl GridBuilder {
             .or_else(|| self.chaos.as_ref().map(|_| RecoveryConfig::default()))
             .or_else(|| overload.breaker.map(|_| RecoveryConfig::default()));
 
-        let network = Arc::new(Mutex::new(self.network));
-        let store = Arc::new(Mutex::new(ManagementStore::with_backend(
-            self.store_backend,
-            Classifier::standard(),
-        )));
+        // Partition the managed network by site: shard 0 keeps the
+        // original `Network` value, peers split off their sites.
+        let mut network = self.network;
+        let mut shard_sites: Vec<Vec<String>> = vec![Vec::new(); shards];
+        for (i, site) in network.sites().enumerate() {
+            shard_sites[federation::shard_of_site(i, shards)].push(site.name().to_owned());
+        }
+        let peer_networks: Vec<Network> = shard_sites[1..]
+            .iter()
+            .map(|sites| network.split_sites(&sites.iter().map(String::as_str).collect::<Vec<_>>()))
+            .collect();
+        let networks = std::iter::once(network).chain(peer_networks);
+
         let alerts: AlertSink = Arc::new(Mutex::new(Vec::new()));
         let mut platform = R::create(PLATFORM_NAME);
         if recovery.is_some() {
@@ -354,254 +449,6 @@ impl GridBuilder {
         if let Some(telemetry) = &self.telemetry {
             platform.set_telemetry(Arc::clone(telemetry));
             telemetry.set_stage("ig", "interface");
-            telemetry.set_stage("pg-root-ct", "root");
-            telemetry.set_stage("clg", "classifier");
-            for spec in &self.analyzers {
-                telemetry.set_stage(&spec.name, "analyzer");
-            }
-        }
-
-        // Interface grid.
-        platform.add_container("ig");
-        let interface_id = platform
-            .spawn_agent("ig", "interface", InterfaceAgent::new(Arc::clone(&alerts)))
-            .expect("fresh platform");
-
-        // Processor grid root.
-        platform.add_container("pg-root-ct");
-        let mut root_agent = ProcessorRootAgent::new(self.policy);
-        if let Some(telemetry) = &self.telemetry {
-            root_agent.attach_telemetry(telemetry);
-        }
-        if let Some(cfg) = recovery {
-            root_agent.set_recovery(cfg, Some(interface_id.clone()));
-        }
-        let quarantine: Arc<Mutex<BTreeMap<String, u64>>> = Arc::new(Mutex::new(BTreeMap::new()));
-        if recovery.is_some() {
-            root_agent.set_quarantine(Arc::clone(&quarantine));
-        }
-        if overload.admission.is_some() || overload.breaker.is_some() {
-            root_agent.set_overload(overload.admission, overload.breaker);
-        }
-        let root_stats = root_agent.stats_handle();
-        let root_id = platform
-            .spawn_agent("pg-root-ct", "pg-root", root_agent)
-            .expect("fresh platform");
-
-        // Analyzer containers.
-        for spec in &self.analyzers {
-            platform.add_container(&spec.name);
-            let analyzer =
-                AnalyzerAgent::shared(Arc::clone(&store), Arc::clone(&kb), interface_id.clone())
-                    .with_match_counter(Arc::clone(&match_attempts));
-            let analyzer_id = platform
-                .spawn_agent(&spec.name, &format!("analyzer-{}", spec.name), analyzer)
-                .expect("container just added");
-            let mut profile = ResourceProfile::new(
-                &spec.name,
-                spec.cpu_capacity,
-                1.0,
-                4096,
-                spec.skills.iter().cloned(),
-            );
-            profile.load = 0.0;
-            platform.with_df(|df| {
-                df.register_container(profile);
-                df.register_service(analyzer_id, "analysis", [spec.name.clone()]);
-            });
-        }
-
-        // Classifier grid.
-        platform.add_container("clg");
-        let classifier_id = platform
-            .spawn_agent(
-                "clg",
-                "classifier",
-                ClassifierAgent::new(Arc::clone(&store), root_id.clone()),
-            )
-            .expect("fresh platform");
-
-        // Collector grid: one container per site; devices split among
-        // the site's collectors, interfaces alternating SNMP/CLI.
-        let sites: Vec<(String, Vec<String>)> = {
-            let net = network.lock();
-            net.sites()
-                .map(|s| (s.name().to_owned(), s.device_names().to_vec()))
-                .collect()
-        };
-        for (site, devices) in &sites {
-            let container = format!("cg-{site}");
-            if let Some(telemetry) = &self.telemetry {
-                telemetry.set_stage(&container, "collector");
-            }
-            platform.add_container(&container);
-            // Collector containers only poll devices and forward
-            // samples — no cross-container state — so they are safe to
-            // tick concurrently on the pool runtime. A no-op elsewhere.
-            platform.hint_parallel(&container);
-            for c in 0..self.collectors_per_site {
-                let assigned: Vec<String> = devices
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % self.collectors_per_site == c)
-                    .map(|(_, d)| d.clone())
-                    .collect();
-                if assigned.is_empty() {
-                    continue;
-                }
-                let interface = if c % 2 == 0 {
-                    CollectorInterface::Snmp
-                } else {
-                    CollectorInterface::Cli
-                };
-                let mut collector = CollectorAgent::new(
-                    Arc::clone(&network),
-                    assigned,
-                    interface,
-                    self.poll_period_ms,
-                    classifier_id.clone(),
-                    site.clone(),
-                );
-                if let Some(cfg) = recovery {
-                    collector.set_backoff(cfg.backoff);
-                    if let Some(telemetry) = &self.telemetry {
-                        collector.set_retry_metric(
-                            telemetry
-                                .registry()
-                                .counter("agentgrid_retries_total", &[("component", "collector")]),
-                        );
-                    }
-                }
-                if let Some(signal) = &pressure {
-                    collector.set_pacing(Arc::clone(signal), Arc::clone(&paced_polls));
-                }
-                platform
-                    .spawn_agent(&container, &format!("cg-{site}-{c}"), collector)
-                    .expect("container just added");
-            }
-        }
-
-        ManagementGrid {
-            platform,
-            network,
-            store,
-            alerts,
-            injector: self.faults,
-            root_stats,
-            interface_id,
-            ticks: 0,
-            live_profiles: self.live_profiles,
-            last_busy_ns: BTreeMap::new(),
-            kb,
-            specs: self.analyzers,
-            chaos: self.chaos.unwrap_or_default(),
-            chaos_cursor: 0,
-            downed: BTreeSet::new(),
-            quarantine,
-            partition_members: BTreeMap::new(),
-            paced_polls,
-            match_attempts,
-            shards: 1,
-            peer_networks: Vec::new(),
-            peer_stores: Vec::new(),
-            peer_root_stats: Vec::new(),
-            federation_stats: Vec::new(),
-            analyzer_shard: BTreeMap::new(),
-        }
-    }
-
-    /// The federated wiring behind [`shards`](Self::shards): N peer
-    /// grids — each its own root, classifier, analyzer subset, store
-    /// and network domain — on one platform, cooperating through the
-    /// [`federation`](crate::federation) protocol. Shard membership is
-    /// [`federation::shard_of_site`] over the sites in sorted name
-    /// order; analyzer containers are dealt round-robin, so the
-    /// federation runs on exactly the capacity the unsharded grid
-    /// would — any speedup comes from shards ticking concurrently,
-    /// never from extra hardware.
-    fn build_sharded_on<R: Runtime>(mut self) -> ManagementGrid<R> {
-        let shards = self.shards;
-        assert!(
-            self.analyzers.len() >= shards,
-            "need at least one analyzer container per shard"
-        );
-        let kb = Arc::new(KnowledgeBase::from_rules(
-            parse_rules(&self.rules).expect("analysis rules must parse"),
-        ));
-        let overload = self.overload.unwrap_or_default();
-        let recovery = self
-            .recovery
-            .or_else(|| self.chaos.as_ref().map(|_| RecoveryConfig::default()))
-            .or_else(|| overload.breaker.map(|_| RecoveryConfig::default()));
-
-        // Partition the managed network by site; shard 0 keeps the
-        // original `Network` value, peers split off their sites.
-        let site_names: Vec<String> = self.network.sites().map(|s| s.name().to_owned()).collect();
-        let mut shard_sites: Vec<Vec<String>> = vec![Vec::new(); shards];
-        for (i, name) in site_names.iter().enumerate() {
-            shard_sites[federation::shard_of_site(i, shards)].push(name.clone());
-        }
-        let peer_nets: Vec<Network> = (1..shards)
-            .map(|s| {
-                let names: Vec<&str> = shard_sites[s].iter().map(String::as_str).collect();
-                self.network.split_sites(&names)
-            })
-            .collect();
-        let mut networks: Vec<Arc<Mutex<Network>>> = Vec::with_capacity(shards);
-        networks.push(Arc::new(Mutex::new(self.network)));
-        networks.extend(peer_nets.into_iter().map(|n| Arc::new(Mutex::new(n))));
-        let mut stores: Vec<Arc<Mutex<ManagementStore>>> = (0..shards)
-            .map(|_| {
-                Arc::new(Mutex::new(ManagementStore::with_backend(
-                    self.store_backend,
-                    Classifier::standard(),
-                )))
-            })
-            .collect();
-
-        let alerts: AlertSink = Arc::new(Mutex::new(Vec::new()));
-        let mut platform = R::create(PLATFORM_NAME);
-        if recovery.is_some() {
-            platform.set_dead_letter_requeue(true);
-        }
-        if let Some(seed) = self.net_seed {
-            platform.net_command(NetCommand::Seed(seed));
-        }
-        if let Some(config) = self.reliability {
-            platform.net_command(NetCommand::SetReliability(config));
-        }
-        let pressure = overload
-            .mailbox
-            .filter(|_| overload.collector_pacing)
-            .map(|_| Arc::new(PressureSignal::new()));
-        if let Some(mailbox) = overload.mailbox {
-            platform.set_overload(mailbox, pressure.clone());
-        }
-        let paced_polls = Arc::new(AtomicU64::new(0));
-        let match_attempts = Arc::new(AtomicU64::new(0));
-
-        // Analyzer containers dealt round-robin over the shards.
-        let shard_specs: Vec<Vec<AnalyzerSpec>> = (0..shards)
-            .map(|s| {
-                self.analyzers
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % shards == s)
-                    .map(|(_, spec)| spec.clone())
-                    .collect()
-            })
-            .collect();
-
-        if let Some(telemetry) = &self.telemetry {
-            platform.set_telemetry(Arc::clone(telemetry));
-            telemetry.set_stage("ig", "interface");
-            for s in 0..shards {
-                telemetry.set_stage(&format!("pg-root-s{s}"), "root");
-                telemetry.set_stage(&format!("clg-s{s}"), "classifier");
-            }
-            for spec in &self.analyzers {
-                telemetry.set_stage(&spec.name, "analyzer");
-            }
         }
 
         // One shared interface grid: every shard's alerts and
@@ -614,107 +461,112 @@ impl GridBuilder {
         // Peer root ids are computable before any root spawns: agent
         // ids are a pure function of local and platform name.
         let root_ids: Vec<AgentId> = (0..shards)
-            .map(|s| AgentId::with_platform(format!("pg-root-s{s}"), PLATFORM_NAME))
+            .map(|s| AgentId::with_platform(ShardNames::of(s, shards).root_agent, PLATFORM_NAME))
             .collect();
-
         let quarantine: Arc<Mutex<BTreeMap<String, u64>>> = Arc::new(Mutex::new(BTreeMap::new()));
-        let mut root_stats_all = Vec::with_capacity(shards);
-        let mut federation_stats = Vec::with_capacity(shards);
-        let mut analyzer_shard = BTreeMap::new();
+        let mut grid_shards = Vec::with_capacity(shards);
 
-        for s in 0..shards {
+        for (s, network) in networks.enumerate() {
+            let names = ShardNames::of(s, shards);
+            // Analyzer containers are dealt round-robin, so the
+            // federation runs on exactly the configured capacity.
+            let analyzers: Vec<AnalyzerSpec> = self
+                .analyzers
+                .iter()
+                .skip(s)
+                .step_by(shards)
+                .cloned()
+                .collect();
+            if let Some(telemetry) = &self.telemetry {
+                telemetry.set_stage(&names.root_container, "root");
+                telemetry.set_stage(&names.classifier_container, "classifier");
+                for spec in &analyzers {
+                    telemetry.set_stage(&spec.name, "analyzer");
+                }
+            }
             // Root, classifier and analyzers of one shard form a
             // dependent pipeline; as one named group they tick
             // internally in order but concurrently with other shards
-            // on the pool runtime — the source of the sharded speedup.
+            // on the pool runtime.
             let group = format!("shard-{s}");
-            let root_container = format!("pg-root-s{s}");
-            platform.add_container(&root_container);
-            platform.hint_parallel_group(&group, &root_container);
+            let store = Arc::new(Mutex::new(ManagementStore::with_backend(
+                self.store_backend,
+                Classifier::standard(),
+            )));
+            platform.add_container(&names.root_container);
+            platform.hint_parallel_group(&group, &names.root_container);
             let mut root_agent = ProcessorRootAgent::new(self.policy.boxed_clone());
             if let Some(telemetry) = &self.telemetry {
                 root_agent.attach_telemetry(telemetry);
             }
             if let Some(cfg) = recovery {
                 root_agent.set_recovery(cfg, Some(interface_id.clone()));
-            }
-            if recovery.is_some() {
                 root_agent.set_quarantine(Arc::clone(&quarantine));
             }
             if overload.admission.is_some() || overload.breaker.is_some() {
                 root_agent.set_overload(overload.admission, overload.breaker);
             }
-            let fed_stats = Arc::new(Mutex::new(FederationStats::default()));
-            root_agent.set_federation(FederationLink {
-                shard: s,
-                peers: root_ids
-                    .iter()
-                    .enumerate()
-                    .filter(|(p, _)| *p != s)
-                    .map(|(p, id)| (p, id.clone()))
-                    .collect(),
-                service: federation::shard_service(s),
-                store: Arc::clone(&stores[s]),
-                stats: Arc::clone(&fed_stats),
-            });
-            root_stats_all.push(root_agent.stats_handle());
-            federation_stats.push(fed_stats);
+            let federation_stats = Arc::new(Mutex::new(FederationStats::default()));
+            // The federation protocol's on-switch: a root joins only
+            // when it has peers, so a one-shard grid keeps its plain
+            // task ids and the global broker scope.
+            let service = (shards > 1).then(|| federation::shard_service(s));
+            if let Some(service) = &service {
+                root_agent.set_federation(FederationLink {
+                    shard: s,
+                    peers: root_ids
+                        .iter()
+                        .enumerate()
+                        .filter(|(p, _)| *p != s)
+                        .map(|(p, id)| (p, id.clone()))
+                        .collect(),
+                    service: service.clone(),
+                    store: Arc::clone(&store),
+                    stats: Arc::clone(&federation_stats),
+                });
+            }
+            let shard = Shard {
+                network: Arc::new(Mutex::new(network)),
+                store,
+                root_stats: root_agent.stats_handle(),
+                federation: federation_stats,
+                root_container: names.root_container.clone(),
+                service,
+                analyzers,
+            };
             let root_id = platform
-                .spawn_agent(&root_container, &format!("pg-root-s{s}"), root_agent)
+                .spawn_agent(&names.root_container, &names.root_agent, root_agent)
                 .expect("container just added");
-            debug_assert_eq!(root_id, root_ids[s], "precomputed peer ids must match");
+            debug_assert_eq!(root_id, root_ids[s], "precomputed root ids must match");
 
-            for spec in &shard_specs[s] {
+            for spec in &shard.analyzers {
                 platform.add_container(&spec.name);
                 platform.hint_parallel_group(&group, &spec.name);
-                let analyzer = AnalyzerAgent::shared(
-                    Arc::clone(&stores[s]),
-                    Arc::clone(&kb),
-                    interface_id.clone(),
-                )
-                .with_match_counter(Arc::clone(&match_attempts));
-                let analyzer_id = platform
-                    .spawn_agent(&spec.name, &format!("analyzer-{}", spec.name), analyzer)
-                    .expect("container just added");
-                let mut profile = ResourceProfile::new(
-                    &spec.name,
-                    spec.cpu_capacity,
-                    1.0,
-                    4096,
-                    spec.skills.iter().cloned(),
+                spawn_analyzer(
+                    &mut platform,
+                    spec,
+                    &shard,
+                    &kb,
+                    &interface_id,
+                    &match_attempts,
                 );
-                profile.load = 0.0;
-                platform.with_df(|df| {
-                    df.register_container(profile);
-                    // Both entries: the shard service scopes this
-                    // root's brokering to its own tier, while the
-                    // global one keeps interface-grid rule broadcasts
-                    // reaching every analyzer in the federation.
-                    df.register_service(analyzer_id.clone(), "analysis", [spec.name.clone()]);
-                    df.register_service(
-                        analyzer_id,
-                        federation::shard_service(s),
-                        [spec.name.clone()],
-                    );
-                });
-                analyzer_shard.insert(spec.name.clone(), s);
             }
 
-            let clg_container = format!("clg-s{s}");
-            platform.add_container(&clg_container);
-            platform.hint_parallel_group(&group, &clg_container);
+            platform.add_container(&names.classifier_container);
+            platform.hint_parallel_group(&group, &names.classifier_container);
             let classifier_id = platform
                 .spawn_agent(
-                    &clg_container,
-                    &format!("classifier-s{s}"),
-                    ClassifierAgent::new(Arc::clone(&stores[s]), root_ids[s].clone()),
+                    &names.classifier_container,
+                    &names.classifier_agent,
+                    ClassifierAgent::new(Arc::clone(&shard.store), root_id),
                 )
                 .expect("container just added");
 
-            // This shard's collector grid — exactly the unsharded
-            // wiring, over the shard's own network domain.
+            // Collector grid: one container per site of the shard's
+            // network domain; devices split among the site's
+            // collectors, interfaces alternating SNMP/CLI.
             let sites: Vec<(String, Vec<String>)> = {
-                let net = networks[s].lock();
+                let net = shard.network.lock();
                 net.sites()
                     .map(|site| (site.name().to_owned(), site.device_names().to_vec()))
                     .collect()
@@ -725,13 +577,17 @@ impl GridBuilder {
                     telemetry.set_stage(&container, "collector");
                 }
                 platform.add_container(&container);
+                // Collector containers only poll devices and forward
+                // samples — no cross-container state — so they are safe
+                // to tick concurrently on the pool runtime. A no-op
+                // elsewhere.
                 platform.hint_parallel(&container);
                 for c in 0..self.collectors_per_site {
                     let assigned: Vec<String> = devices
                         .iter()
-                        .enumerate()
-                        .filter(|(i, _)| i % self.collectors_per_site == c)
-                        .map(|(_, d)| d.clone())
+                        .skip(c)
+                        .step_by(self.collectors_per_site)
+                        .cloned()
                         .collect();
                     if assigned.is_empty() {
                         continue;
@@ -742,7 +598,7 @@ impl GridBuilder {
                         CollectorInterface::Cli
                     };
                     let mut collector = CollectorAgent::new(
-                        Arc::clone(&networks[s]),
+                        Arc::clone(&shard.network),
                         assigned,
                         interface,
                         self.poll_period_ms,
@@ -768,24 +624,19 @@ impl GridBuilder {
                         .expect("container just added");
                 }
             }
+            grid_shards.push(shard);
         }
 
-        let network = networks.remove(0);
-        let store = stores.remove(0);
-        let root_stats = root_stats_all.remove(0);
         ManagementGrid {
             platform,
-            network,
-            store,
+            shards: grid_shards,
             alerts,
             injector: self.faults,
-            root_stats,
             interface_id,
             ticks: 0,
             live_profiles: self.live_profiles,
             last_busy_ns: BTreeMap::new(),
             kb,
-            specs: self.analyzers,
             chaos: self.chaos.unwrap_or_default(),
             chaos_cursor: 0,
             downed: BTreeSet::new(),
@@ -793,12 +644,6 @@ impl GridBuilder {
             partition_members: BTreeMap::new(),
             paced_polls,
             match_attempts,
-            shards,
-            peer_networks: networks,
-            peer_stores: stores,
-            peer_root_stats: root_stats_all,
-            federation_stats,
-            analyzer_shard,
         }
     }
 }
@@ -862,7 +707,8 @@ pub struct GridReport {
     /// spilled task counts at its origin shard only, so this counts
     /// every task in the federation exactly once.
     pub tasks_created: u64,
-    /// Tasks created per shard, in shard order (empty unsharded).
+    /// Tasks created per shard, in shard order (one entry for a
+    /// one-shard grid).
     pub shard_created: Vec<u64>,
     /// Federation counters summed over the shards (all zero unsharded).
     pub federation: FederationStats,
@@ -1016,11 +862,10 @@ impl fmt::Display for GridReport {
 /// ```
 pub struct ManagementGrid<R: Runtime = Platform> {
     platform: R,
-    network: Arc<Mutex<Network>>,
-    store: Arc<Mutex<ManagementStore>>,
+    /// The grid's domains in shard order (one for an unsharded grid).
+    shards: Vec<Shard>,
     alerts: AlertSink,
     injector: FaultInjector,
-    root_stats: Arc<Mutex<RootStats>>,
     interface_id: AgentId,
     ticks: u64,
     live_profiles: bool,
@@ -1028,8 +873,6 @@ pub struct ManagementGrid<R: Runtime = Platform> {
     last_busy_ns: BTreeMap<String, u64>,
     /// Knowledge base shared by every analyzer, including restarted ones.
     kb: Arc<KnowledgeBase>,
-    /// Analyzer container specs, kept for chaos restarts.
-    specs: Vec<AnalyzerSpec>,
     /// Scheduled chaos events, sorted by due time.
     chaos: ChaosPlan,
     /// First not-yet-applied chaos event.
@@ -1042,29 +885,15 @@ pub struct ManagementGrid<R: Runtime = Platform> {
     /// is Suspect, never Dead — see
     /// [`ProcessorRootAgent::set_quarantine`].
     quarantine: Arc<Mutex<BTreeMap<String, u64>>>,
-    /// Members of each open named partition that are cut off from the
-    /// root's container, kept so the matching heal can start their
-    /// quarantine grace period.
+    /// Members of each open named partition that are cut off from their
+    /// shard root's container, kept so the matching heal can start
+    /// their quarantine grace period.
     partition_members: BTreeMap<String, Vec<String>>,
     /// Stretched-poll counter shared with every pacing collector.
     paced_polls: Arc<AtomicU64>,
     /// Rule-engine match attempts, totalled across every analyzer
     /// (including restarted ones) — the Table 1 inference-cost proxy.
     match_attempts: Arc<AtomicU64>,
-    /// Number of federated shards (1 = classic single-domain grid).
-    shards: usize,
-    /// Peer shards' network domains (shards 1..; shard 0 is `network`).
-    peer_networks: Vec<Arc<Mutex<Network>>>,
-    /// Peer shards' stores (shards 1..; shard 0 is `store`).
-    peer_stores: Vec<Arc<Mutex<ManagementStore>>>,
-    /// Peer shards' root stats (shards 1..; shard 0 is `root_stats`).
-    peer_root_stats: Vec<Arc<Mutex<RootStats>>>,
-    /// Per-shard federation counters, all shards (empty unsharded).
-    federation_stats: Vec<Arc<Mutex<FederationStats>>>,
-    /// Which shard each analyzer container belongs to (sharded mode),
-    /// so a chaos restart rebuilds it against the right store and
-    /// re-registers its shard-scoped directory service.
-    analyzer_shard: BTreeMap<String, usize>,
 }
 
 impl<R: Runtime> fmt::Debug for ManagementGrid<R> {
@@ -1120,17 +949,12 @@ impl<R: Runtime> ManagementGrid<R> {
         for _ in 0..steps {
             let now = self.ticks * tick_ms;
             self.apply_chaos(now);
-            {
-                let mut network = self.network.lock();
-                // Apply scheduled faults before sampling, so a fault that
-                // clears at time T no longer taints the sample taken at T.
-                self.injector.apply(&mut network, now);
-                network.tick_all(now);
-            }
-            // Peer shards' domains advance under the same schedule;
-            // faults naming devices in another domain are skipped.
-            for net in &self.peer_networks {
-                let mut network = net.lock();
+            // Every shard's domain advances under the same schedule;
+            // faults naming devices in another domain are skipped. Apply
+            // scheduled faults before sampling, so a fault that clears
+            // at time T no longer taints the sample taken at T.
+            for shard in &self.shards {
+                let mut network = shard.network.lock();
                 self.injector.apply(&mut network, now);
                 network.tick_all(now);
             }
@@ -1141,10 +965,13 @@ impl<R: Runtime> ManagementGrid<R> {
             // Store-footprint gauges, only when a sink is attached —
             // unobserved runs stay byte-identical.
             if let Some(t) = self.platform.telemetry() {
-                let (points, bytes, chunks) = {
-                    let store = self.store.lock();
-                    (store.len(), store.storage_bytes(), store.chunk_count())
-                };
+                let (mut points, mut bytes, mut chunks) = (0, 0, 0);
+                for shard in &self.shards {
+                    let store = shard.store.lock();
+                    points += store.len();
+                    bytes += store.storage_bytes();
+                    chunks += store.chunk_count();
+                }
                 let registry = t.registry();
                 registry
                     .gauge("agentgrid_store_points", &[])
@@ -1197,48 +1024,24 @@ impl<R: Runtime> ManagementGrid<R> {
                     if !self.downed.remove(&name) {
                         continue;
                     }
-                    let Some(spec) = self.specs.iter().find(|s| s.name == name).cloned() else {
+                    // The analyzer rejoins its own shard: that shard's
+                    // store and directory service.
+                    let Some((shard, spec)) = self.shards.iter().find_map(|shard| {
+                        let spec = shard.analyzers.iter().find(|a| a.name == name)?;
+                        Some((shard, spec))
+                    }) else {
                         continue;
                     };
-                    // In sharded mode the analyzer rejoins its own
-                    // shard: that shard's store, plus the shard-scoped
-                    // directory service its root brokers over.
-                    let shard = self.analyzer_shard.get(&name).copied();
-                    let store = match shard {
-                        Some(s) if s > 0 => Arc::clone(&self.peer_stores[s - 1]),
-                        _ => Arc::clone(&self.store),
-                    };
                     self.platform.add_container(&name);
-                    let analyzer = AnalyzerAgent::shared(
-                        store,
-                        Arc::clone(&self.kb),
-                        self.interface_id.clone(),
-                    )
-                    .with_match_counter(Arc::clone(&self.match_attempts));
-                    let analyzer_id = self
-                        .platform
-                        .spawn_agent(&name, &format!("analyzer-{name}"), analyzer)
-                        .expect("container just re-added");
-                    let mut profile = ResourceProfile::new(
-                        &name,
-                        spec.cpu_capacity,
-                        1.0,
-                        4096,
-                        spec.skills.iter().cloned(),
+                    spawn_analyzer(
+                        &mut self.platform,
+                        spec,
+                        shard,
+                        &self.kb,
+                        &self.interface_id,
+                        &self.match_attempts,
                     );
-                    profile.load = 0.0;
-                    self.platform.with_df(|df| {
-                        df.register_container(profile);
-                        df.register_service(analyzer_id.clone(), "analysis", [name.clone()]);
-                        if let Some(s) = shard {
-                            df.register_service(
-                                analyzer_id,
-                                federation::shard_service(s),
-                                [name.clone()],
-                            );
-                        }
-                        df.record_heartbeat(&name, now);
-                    });
+                    self.platform.with_df(|df| df.record_heartbeat(&name, now));
                     if let Some(t) = self.platform.telemetry() {
                         t.record_event(now, EventKind::Restart { container: name });
                     }
@@ -1257,10 +1060,22 @@ impl<R: Runtime> ManagementGrid<R> {
                         .net_command(NetCommand::ClearLinkFaults(selector));
                 }
                 ChaosAction::PartitionOpen(name, groups) => {
-                    // Containers in a different group than the root's
-                    // container cannot reach the broker: quarantine
-                    // them (Suspect, not Dead) until the heal + grace.
-                    let cut = containers_cut_from(ROOT_CONTAINER, &groups);
+                    // Analyzers in a different group than their own
+                    // shard root's container cannot reach their broker:
+                    // quarantine them (Suspect, not Dead) until the
+                    // heal + grace.
+                    let cut: Vec<String> = self
+                        .shards
+                        .iter()
+                        .flat_map(|shard| {
+                            let cut_off = containers_cut_from(&shard.root_container, &groups);
+                            shard
+                                .analyzers
+                                .iter()
+                                .filter(move |a| cut_off.contains(&a.name))
+                                .map(|a| a.name.clone())
+                        })
+                        .collect();
                     if !cut.is_empty() {
                         let mut quarantine = self.quarantine.lock();
                         for container in &cut {
@@ -1324,57 +1139,42 @@ impl<R: Runtime> ManagementGrid<R> {
     }
 
     fn report(&self, duration_ms: u64) -> GridReport {
-        // Aggregate the shard roots in shard order; shard 0's stats are
-        // the whole story for an unsharded grid.
-        let stats = self.root_stats.lock();
-        let mut assignments = stats.assignments.clone();
-        let mut unassigned = stats.unassigned;
-        let mut reassigned = stats.reassigned;
-        let mut completed = stats.completed;
-        let mut completed_ids = stats.completed_ids.clone();
-        let mut rebrokered = stats.rebrokered.clone();
-        let mut retries = stats.retries;
-        let mut escalations = stats.escalations;
-        let mut rejected = stats.rejected;
-        let mut outstanding = stats.outstanding.clone();
-        let mut tasks_created = stats.created;
-        let mut shard_created = if self.shards > 1 {
-            vec![stats.created]
-        } else {
-            Vec::new()
-        };
-        drop(stats);
-        for peer in &self.peer_root_stats {
-            let peer = peer.lock();
-            shard_created.push(peer.created);
-            tasks_created += peer.created;
-            assignments.extend(peer.assignments.iter().cloned());
-            unassigned += peer.unassigned;
-            reassigned += peer.reassigned;
-            completed += peer.completed;
-            completed_ids.extend(peer.completed_ids.iter().cloned());
-            rebrokered.extend(peer.rebrokered.iter().cloned());
-            retries += peer.retries;
-            escalations += peer.escalations;
-            rejected += peer.rejected;
-            outstanding.extend(peer.outstanding.iter().cloned());
-        }
+        // Aggregate the shard roots in shard order.
+        let mut assignments = Vec::new();
+        let mut unassigned = 0;
+        let mut reassigned = 0;
+        let mut completed = 0;
+        let mut completed_ids = Vec::new();
+        let mut rebrokered = Vec::new();
+        let mut retries = 0;
+        let mut escalations = 0;
+        let mut rejected = 0;
+        let mut outstanding = Vec::new();
+        let mut shard_created = Vec::with_capacity(self.shards.len());
         let mut federation = FederationStats::default();
-        for shard in &self.federation_stats {
-            let shard = shard.lock();
-            federation.spilled_out += shard.spilled_out;
-            federation.spilled_in += shard.spilled_in;
-            federation.spill_completed += shard.spill_completed;
-            federation.summaries_sent += shard.summaries_sent;
-            federation.summaries_received += shard.summaries_received;
-            federation.injected_findings += shard.injected_findings;
+        let mut records_stored = 0;
+        for shard in &self.shards {
+            let stats = shard.root_stats.lock();
+            shard_created.push(stats.created);
+            assignments.extend(stats.assignments.iter().cloned());
+            unassigned += stats.unassigned;
+            reassigned += stats.reassigned;
+            completed += stats.completed;
+            completed_ids.extend(stats.completed_ids.iter().cloned());
+            rebrokered.extend(stats.rebrokered.iter().cloned());
+            retries += stats.retries;
+            escalations += stats.escalations;
+            rejected += stats.rejected;
+            outstanding.extend(stats.outstanding.iter().cloned());
+            let fed = shard.federation.lock();
+            federation.spilled_out += fed.spilled_out;
+            federation.spilled_in += fed.spilled_in;
+            federation.spill_completed += fed.spill_completed;
+            federation.summaries_sent += fed.summaries_sent;
+            federation.summaries_received += fed.summaries_received;
+            federation.injected_findings += fed.injected_findings;
+            records_stored += shard.store.lock().len();
         }
-        let records_stored = self.store.lock().len()
-            + self
-                .peer_stores
-                .iter()
-                .map(|s| s.lock().len())
-                .sum::<usize>();
         GridReport {
             duration_ms,
             alerts: self.alerts.lock().clone(),
@@ -1402,8 +1202,8 @@ impl<R: Runtime> ManagementGrid<R> {
                 .telemetry()
                 .and_then(|t| t.task_latency_summary()),
             net: self.platform.net_stats(),
-            shards: self.shards,
-            tasks_created,
+            shards: self.shards.len(),
+            tasks_created: shard_created.iter().sum(),
             shard_created,
             federation,
         }
@@ -1450,14 +1250,16 @@ impl<R: Runtime> ManagementGrid<R> {
             .expect("container exists");
     }
 
-    /// Read access to the shared management store.
+    /// Read access to shard 0's management store — the whole grid's
+    /// store when it has one shard.
     pub fn store(&self) -> Arc<Mutex<ManagementStore>> {
-        Arc::clone(&self.store)
+        Arc::clone(&self.shards[0].store)
     }
 
-    /// Read access to the managed network.
+    /// Read access to shard 0's managed network domain — the whole
+    /// managed network when the grid has one shard.
     pub fn network(&self) -> Arc<Mutex<Network>> {
-        Arc::clone(&self.network)
+        Arc::clone(&self.shards[0].network)
     }
 
     /// The underlying runtime (e.g. for migration experiments).
@@ -1489,6 +1291,7 @@ mod tests {
     use super::*;
     use agentgrid_acl::ontology::Severity;
     use agentgrid_net::{Device, DeviceKind, FaultKind};
+    use agentgrid_telemetry::Telemetry;
 
     const ALL_SKILLS: [&str; 8] = [
         "cpu",
@@ -1675,11 +1478,72 @@ mod tests {
             .build();
         let report = grid.run(3 * 60_000, 60_000);
         assert_eq!(report.shards, 1);
-        assert!(report.shard_created.is_empty());
+        assert_eq!(report.shard_created, [report.tasks_created]);
         assert_eq!(report.federation, FederationStats::default());
         let text = report.render();
         assert!(!text.contains("shards:"), "{text}");
         assert!(!text.contains("federation:"), "{text}");
+    }
+
+    #[test]
+    fn partition_quarantines_analyzer_cut_from_its_own_shard_root() {
+        // pg-1 lives in shard 0 whichever the shard count; cut it off
+        // from that shard's root and the broker must hold it Suspect
+        // (gauge 1) while the partition is open, then trust it again
+        // (gauge 0) once the heal's grace period has passed. pg-2 shares
+        // shard 0's root group, so it is Suspect only when it belongs to
+        // shard 1, whose root the partition puts in a group of its own.
+        let (open_ms, heal_ms) = (2 * 60_000, 5 * 60_000);
+        for shards in [1, 2] {
+            let mut groups = vec![
+                vec!["pg-1".to_owned()],
+                vec![ShardNames::of(0, shards).root_container, "pg-2".to_owned()],
+            ];
+            groups.extend((1..shards).map(|s| vec![ShardNames::of(s, shards).root_container]));
+            let telemetry = Telemetry::new();
+            let mut grid = ManagementGrid::builder()
+                .network(multi_site_network(4))
+                .analyzer("pg-1", 1.0, ALL_SKILLS)
+                .analyzer("pg-2", 1.0, ALL_SKILLS)
+                .shards(shards)
+                .chaos(ChaosPlan::new().partition_between(open_ms, heal_ms, "cut", groups))
+                .telemetry(telemetry.clone())
+                .build();
+            let liveness = |container: &str| {
+                telemetry
+                    .snapshot()
+                    .gauge("agentgrid_container_liveness", &[("container", container)])
+            };
+            grid.run(open_ms + 2 * 60_000, 60_000);
+            assert_eq!(
+                liveness("pg-1"),
+                Some(1),
+                "shards {shards}: partitioned pg-1"
+            );
+            let pg2 = if shards == 2 { 1 } else { 0 };
+            assert_eq!(liveness("pg-2"), Some(pg2), "shards {shards}: pg-2");
+            grid.run(heal_ms + QUARANTINE_GRACE_MS, 60_000);
+            assert_eq!(liveness("pg-1"), Some(0), "shards {shards}: healed pg-1");
+            assert_eq!(liveness("pg-2"), Some(0), "shards {shards}: healed pg-2");
+        }
+    }
+
+    #[test]
+    fn store_gauges_cover_every_shard() {
+        let telemetry = Telemetry::new();
+        let mut grid = ManagementGrid::builder()
+            .network(multi_site_network(4))
+            .analyzer("pg-1", 1.0, ALL_SKILLS)
+            .analyzer("pg-2", 1.0, ALL_SKILLS)
+            .shards(2)
+            .telemetry(telemetry.clone())
+            .build();
+        let report = grid.run(5 * 60_000, 60_000);
+        assert!(report.records_stored > grid.store().lock().len());
+        assert_eq!(
+            telemetry.snapshot().gauge("agentgrid_store_points", &[]),
+            Some(report.records_stored as i64)
+        );
     }
 
     #[test]

@@ -222,6 +222,43 @@ fn shard_qualified_task_ids_never_collide() {
 }
 
 #[test]
+fn restarted_analyzer_rejoins_its_own_shard() {
+    // With two analyzers, pg-2 is shard 1's whole tier: crash it, and
+    // the chaos restart must rebuild it against shard 1's store and
+    // re-list it under shard 1's broker service, so shard 1's root
+    // awards it `s1-` tasks again.
+    let awarded_s1 = |report: &GridReport| {
+        report
+            .assignments
+            .iter()
+            .filter(|(id, container)| id.starts_with("s1-") && container == "pg-2")
+            .count()
+    };
+    let restart_ms = 6 * 60_000;
+    let mut grid = sharded_builder(2, 4, 4, 9)
+        .chaos(
+            ChaosPlan::new()
+                .crash_at(3 * 60_000, "pg-2")
+                .restart_at(restart_ms, "pg-2"),
+        )
+        .build();
+    let before = awarded_s1(&grid.run(restart_ms, 60_000));
+    let report = grid.run(8 * 60_000, 60_000);
+    assert!(
+        awarded_s1(&report) > before,
+        "the restarted pg-2 must win shard 1's awards again: {report}"
+    );
+    assert!(
+        !report
+            .assignments
+            .iter()
+            .any(|(id, container)| id.starts_with("s0-") && container == "pg-2"),
+        "pg-2 must rejoin shard 1, not shard 0: {report}"
+    );
+    assert_conserved(&report, "analyzer restart in shard 1");
+}
+
+#[test]
 fn single_shard_grid_reports_no_federation() {
     let report = sharded_builder(1, 2, 4, 3).build().run(10 * 60_000, 60_000);
     assert_eq!(report.shards, 1);
