@@ -451,6 +451,11 @@ pub struct AnalysisTask {
     /// Site whose data the task covers; `None` covers every site.
     /// Correlation sweeps and spilled tasks are site-less.
     pub site: Option<String>,
+    /// Simulated time of the round the task analyzes: the instant of its
+    /// first award. A retry or re-award delivers the task for that round,
+    /// so an analyzer that finds newer data in the task's scope knows a
+    /// later round's own task covers it. `None` until first awarded.
+    pub round_ms: Option<u64>,
 }
 
 impl AnalysisTask {
@@ -469,6 +474,7 @@ impl AnalysisTask {
             level,
             size,
             site: None,
+            round_ms: None,
         }
     }
 
@@ -489,10 +495,14 @@ impl ToContent for AnalysisTask {
             ("level", Value::Int(self.level.into())),
             ("size", Value::Int(self.size as i64)),
         ];
-        // The key is written only when set: a site-less task (a
-        // correlation sweep, a spill) encodes without it.
+        // The keys are written only when set: a site-less task (a
+        // correlation sweep, a spill) encodes without `site`, and a task
+        // not yet awarded (a spill) without `round`.
         if let Some(site) = &self.site {
             pairs.push(("site", Value::from(site.clone())));
+        }
+        if let Some(round_ms) = self.round_ms {
+            pairs.push(("round", Value::Int(round_ms as i64)));
         }
         Value::map(pairs)
     }
@@ -514,6 +524,10 @@ impl FromContent for AnalysisTask {
             site: match value.get("site") {
                 None => None,
                 Some(_) => Some(req_str(value, "site", C)?),
+            },
+            round_ms: match value.get("round") {
+                None => None,
+                Some(_) => Some(req_u64(value, "round", C)?),
             },
         })
     }
@@ -591,6 +605,19 @@ mod tests {
         let back = AnalysisTask::from_content(&content).unwrap();
         assert_eq!(back, scoped);
         assert_eq!(back.site.as_deref(), Some("site-2"));
+    }
+
+    #[test]
+    fn task_round_is_written_only_when_set() {
+        let fresh = AnalysisTask::new("t-1", "cpu", "cpu", 1, 10);
+        assert!(fresh.to_content().get("round").is_none());
+        let awarded = AnalysisTask {
+            round_ms: Some(120_000),
+            ..fresh
+        };
+        let content = awarded.to_content();
+        assert_eq!(content.get("round").and_then(Value::as_int), Some(120_000));
+        assert_eq!(AnalysisTask::from_content(&content).unwrap(), awarded);
     }
 
     #[test]

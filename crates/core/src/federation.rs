@@ -17,8 +17,8 @@
 //!   set until the `spill-done` lands (a lost spill is *visible*, never
 //!   silently dropped), and its `done_seen` ledger makes the completion
 //!   exactly-once under duplication and retransmission;
-//! * **`fed-summary`** — on the correlation cadence each root publishes
-//!   its [`SUMMARY_TOP_K`] hottest devices as compact findings; peers
+//! * **`fed-summary`** — with each round's level-3 sweep each root
+//!   publishes its [`SUMMARY_TOP_K`] hottest devices as compact findings; peers
 //!   inject them into their own stores under a [`fed_device`] alias so
 //!   the existing level-3 rules (e.g. `correlated-cpu`) see cross-domain
 //!   pairs without any rule or ontology change — summaries, not raw
@@ -94,10 +94,12 @@ impl LoadDigest {
 /// Wire encoding of a spill-over: the task plus its origin shard.
 ///
 /// The task travels site-less: its site names devices in the origin's
-/// store, and the peer runs the partition across its own store.
+/// store, and the peer runs the partition across its own store. It
+/// travels unawarded too: the peer's award fixes its round.
 pub fn spill_content(origin_shard: usize, task: &AnalysisTask) -> Value {
     let task = AnalysisTask {
         site: None,
+        round_ms: None,
         ..task.clone()
     };
     Value::map([
@@ -234,6 +236,21 @@ mod tests {
         assert!(content.get("task").unwrap().get("site").is_none());
         assert_eq!(content, spill_content(0, &siteless), "byte-identical");
         assert_eq!(parse_spill(&content).unwrap().1, siteless);
+    }
+
+    #[test]
+    fn spill_content_carries_no_round() {
+        let awarded = AnalysisTask {
+            round_ms: Some(60_000),
+            ..AnalysisTask::new("s0-t7", "cpu", "cpu", 2, 40)
+        };
+        let content = spill_content(0, &awarded);
+        assert!(content.get("task").unwrap().get("round").is_none());
+        assert_eq!(
+            parse_spill(&content).unwrap().1.round_ms,
+            None,
+            "the peer's award stamps the round"
+        );
     }
 
     #[test]

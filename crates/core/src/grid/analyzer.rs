@@ -6,7 +6,7 @@ use agentgrid_acl::ontology::{
 };
 use agentgrid_acl::{AclMessage, AgentId, Performative, Value};
 use agentgrid_platform::{Agent, AgentCtx};
-use agentgrid_rules::{parse_rules, Engine, Fact, KnowledgeBase, RuleSeverity};
+use agentgrid_rules::{parse_rules, Engine, Fact, KnowledgeBase, RuleSeverity, View};
 use agentgrid_store::{LabelFilter, ManagementStore};
 use parking_lot::Mutex;
 
@@ -27,6 +27,10 @@ const LOAD_DECAY: f64 = 0.02;
 ///   stored history) so rules can see trends;
 /// * **level 3** — correlation: loads the latest observations of *every*
 ///   partition so cross-device rules can join facts.
+///
+/// Each level runs its [`View`] of the shared knowledge base: levels 1
+/// and 2 the single-pattern rules, level 3 the joins and the rules that
+/// feed them.
 ///
 /// Findings go to the interface agent as [`Alert`]s; a `done` report
 /// goes back to the root. The agent learns new rules sent by the
@@ -95,6 +99,7 @@ impl AnalyzerAgent {
     }
 
     fn run_task(&mut self, task: &AnalysisTask, now: u64) -> Vec<Alert> {
+        self.engine.set_view(view_for(task.level));
         let store = self.store.lock();
         let (alerts, match_attempts) = analyze_task_with(&mut self.engine, &store, task, now);
         self.match_attempts += match_attempts;
@@ -155,6 +160,17 @@ fn if_index(metric: &str) -> Option<i64> {
     }
 }
 
+/// The view of the knowledge base an analysis task of `level` runs:
+/// levels 1 and 2 read one device's data at a time, level 3 correlates
+/// across devices (paper §3.3).
+fn view_for(level: u8) -> View {
+    if level >= 3 {
+        View::Correlation
+    } else {
+        View::PerDevice
+    }
+}
+
 /// Runs one [`AnalysisTask`] against a store with a knowledge base —
 /// the multi-level analysis procedure of §3.3, shared by the grid's
 /// [`AnalyzerAgent`] and the non-grid baselines. Returns the alerts and
@@ -174,18 +190,23 @@ pub fn analyze_task(
 
 /// [`analyze_task`] against a caller-owned engine, which is `reset()`
 /// first: working memory and refraction are per-task, but the engine's
-/// allocations and compiled knowledge base are reused across tasks.
+/// allocations and compiled knowledge base are reused across tasks. The
+/// engine runs the [`View`] it is set to: the [`AnalyzerAgent`] sets its
+/// task level's view, while [`analyze_task`] runs every rule.
 ///
 /// A level-1/2 task with a site covers its partition at that site only;
 /// without one (spilled tasks, the baselines) it covers the partition
 /// across every site. Level 3 and partition `*` always span every
 /// partition and site.
 ///
-/// Analysis is rule-pruned: facts no rule pattern can match (per the
-/// knowledge base's [`AlphaKeys`](agentgrid_rules::AlphaKeys)) are never
-/// inserted, and the `stat`/`trend` store queries run only for series
-/// whose fact some pattern could match. Such facts can never activate,
-/// so the findings are those of the unpruned procedure.
+/// Analysis is rule-pruned: facts no pattern of the engine's rules can
+/// match (per [`Engine::alpha_keys`]) are never inserted, and the
+/// `stat`/`trend` store queries run only for series whose fact some
+/// pattern could match. Such facts can never activate, so the findings
+/// are those of the unpruned procedure.
+///
+/// A task whose [`round_ms`](AnalysisTask::round_ms) is older than a
+/// point it reads raises nothing: that later round's own task covers it.
 pub fn analyze_task_with(
     engine: &mut Engine,
     store: &ManagementStore,
@@ -211,7 +232,7 @@ pub fn analyze_task_with(
             None => class,
         })
     };
-    let keys = engine.knowledge().alpha_keys();
+    let keys = engine.alpha_keys();
     let mut facts = Vec::new();
     let mut keep = |fact: Fact| {
         if keys.admits(&fact) {
@@ -222,35 +243,45 @@ pub fn analyze_task_with(
         let known = [("device", device.as_str()), ("metric", metric.as_str())];
         let latest_admitted = keys.may_admit("obs", &known)
             || typed_kind(metric).is_some_and(|kind| keys.may_admit(kind, &known[..1]));
+        let stat_admitted = task.level >= 2 && keys.may_admit("stat", &known);
+        let trend_admitted = task.level >= 2 && keys.may_admit("trend", &known);
+        if !(latest_admitted || stat_admitted || trend_admitted) {
+            continue;
+        }
+        let Some((ts, value)) = store.latest(device, metric) else {
+            continue;
+        };
+        // A retried or re-awarded task that finds a later round's data in
+        // its scope would analyze that round, which the round's own task
+        // covers: it raises nothing rather than the same findings again.
+        if task.round_ms.is_some_and(|round| ts > round) {
+            return (Vec::new(), 0);
+        }
         if latest_admitted {
-            if let Some((_, value)) = store.latest(device, metric) {
-                for fact in facts_for(device, metric, value) {
-                    keep(fact);
-                }
+            for fact in facts_for(device, metric, value) {
+                keep(fact);
             }
         }
-        if task.level >= 2 {
-            if keys.may_admit("stat", &known) {
-                if let Some(stats) = store.stats(device, metric, 0, u64::MAX) {
-                    keep(
-                        Fact::new("stat")
-                            .with("device", device.as_str())
-                            .with("metric", metric.as_str())
-                            .with("mean", stats.mean)
-                            .with("max", stats.max)
-                            .with("count", stats.count as i64),
-                    );
-                }
+        if stat_admitted {
+            if let Some(stats) = store.stats(device, metric, 0, u64::MAX) {
+                keep(
+                    Fact::new("stat")
+                        .with("device", device.as_str())
+                        .with("metric", metric.as_str())
+                        .with("mean", stats.mean)
+                        .with("max", stats.max)
+                        .with("count", stats.count as i64),
+                );
             }
-            if keys.may_admit("trend", &known) {
-                if let Some(slope) = store.trend_per_min(device, metric, 0, u64::MAX) {
-                    keep(
-                        Fact::new("trend")
-                            .with("device", device.as_str())
-                            .with("metric", metric.as_str())
-                            .with("per-min", slope),
-                    );
-                }
+        }
+        if trend_admitted {
+            if let Some(slope) = store.trend_per_min(device, metric, 0, u64::MAX) {
+                keep(
+                    Fact::new("trend")
+                        .with("device", device.as_str())
+                        .with("metric", metric.as_str())
+                        .with("per-min", slope),
+                );
             }
         }
     }
@@ -386,6 +417,25 @@ mod tests {
             alerts.iter().any(|a| a.rule == "correlated-cpu"),
             "{alerts:?}"
         );
+    }
+
+    #[test]
+    fn task_run_after_a_later_round_raises_nothing() {
+        let mut store = ManagementStore::default();
+        for ts in [60_000, 120_000] {
+            store.insert(Record::new("r1", "cpu.load.1", 97.0, ts));
+        }
+        let mut analyzer =
+            AnalyzerAgent::new(Arc::new(Mutex::new(store)), kb(), AgentId::new("ig@g"));
+        let for_round = |round_ms| AnalysisTask {
+            round_ms,
+            ..task("cpu", 1)
+        };
+        // A retry of round 1's task lands after round 2's data: round 2's
+        // own task raises the finding, the retry must not raise it again.
+        assert!(analyzer.run_task(&for_round(Some(60_000)), 0).is_empty());
+        assert_eq!(analyzer.run_task(&for_round(Some(120_000)), 0).len(), 1);
+        assert_eq!(analyzer.run_task(&for_round(None), 0).len(), 1);
     }
 
     #[test]
@@ -679,8 +729,93 @@ mod tests {
             engine.run().findings
         }
 
+        /// The names of the rules in `kb`'s `view`, in rule order.
+        fn view_rules(kb: &KnowledgeBase, view: View) -> Vec<&str> {
+            let in_view = kb.view(view);
+            kb.iter()
+                .enumerate()
+                .filter(|(i, _)| in_view.contains(*i))
+                .map(|(_, rule)| rule.name())
+                .collect()
+        }
+
+        #[test]
+        fn correlation_view_keeps_the_rules_that_feed_its_joins() {
+            let default = rules(DEFAULT_RULES);
+            assert_eq!(view_rules(&default, View::Correlation), ["correlated-cpu"]);
+            // A default sweep loads only `cpu` facts: no `obs`, and no
+            // `stats`/`trend_per_min` query.
+            let keys = default.view(View::Correlation).alpha_keys();
+            assert!(keys.may_admit("cpu", &[]));
+            for kind in ["obs", "stat", "trend", "disk", "mem", "if_status"] {
+                assert!(!keys.may_admit(kind, &[]), "{kind}");
+            }
+
+            let mut kb = default;
+            kb.absorb(rules(CHAIN_RULES));
+            // `hot-and-full` reads `hot`, which single-pattern `mark-hot`
+            // asserts: the sweep runs it too.
+            assert_eq!(
+                view_rules(&kb, View::Correlation),
+                ["correlated-cpu", "mark-hot", "hot-and-full"]
+            );
+            let per_device = view_rules(&kb, View::PerDevice);
+            assert!(per_device.contains(&"mark-hot"));
+            assert!(!per_device.contains(&"hot-and-full"));
+            assert!(!per_device.contains(&"correlated-cpu"));
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Splitting the rule base by level loses no finding of the
+            /// rules a level runs, nor their order: a level's findings are
+            /// the unsplit base's findings filtered to its view's rules —
+            /// the single-pattern rules at levels 1 and 2.
+            #[test]
+            fn split_findings_equal_the_unsplit_findings_of_the_view(store in store_strategy()) {
+                let mut kb = rules(DEFAULT_RULES);
+                kb.absorb(rules(EXTRA_RULES));
+                kb.absorb(rules(CHAIN_RULES));
+                let single_pattern: Vec<&str> = kb
+                    .iter()
+                    .filter(|r| r.patterns().len() == 1)
+                    .map(|r| r.name())
+                    .collect();
+                let correlation = view_rules(&kb, View::Correlation);
+                let mut split = Engine::new(kb.clone());
+                let mut unsplit = Engine::new(kb.clone());
+                let mut partitions: Vec<String> =
+                    store.partitions().iter().map(|p| (*p).to_owned()).collect();
+                partitions.push("*".to_owned());
+                for partition in &partitions {
+                    for level in [1, 2, 3] {
+                        let (view, rules_of_view) = if level == 3 {
+                            (View::Correlation, &correlation)
+                        } else {
+                            (View::PerDevice, &single_pattern)
+                        };
+                        split.set_view(view);
+                        let siteless = AnalysisTask::new("t", partition, partition, level, 1);
+                        let scoped = SITES.iter().map(|s| siteless.clone().with_site(*s));
+                        for task in std::iter::once(siteless.clone()).chain(scoped) {
+                            let key = |a: Alert| (a.rule, a.device, a.message);
+                            let got: Vec<_> = analyze_task_with(&mut split, &store, &task, 0)
+                                .0
+                                .into_iter()
+                                .map(key)
+                                .collect();
+                            let want: Vec<_> = analyze_task_with(&mut unsplit, &store, &task, 0)
+                                .0
+                                .into_iter()
+                                .filter(|a| rules_of_view.contains(&a.rule.as_str()))
+                                .map(key)
+                                .collect();
+                            prop_assert_eq!(got, want);
+                        }
+                    }
+                }
+            }
 
             /// For every single-pattern rule, level 1/2 findings summed
             /// over the sites equal the site-less task's findings.

@@ -14,9 +14,6 @@ use crate::grid::classifier::parse_data_ready;
 use crate::overload::{AdmissionConfig, AdmissionGate, BreakerBoard, BreakerConfig};
 use crate::recovery::{jitter_key, Liveness, RecoveryConfig};
 
-/// How many `data-ready` notifications between level-3 correlation
-/// sweeps.
-const CORRELATION_EVERY: u64 = 3;
 /// Ticks a task may stay outstanding before the root checks whether its
 /// container died.
 const REASSIGN_AFTER_TICKS: u64 = 3;
@@ -188,9 +185,10 @@ pub struct RootStats {
 /// The processor-grid root: the broker of Fig. 3 as a live agent.
 ///
 /// On a `data-ready` notification from the classifier it creates one
-/// [`AnalysisTask`] per fresh partition (level 1/2 alternating) plus a
-/// periodic level-3 correlation sweep, selects a container for each
-/// through its [`LoadBalancer`] against the directory's resource
+/// [`AnalysisTask`] per fresh partition (level 1/2 alternating); on its
+/// first tick after a round's notifications it adds one level-3
+/// correlation sweep over that round. It selects a container for each
+/// task through its [`LoadBalancer`] against the directory's resource
 /// profiles, and requests the container's analyzer agent to run it.
 ///
 /// **Fault tolerance**: tasks whose container disappears from the
@@ -205,9 +203,13 @@ pub struct RootStats {
 pub struct ProcessorRootAgent {
     policy: Box<dyn LoadBalancer>,
     task_seq: u64,
-    /// `data-ready` notifications seen, grid-wide: paces the level-3
-    /// correlation sweep.
-    ready_seen: u64,
+    /// The simulated time of the newest `data-ready` no level-3 sweep
+    /// covers yet, with the observation time it reported (the sweep's
+    /// span starts there).
+    unswept: Option<(u64, u64)>,
+    /// Simulated time of the last level-3 sweep: at most one per
+    /// instant, so a sweep never re-raises its own round's findings.
+    last_sweep_ms: Option<u64>,
     /// `data-ready` notifications seen per site: alternates each site's
     /// level-1/2 tasks, so every site gets consolidation on every other
     /// pass over its own data whatever the interleaving of sites.
@@ -290,7 +292,8 @@ impl ProcessorRootAgent {
         ProcessorRootAgent {
             policy,
             task_seq: 0,
-            ready_seen: 0,
+            unswept: None,
+            last_sweep_ms: None,
             ready_by_site: BTreeMap::new(),
             pending: Vec::new(),
             stats: Arc::new(Mutex::new(RootStats::default())),
@@ -358,8 +361,8 @@ impl ProcessorRootAgent {
     /// Joins this root to a federation of peer shards (sharded mode):
     /// brokering and liveness scope to the link's shard service,
     /// admission-gate and broker rejections spill to the least-loaded
-    /// peer, and finding summaries flow both ways on the correlation
-    /// cadence.
+    /// peer, and finding summaries flow both ways with each round's
+    /// level-3 sweep.
     pub fn set_federation(&mut self, link: FederationLink) {
         self.federation = Some(link);
     }
@@ -381,7 +384,8 @@ impl ProcessorRootAgent {
 
     /// Selects a container for `task` and sends the award; on success
     /// the task joins the in-flight ledger and the chosen container is
-    /// returned.
+    /// returned. A first award fixes the task's round at this instant; a
+    /// re-award keeps the round it was first awarded for.
     fn try_award(&mut self, task: &AnalysisTask, ctx: &mut AgentCtx<'_>) -> Option<String> {
         // Only containers that actually host an analysis agent are
         // candidates; spare containers (profile but no agent yet) are
@@ -411,6 +415,10 @@ impl ProcessorRootAgent {
             .providers_with(&service, &container)
             .next()
             .cloned()?;
+        let task = AnalysisTask {
+            round_ms: task.round_ms.or(Some(now)),
+            ..task.clone()
+        };
         // Project the added load so the next selection sees it.
         if let Some(profile) = ctx.df().container_profile(&container) {
             let load = (profile.load + task.size as f64 / 2000.0 / profile.cpu_capacity).min(1.0);
@@ -439,7 +447,7 @@ impl ProcessorRootAgent {
             None => u64::MAX,
         };
         self.pending.push(Pending {
-            task: task.clone(),
+            task,
             container: container.clone(),
             ticks_outstanding: 0,
             attempts: 0,
@@ -710,7 +718,8 @@ impl ProcessorRootAgent {
     }
 
     /// Publishes this shard's hottest devices to every peer as a
-    /// compact `fed-summary` (correlation cadence, federated mode).
+    /// compact `fed-summary` (once per round with the level-3 sweep,
+    /// federated mode).
     /// Findings are read deterministically from the shard's store —
     /// devices in name order, ranked by latest 1-minute CPU load —
     /// so federated runs stay bit-identical across runtimes.
@@ -867,6 +876,30 @@ impl ProcessorRootAgent {
                     .record_event(now_ms, EventKind::BreakerTransition { container, to });
             }
         }
+    }
+
+    /// Issues the level-3 correlation sweep of the round whose
+    /// `data-ready`s arrived at this instant, and publishes the round's
+    /// summary to the peer shards. Runs at the end of every tick: the
+    /// stepper delivers a step's messages before it ticks the agent, so
+    /// the sweep's join sees every site's fresh data of the round, and a
+    /// tick at a later instant finds the round's sweep already issued.
+    fn sweep_round(&mut self, ctx: &mut AgentCtx<'_>) {
+        let now = ctx.now_ms();
+        let Some((ready_ms, observed_ms)) = self.unswept.take() else {
+            return;
+        };
+        if ready_ms != now || self.last_sweep_ms == Some(now) {
+            return;
+        }
+        self.last_sweep_ms = Some(now);
+        let task = AnalysisTask::new(self.next_task_id(), "correlation", "*", 3, 0);
+        if let Some(m) = &self.metrics {
+            m.telemetry.task_created(&task.task_id, observed_ms, now);
+        }
+        self.assign_and_send(task, ctx);
+        self.publish_summary(ctx);
+        self.drain_breaker_transitions(now);
     }
 
     /// The recovery-mode tick: liveness sweep, dead-container reclaim,
@@ -1185,7 +1218,6 @@ impl Agent for ProcessorRootAgent {
         let Some((site, partitions)) = parse_data_ready(message.content()) else {
             return;
         };
-        self.ready_seen += 1;
         let site_seen = self.ready_by_site.entry(site.clone()).or_insert(0);
         *site_seen += 1;
         let site_seen = *site_seen;
@@ -1198,9 +1230,12 @@ impl Agent for ProcessorRootAgent {
             .and_then(Value::as_int)
             .and_then(|ts| u64::try_from(ts).ok())
             .unwrap_or_else(|| ctx.now_ms());
+        let now = ctx.now_ms();
+        self.unswept = Some((now, observed_ms));
         // Alternate level 1 and level 2 so consolidation happens on every
         // other pass over a site's partition. The tasks cover this site's
-        // data only; level-3 correlation below stays grid-wide.
+        // data only; the round's level-3 sweep on the next tick stays
+        // grid-wide.
         let level = if site_seen.is_multiple_of(2) { 2 } else { 1 };
         for (partition, size) in partitions {
             let task = AnalysisTask::new(
@@ -1217,18 +1252,7 @@ impl Agent for ProcessorRootAgent {
             }
             self.assign_and_send(task, ctx);
         }
-        if self.ready_seen.is_multiple_of(CORRELATION_EVERY) {
-            let task = AnalysisTask::new(self.next_task_id(), "correlation", "*", 3, 0);
-            if let Some(m) = &self.metrics {
-                m.telemetry
-                    .task_created(&task.task_id, observed_ms, ctx.now_ms());
-            }
-            self.assign_and_send(task, ctx);
-            // Cross-domain correlation rides the same cadence as the
-            // level-3 sweep: publish our hottest devices to the peers.
-            self.publish_summary(ctx);
-        }
-        self.drain_breaker_transitions(ctx.now_ms());
+        self.drain_breaker_transitions(now);
         self.sync_outstanding();
     }
 
@@ -1240,6 +1264,7 @@ impl Agent for ProcessorRootAgent {
         }
         if let Some(cfg) = self.recovery {
             self.recovery_tick(cfg, ctx);
+            self.sweep_round(ctx);
             self.sync_outstanding();
             return;
         }
@@ -1264,6 +1289,7 @@ impl Agent for ProcessorRootAgent {
             }
             self.assign_and_send(task, ctx);
         }
+        self.sweep_round(ctx);
         self.sync_outstanding();
     }
 }
@@ -1273,7 +1299,7 @@ mod tests {
     use super::*;
     use crate::balance::KnowledgeCapacityIdle;
     use agentgrid_acl::ontology::{FromContent, ResourceProfile};
-    use agentgrid_acl::AgentId;
+    use agentgrid_acl::{AgentId, SharedMessage};
     use agentgrid_platform::DirectoryFacilitator;
     use std::collections::BTreeMap;
 
@@ -1332,22 +1358,80 @@ mod tests {
         assert!(containers.contains(&"pg-1") && containers.contains(&"pg-2"));
     }
 
+    /// A `data-ready` from each of `sites` at simulated time `at`.
+    fn round_at(
+        root: &mut ProcessorRootAgent,
+        sites: &[&str],
+        at: u64,
+        outbox: &mut Vec<SharedMessage>,
+        df: &mut DirectoryFacilitator,
+    ) {
+        let id = AgentId::new("pg-root@g");
+        for site in sites {
+            let mut ctx = AgentCtx::new(&id, "root-ct", at, outbox, df);
+            root.on_message(&data_ready_at(site, &[("cpu", 1)]), &mut ctx);
+        }
+    }
+
     #[test]
-    fn every_third_notification_adds_a_correlation_sweep() {
+    fn one_sweep_and_summary_per_round_on_the_next_tick() {
         let mut root = ProcessorRootAgent::new(Box::new(KnowledgeCapacityIdle));
-        let stats = root.stats_handle();
+        let (store, fstats) = federate(&mut root, 0, &[(1, "pg-root-s1@g")]);
+        store
+            .lock()
+            .insert(Record::new("site-0-dev0", "cpu.load.1", 97.0, 60_000).with_site("site-0"));
         let id = AgentId::new("pg-root@g");
         let mut outbox = Vec::new();
-        let mut df = df_with_containers(&["pg-1"]);
-        for _ in 0..3 {
-            let mut ctx = AgentCtx::new(&id, "root-ct", 0, &mut outbox, &mut df);
-            root.on_message(&data_ready_msg(&[("cpu", 1)]), &mut ctx);
+        let mut df = df_with_shard_containers(0, &["pg-1"]);
+        let sweeps = |outbox: &[SharedMessage]| {
+            outbox
+                .iter()
+                .filter_map(|m| AnalysisTask::from_content(m.content()).ok())
+                .filter(|t| t.level == 3)
+                .count()
+        };
+        let summaries = |outbox: &[SharedMessage]| {
+            outbox
+                .iter()
+                .filter(|m| federation::parse_summary(m.content()).is_some())
+                .count()
+        };
+        // Three sites' notifications at T: site tasks only, no sweep yet.
+        round_at(&mut root, &["a", "b", "c"], 60_000, &mut outbox, &mut df);
+        assert_eq!(outbox.len(), 3);
+        assert_eq!(sweeps(&outbox), 0);
+        // The tick at T issues the round's one sweep and one summary.
+        let mut ctx = AgentCtx::new(&id, "root-ct", 60_000, &mut outbox, &mut df);
+        root.on_tick(&mut ctx);
+        drop(ctx);
+        assert_eq!(sweeps(&outbox), 1);
+        assert_eq!(summaries(&outbox), 1);
+        assert_eq!(fstats.lock().summaries_sent, 1);
+        let sweep = outbox
+            .iter()
+            .filter_map(|m| AnalysisTask::from_content(m.content()).ok())
+            .find(|t| t.level == 3)
+            .unwrap();
+        assert_eq!(sweep.skill, "correlation");
+        assert_eq!(sweep.site, None, "the sweep spans every site");
+        // A second tick at T, a tick after a late notification at T and
+        // a tick with no fresh data add none.
+        let mut ctx = AgentCtx::new(&id, "root-ct", 60_000, &mut outbox, &mut df);
+        root.on_tick(&mut ctx);
+        drop(ctx);
+        round_at(&mut root, &["d"], 60_000, &mut outbox, &mut df);
+        for at in [60_000, 120_000] {
+            let mut ctx = AgentCtx::new(&id, "root-ct", at, &mut outbox, &mut df);
+            root.on_tick(&mut ctx);
         }
-        // 3 partition tasks + 1 correlation task.
-        assert_eq!(stats.lock().assignments.len(), 4);
-        let last = AnalysisTask::from_content(outbox.last().unwrap().content()).unwrap();
-        assert_eq!(last.level, 3);
-        assert_eq!(last.skill, "correlation");
+        assert_eq!(sweeps(&outbox), 1);
+        assert_eq!(summaries(&outbox), 1);
+        // The next round's notifications bring the next sweep.
+        round_at(&mut root, &["a"], 180_000, &mut outbox, &mut df);
+        let mut ctx = AgentCtx::new(&id, "root-ct", 180_000, &mut outbox, &mut df);
+        root.on_tick(&mut ctx);
+        drop(ctx);
+        assert_eq!(sweeps(&outbox), 2);
     }
 
     #[test]
@@ -1367,13 +1451,15 @@ mod tests {
         assert_eq!(levels, [1, 2]);
 
         // Two sites interleaved: each alternates on its own count, so
-        // neither is pinned to one level; the correlation sweep keeps
-        // the grid-wide cadence and stays site-less.
+        // neither is pinned to one level; each round's tick adds one
+        // site-less correlation sweep.
         let mut root = ProcessorRootAgent::new(Box::new(KnowledgeCapacityIdle));
         let mut outbox = Vec::new();
-        for site in ["hq", "branch", "hq", "branch", "hq", "branch"] {
-            let mut ctx = AgentCtx::new(&id, "root-ct", 0, &mut outbox, &mut df);
-            root.on_message(&data_ready_at(site, &[("cpu", 1)]), &mut ctx);
+        for round in 1..=3 {
+            let at = round * 60_000;
+            round_at(&mut root, &["hq", "branch"], at, &mut outbox, &mut df);
+            let mut ctx = AgentCtx::new(&id, "root-ct", at, &mut outbox, &mut df);
+            root.on_tick(&mut ctx);
         }
         let tasks: Vec<(Option<String>, u8)> = outbox
             .iter()
@@ -1386,9 +1472,10 @@ mod tests {
             [
                 at("hq", 1),
                 at("branch", 1),
-                at("hq", 2),
                 (None, 3),
+                at("hq", 2),
                 at("branch", 2),
+                (None, 3),
                 at("hq", 1),
                 at("branch", 1),
                 (None, 3),
@@ -1531,6 +1618,44 @@ mod tests {
             })
             .expect("exhaustion alert escalated");
         assert_eq!(alert.receivers(), [AgentId::new("iface@g")]);
+    }
+
+    #[test]
+    fn first_award_fixes_the_round_and_retries_and_reawards_keep_it() {
+        let mut root = ProcessorRootAgent::new(Box::new(KnowledgeCapacityIdle));
+        let cfg = RecoveryConfig {
+            backoff: crate::recovery::BackoffPolicy {
+                base_ms: 10,
+                factor: 2,
+                max_ms: 40,
+                max_retries: 1,
+                jitter_seed: 1,
+            },
+            ..RecoveryConfig::default()
+        };
+        root.set_recovery(cfg, None);
+        let id = AgentId::new("pg-root@g");
+        let mut outbox = Vec::new();
+        let mut df = df_with_containers(&["pg-1"]);
+        round_at(&mut root, &["hq"], 60_000, &mut outbox, &mut df);
+        // Past each deadline: one retry, then the exhausted task is
+        // re-awarded through a fresh brokering round.
+        for now in [60_100, 60_200] {
+            df.record_heartbeat("pg-1", now);
+            let mut ctx = AgentCtx::new(&id, "root-ct", now, &mut outbox, &mut df);
+            root.on_tick(&mut ctx);
+        }
+        let rounds: Vec<Option<u64>> = outbox
+            .iter()
+            .filter_map(|m| AnalysisTask::from_content(m.content()).ok())
+            .map(|t| t.round_ms)
+            .collect();
+        assert_eq!(
+            rounds,
+            [Some(60_000); 3],
+            "award, retry and re-award all deliver the task for its first round"
+        );
+        assert_eq!(root.stats.lock().rebrokered, ["t1"]);
     }
 
     #[test]

@@ -2,7 +2,9 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use crate::{Bindings, Effect, Fact, FactId, Finding, KnowledgeBase, Rule, WorkingMemory};
+use crate::{
+    AlphaKeys, Bindings, Effect, Fact, FactId, Finding, KnowledgeBase, Rule, View, WorkingMemory,
+};
 
 /// Statistics of one [`Engine::run`], used by the grid for cost
 /// accounting (an analysis task's CPU cost is proportional to the work
@@ -111,6 +113,9 @@ pub struct Engine {
     /// Set by [`knowledge_mut`](Engine::knowledge_mut): rules may have
     /// changed, so re-sync names and rebuild the agenda.
     kb_dirty: bool,
+    /// The knowledge base's view runs are restricted to; `None` runs
+    /// every rule.
+    view: Option<View>,
     max_cycles: u64,
 }
 
@@ -135,6 +140,7 @@ impl Engine {
             pending_removed: Vec::new(),
             primed: false,
             kb_dirty: false,
+            view: None,
             max_cycles: 10_000,
         }
     }
@@ -176,6 +182,26 @@ impl Engine {
     pub fn knowledge_mut(&mut self) -> &mut KnowledgeBase {
         self.kb_dirty = true;
         Arc::make_mut(&mut self.kb)
+    }
+
+    /// Restricts later runs to one [`View`] of the knowledge base (an
+    /// engine runs every rule until then). The view follows
+    /// knowledge-base edits; a change of view rebuilds the agenda on the
+    /// next run.
+    pub fn set_view(&mut self, view: View) {
+        if self.view != Some(view) {
+            self.view = Some(view);
+            self.primed = false;
+        }
+    }
+
+    /// The facts the rules this engine runs can react to: the view's
+    /// [`AlphaKeys`] when restricted, the whole base's otherwise.
+    pub fn alpha_keys(&self) -> &AlphaKeys {
+        match self.view {
+            Some(view) => self.kb.view(view).alpha_keys(),
+            None => self.kb.alpha_keys(),
+        }
     }
 
     /// Clears the working memory, agenda and refraction history (e.g.
@@ -250,11 +276,14 @@ impl Engine {
     /// asserted or retracted since the last integration.
     fn integrate(&mut self, stats: &mut RunStats) {
         let kb = Arc::clone(&self.kb);
+        let view = self.view.map(|view| kb.view(view));
+        let in_view =
+            |&(rule_index, _): &(usize, &Rule)| view.is_none_or(|v| v.contains(rule_index));
         if !self.primed {
             self.agenda.clear();
             self.pending_added.clear();
             self.pending_removed.clear();
-            for (rule_index, rule) in kb.iter().enumerate() {
+            for (rule_index, rule) in kb.iter().enumerate().filter(in_view) {
                 self.refresh_rule(rule_index, rule, stats);
             }
             self.primed = true;
@@ -265,7 +294,7 @@ impl Engine {
         }
         let added = std::mem::take(&mut self.pending_added);
         let removed = std::mem::take(&mut self.pending_removed);
-        for (rule_index, rule) in kb.iter().enumerate() {
+        for (rule_index, rule) in kb.iter().enumerate().filter(in_view) {
             if self.touched(rule, &added, &removed) {
                 self.refresh_rule(rule_index, rule, stats);
             }
@@ -612,6 +641,46 @@ mod tests {
         b.insert(Fact::new("alarm").with("device", "x"));
         assert_eq!(a.run().findings.len(), 1);
         assert_eq!(b.run().findings.len(), 0);
+    }
+
+    #[test]
+    fn a_view_runs_its_rules_only_and_follows_copy_on_write_learning() {
+        let pair = Rule::new("pair")
+            .when(Pattern::new("obs").field("device", FieldPattern::Var("a".into())))
+            .when(Pattern::new("obs").field("device", FieldPattern::Var("b".into())))
+            .then(Effect::Emit {
+                severity: RuleSeverity::Info,
+                device: Operand::Var("a".into()),
+                message: "pair".into(),
+            });
+        let kb = Arc::new(KnowledgeBase::from_rules([
+            emit_rule("single", 0, "obs"),
+            pair,
+        ]));
+        let mut a = Engine::shared(Arc::clone(&kb));
+        let b = Engine::shared(Arc::clone(&kb));
+        let fired = |engine: &mut Engine, view: Option<View>| {
+            engine.reset();
+            if let Some(view) = view {
+                engine.set_view(view);
+            }
+            engine.insert(Fact::new("obs").with("device", "x"));
+            engine.insert(Fact::new("obs").with("device", "y"));
+            let mut rules: Vec<String> =
+                engine.run().findings.into_iter().map(|f| f.rule).collect();
+            rules.sort();
+            rules.dedup();
+            rules
+        };
+        assert_eq!(fired(&mut a, Some(View::PerDevice)), ["single"]);
+        assert_eq!(fired(&mut a, Some(View::Correlation)), ["pair"]);
+        assert_eq!(fired(&mut Engine::shared(Arc::clone(&kb)), None).len(), 2);
+        // Learning a single-pattern body under the join's name moves it
+        // to the per-device view in this engine only.
+        a.knowledge_mut().learn(emit_rule("pair", 5, "obs"));
+        assert_eq!(fired(&mut a, Some(View::Correlation)), Vec::<String>::new());
+        assert_eq!(fired(&mut a, Some(View::PerDevice)), ["pair", "single"]);
+        assert_eq!(b.knowledge().view(View::Correlation).rules(), [1]);
     }
 
     #[test]

@@ -57,4 +57,5 @@ pub use naive::NaiveEngine;
 pub use pattern::{Bindings, FieldPattern, Pattern};
 pub use rule::{
     AlphaKeys, Effect, Finding, Guard, GuardOp, KnowledgeBase, Operand, Rule, RuleSeverity,
+    RuleView, View,
 };

@@ -1,5 +1,6 @@
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -309,6 +310,22 @@ impl Rule {
     pub fn skill(&self) -> Option<&str> {
         self.patterns.first().map(|p| p.kind())
     }
+
+    /// The fact kinds this rule's effects assert.
+    fn writes(&self) -> impl Iterator<Item = &str> {
+        self.effects.iter().filter_map(|effect| match effect {
+            Effect::Assert { kind, .. } => Some(kind.as_str()),
+            _ => None,
+        })
+    }
+
+    /// The fact kinds this rule's effects retract.
+    fn retracts(&self) -> impl Iterator<Item = &str> {
+        self.effects.iter().filter_map(|effect| match effect {
+            Effect::Retract(index) => self.patterns.get(*index).map(Pattern::kind),
+            _ => None,
+        })
+    }
 }
 
 /// The facts a knowledge base can react to, compiled from its rules'
@@ -347,9 +364,9 @@ pub struct AlphaKeys {
 }
 
 impl AlphaKeys {
-    fn compile(rules: &[Rule]) -> Self {
+    fn compile<'a>(rules: impl IntoIterator<Item = &'a Rule>) -> Self {
         let mut kinds: BTreeMap<String, Vec<Vec<(String, Term)>>> = BTreeMap::new();
-        for pattern in rules.iter().flat_map(Rule::patterns) {
+        for pattern in rules.into_iter().flat_map(Rule::patterns) {
             let consts: Vec<(String, Term)> = pattern
                 .fields()
                 .iter()
@@ -394,12 +411,112 @@ impl AlphaKeys {
     }
 }
 
+/// The slice of a knowledge base one analysis level runs (paper §3.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum View {
+    /// Levels 1 and 2, which read each device's own data: the rules with
+    /// fewer than two patterns.
+    PerDevice,
+    /// Level 3, which correlates across devices: the rules with two or
+    /// more patterns, closed over the rules that feed them — every rule
+    /// that asserts or retracts a fact kind a member reads — and over
+    /// the rules that read a kind a member asserts.
+    Correlation,
+}
+
+/// One [`View`] of a knowledge base: indices into its rules plus the
+/// [`AlphaKeys`] of those rules alone, so an engine restricted to the
+/// view also loads only the facts the view can react to.
+///
+/// The correlation view is closed under "feeds": no rule outside it
+/// asserts or retracts a fact kind a rule inside reads. So a rule of the
+/// view fires exactly as it does under the whole base, and running the
+/// view yields the whole base's findings filtered to the view's rules,
+/// in the same order.
+///
+/// # Examples
+///
+/// ```
+/// use agentgrid_rules::{parse_rules, KnowledgeBase, View};
+///
+/// let kb = KnowledgeBase::from_rules(parse_rules(r#"
+///     rule "mark-hot" { when cpu(device: ?d, value: ?v) if ?v > 90 then assert hot(device: ?d) }
+///     rule "hot-and-full" {
+///         when hot(device: ?d)
+///         when disk(device: ?d, value: ?x)
+///         if ?x > 50
+///         then emit warning ?d "hot and full"
+///     }
+///     rule "full" { when disk(device: ?d, value: ?x) if ?x > 90 then emit warning ?d "full" }
+/// "#)?);
+/// // `hot-and-full` joins; `mark-hot` feeds it the `hot` facts.
+/// assert_eq!(kb.view(View::Correlation).rules(), [0, 1]);
+/// assert_eq!(kb.view(View::PerDevice).rules(), [0, 2]);
+/// # Ok::<(), agentgrid_rules::ParseRuleError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct RuleView {
+    /// Ascending indices into the knowledge base's rules.
+    rules: Vec<usize>,
+    alpha: AlphaKeys,
+}
+
+impl RuleView {
+    fn compile(rules: &[Rule], view: View) -> Self {
+        let correlation = view == View::Correlation;
+        let mut members: BTreeSet<usize> = (0..rules.len())
+            .filter(|&i| (rules[i].patterns().len() >= 2) == correlation)
+            .collect();
+        // Fixpoint: pull in the producers of every kind a member reads
+        // and the consumers of every kind a member asserts.
+        let mut settled = 0;
+        while correlation && members.len() != settled {
+            settled = members.len();
+            let reads: BTreeSet<&str> = members
+                .iter()
+                .flat_map(|&i| rules[i].patterns().iter().map(Pattern::kind))
+                .collect();
+            let asserts: BTreeSet<&str> = members.iter().flat_map(|&i| rules[i].writes()).collect();
+            members.extend((0..rules.len()).filter(|&i| {
+                rules[i].writes().any(|kind| reads.contains(kind))
+                    || rules[i].retracts().any(|kind| reads.contains(kind))
+                    || rules[i]
+                        .patterns()
+                        .iter()
+                        .any(|p| asserts.contains(p.kind()))
+            }));
+        }
+        let rules_in: Vec<usize> = members.into_iter().collect();
+        let alpha = AlphaKeys::compile(rules_in.iter().map(|&i| &rules[i]));
+        RuleView {
+            rules: rules_in,
+            alpha,
+        }
+    }
+
+    /// The view's rules, as ascending indices into the knowledge base.
+    pub fn rules(&self) -> &[usize] {
+        &self.rules
+    }
+
+    /// Whether the rule at `index` belongs to the view.
+    pub fn contains(&self, index: usize) -> bool {
+        self.rules.binary_search(&index).is_ok()
+    }
+
+    /// The facts the view's rules can react to.
+    pub fn alpha_keys(&self) -> &AlphaKeys {
+        &self.alpha
+    }
+}
+
 /// A named collection of rules — the paper's *knowledge base* (KdB).
 ///
 /// Knowledge bases can be merged (`absorb`) and extended at runtime
 /// (`learn`), which is how the interface grid feeds user-defined rules
 /// back into the processor grid (§3.4). Every edit recompiles the
-/// base's [`AlphaKeys`].
+/// base's [`AlphaKeys`] and drops its [`RuleView`]s, which are compiled
+/// again on first use.
 ///
 /// # Examples
 ///
@@ -414,6 +531,10 @@ impl AlphaKeys {
 pub struct KnowledgeBase {
     rules: Vec<Rule>,
     alpha: AlphaKeys,
+    /// The [`View::PerDevice`] and [`View::Correlation`] views, compiled
+    /// on first use: a base shared by many engines compiles them once,
+    /// and one no engine restricts never does.
+    views: OnceLock<[RuleView; 2]>,
 }
 
 impl KnowledgeBase {
@@ -455,6 +576,21 @@ impl KnowledgeBase {
         &self.alpha
     }
 
+    /// One level's view of the rules, compiled on first use after an
+    /// edit.
+    pub fn view(&self, view: View) -> &RuleView {
+        let views = self.views.get_or_init(|| {
+            [
+                RuleView::compile(&self.rules, View::PerDevice),
+                RuleView::compile(&self.rules, View::Correlation),
+            ]
+        });
+        match view {
+            View::PerDevice => &views[0],
+            View::Correlation => &views[1],
+        }
+    }
+
     /// Replace-by-name insertion without recompiling the alpha keys.
     fn put(&mut self, rule: Rule) {
         if let Some(existing) = self.rules.iter_mut().find(|r| r.name() == rule.name()) {
@@ -466,6 +602,7 @@ impl KnowledgeBase {
 
     fn recompile(&mut self) {
         self.alpha = AlphaKeys::compile(&self.rules);
+        self.views = OnceLock::new();
     }
 
     /// Looks up a rule by name.
@@ -681,6 +818,67 @@ mod tests {
         kb.forget("b");
         assert!(!kb.alpha_keys().admits(&obs("m2")));
         assert_eq!(kb.alpha_keys(), &AlphaKeys::compile(&kb.rules));
+    }
+
+    fn pair_rule(name: &str, first: &str, second: &str) -> Rule {
+        Rule::new(name)
+            .when(Pattern::new(first).field("device", FieldPattern::Var("d".into())))
+            .when(Pattern::new(second).field("device", FieldPattern::Var("d".into())))
+    }
+
+    #[test]
+    fn views_split_by_pattern_count_and_close_over_feeding_rules() {
+        let feeds = Rule::new("feeds")
+            .when(Pattern::new("obs"))
+            .then(Effect::Assert {
+                kind: "hot".into(),
+                fields: Vec::new(),
+            });
+        let eats = Rule::new("eats")
+            .when(Pattern::new("cold"))
+            .then(Effect::Retract(0));
+        let reads_join = Rule::new("reads-join").when(Pattern::new("pair"));
+        let join = pair_rule("join", "hot", "cold").then(Effect::Assert {
+            kind: "pair".into(),
+            fields: Vec::new(),
+        });
+        let kb = KnowledgeBase::from_rules([
+            Rule::new("alone").when(Pattern::new("mem")),
+            feeds,
+            eats,
+            reads_join,
+            join,
+        ]);
+        // `feeds` asserts and `eats` retracts what `join` reads;
+        // `reads-join` reads what `join` asserts.
+        assert_eq!(kb.view(View::Correlation).rules(), [1, 2, 3, 4]);
+        assert_eq!(kb.view(View::PerDevice).rules(), [0, 1, 2, 3]);
+        let keys = kb.view(View::Correlation).alpha_keys();
+        assert!(keys.admits(&Fact::new("pair")));
+        assert!(
+            !keys.may_admit("mem", &[]),
+            "no key of a rule outside the view"
+        );
+    }
+
+    #[test]
+    fn views_follow_every_edit() {
+        let mut kb = KnowledgeBase::from_rules([obs_rule("r", "m1")]);
+        assert_eq!(kb.view(View::PerDevice).rules(), [0]);
+        assert!(kb.view(View::Correlation).rules().is_empty());
+        // Re-learning a name with two patterns moves it between views.
+        kb.learn(pair_rule("r", "cpu", "disk"));
+        assert!(kb.view(View::PerDevice).rules().is_empty());
+        assert_eq!(kb.view(View::Correlation).rules(), [0]);
+        assert!(kb
+            .view(View::Correlation)
+            .alpha_keys()
+            .may_admit("disk", &[]));
+        kb.absorb(KnowledgeBase::from_rules([obs_rule("s", "m2")]));
+        assert_eq!(kb.view(View::PerDevice).rules(), [1]);
+        kb.forget("r");
+        assert_eq!(kb.view(View::PerDevice).rules(), [0]);
+        assert!(kb.view(View::Correlation).rules().is_empty());
     }
 
     #[test]

@@ -65,6 +65,62 @@ fn taught_rules_fire_and_replace_by_name() {
 }
 
 #[test]
+fn taught_rules_run_at_the_level_their_pattern_count_picks() {
+    use agentgrid_suite::net::{FaultKind, ScheduledFault};
+
+    let mut grid = ManagementGrid::builder()
+        .network(network(3, 5))
+        .analyzer("pg-1", 1.0, ALL_SKILLS)
+        .fault(ScheduledFault::from("dev-0", FaultKind::CpuRunaway, 0))
+        .fault(ScheduledFault::from("dev-1", FaultKind::LinkDown(1), 0))
+        .build();
+    grid.run(2 * 60_000, 60_000);
+    let failover_storm = r#"rule "failover-storm" salience 20 {
+        when if_status(device: ?acc, index: ?i, value: ?s)
+        when cpu(device: ?agg, value: ?v)
+        if ?s == 2
+        if ?v > 90
+        then emit critical ?agg "storm: ?agg hot while ?acc lost ?i"
+    }"#;
+    // Messages of the new alerts of `failover-storm` over `rounds`.
+    let run = |grid: &mut ManagementGrid, rounds: u64| -> Vec<String> {
+        let before = grid.alerts().len();
+        grid.run(rounds * 60_000, 60_000);
+        grid.alerts()[before..]
+            .iter()
+            .filter(|a| a.rule == "failover-storm")
+            .map(|a| a.message.clone())
+            .collect()
+    };
+
+    // A taught join reaches the level-3 view: it fires at the next
+    // round's sweep.
+    grid.teach_rule(failover_storm);
+    let joined = run(&mut grid, 1);
+    assert!(!joined.is_empty(), "the taught join must fire at the sweep");
+    assert!(joined.iter().all(|m| m.starts_with("storm: dev-0")));
+
+    // Re-taught with one pattern, the name moves to the per-device view:
+    // the site's interface task raises it once per round, and the old
+    // join body fires at neither level.
+    grid.teach_rule(
+        r#"rule "failover-storm" {
+            when if_status(device: ?d, index: ?i, value: ?s)
+            if ?s == 2
+            then emit warning ?d "single: ?d lost ?i"
+        }"#,
+    );
+    let single = run(&mut grid, 3);
+    assert_eq!(single, vec!["single: dev-1 lost 1"; 3]);
+
+    // And back: the join returns and the single-pattern body is gone.
+    grid.teach_rule(failover_storm);
+    let joined = run(&mut grid, 2);
+    assert!(!joined.is_empty());
+    assert!(joined.iter().all(|m| m.starts_with("storm: dev-0")));
+}
+
+#[test]
 fn malformed_taught_rule_is_ignored_gracefully() {
     let mut grid = ManagementGrid::builder()
         .network(network(1, 9))
