@@ -730,8 +730,8 @@ fn lb_ablation(telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoice, stor
         (
             name,
             format!(
-                "pg-fast {fast:>3} tasks, pg-slow {slow:>3} tasks, unassigned {}",
-                report.unassigned
+                "pg-fast {fast:>3} tasks, pg-slow {slow:>3} tasks, outstanding {}",
+                report.outstanding.len()
             ),
         )
     }

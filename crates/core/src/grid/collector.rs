@@ -40,11 +40,14 @@ pub enum CollectorInterface {
     Cli,
 }
 
-/// A collector-grid agent: polls its assigned devices every `period_ms`
+/// A collector-grid agent: polls each assigned device every `period_ms`
 /// of simulated time, normalizes whatever its interface returns into
 /// [`Observation`]s (the common representation), performs the local
 /// pre-analysis the paper allows (derived `used-pct` metrics,
 /// reachability flags) and ships a [`CollectedBatch`] to the classifier.
+/// A device whose poll fails (unreachable) is retried under a
+/// [`BackoffPolicy`] — capped at the regular period — instead of
+/// waiting out the whole period.
 pub struct CollectorAgent {
     network: Arc<Mutex<Network>>,
     devices: Vec<String>,
@@ -52,19 +55,16 @@ pub struct CollectorAgent {
     period_ms: u64,
     classifier: AgentId,
     site: String,
-    next_poll_ms: u64,
     batch_seq: u64,
     /// Total observations shipped (inspection/testing).
     pub collected: u64,
     /// Retry polls sent under the backoff policy (inspection/testing).
     pub retries: u64,
-    /// Optional per-device retry schedule: a failed poll retries with
-    /// backoff instead of waiting out the full period. `None` keeps the
-    /// legacy fixed-cadence behavior.
-    backoff: Option<BackoffPolicy>,
-    /// Consecutive failed polls per device (backoff mode).
+    /// Retry schedule of a device whose poll failed.
+    backoff: BackoffPolicy,
+    /// Consecutive failed polls per device.
     device_failures: BTreeMap<String, u32>,
-    /// Per-device next poll time (backoff mode).
+    /// Per-device next poll time.
     device_next_ms: BTreeMap<String, u64>,
     /// `agentgrid_retries_total{component="collector"}` when telemetry
     /// is wired up.
@@ -85,7 +85,8 @@ impl std::fmt::Debug for CollectorAgent {
 }
 
 impl CollectorAgent {
-    /// Creates a collector for `devices`, shipping to `classifier`.
+    /// Creates a collector for `devices`, shipping to `classifier`, with
+    /// the default [`BackoffPolicy`].
     pub fn new(
         network: Arc<Mutex<Network>>,
         devices: Vec<String>,
@@ -101,11 +102,10 @@ impl CollectorAgent {
             period_ms,
             classifier,
             site: site.into(),
-            next_poll_ms: 0,
             batch_seq: 0,
             collected: 0,
             retries: 0,
-            backoff: None,
+            backoff: BackoffPolicy::default(),
             device_failures: BTreeMap::new(),
             device_next_ms: BTreeMap::new(),
             retry_metric: None,
@@ -113,12 +113,9 @@ impl CollectorAgent {
         }
     }
 
-    /// Switches the collector to per-device scheduling: a device whose
-    /// poll fails (unreachable) is retried after a backoff delay —
-    /// capped at the regular period — instead of silently waiting out
-    /// the whole period.
+    /// Replaces the retry schedule of failed polls.
     pub fn set_backoff(&mut self, policy: BackoffPolicy) {
-        self.backoff = Some(policy);
+        self.backoff = policy;
     }
 
     /// Counts retry polls into the given telemetry counter.
@@ -251,33 +248,18 @@ impl CollectorAgent {
 impl Agent for CollectorAgent {
     fn on_tick(&mut self, ctx: &mut AgentCtx<'_>) {
         let now = ctx.now_ms();
-        // Which devices to poll now: all of them on the fixed cadence,
-        // or the individually-due ones under the backoff policy.
-        let due: Vec<String> = match &self.backoff {
-            None => {
-                if now < self.next_poll_ms {
-                    return;
-                }
-                let stretch = self.pacing_stretch();
-                self.next_poll_ms = now + self.period_ms.saturating_mul(stretch);
-                self.devices.clone()
-            }
-            Some(_) => self
-                .devices
-                .iter()
-                .filter(|d| now >= self.device_next_ms.get(*d).copied().unwrap_or(0))
-                .cloned()
-                .collect(),
-        };
+        let due: Vec<String> = self
+            .devices
+            .iter()
+            .filter(|d| now >= self.device_next_ms.get(*d).copied().unwrap_or(0))
+            .cloned()
+            .collect();
         if due.is_empty() {
             return;
         }
-        // Per-device scheduling reads the pressure signal once per
-        // polling round, not once per device.
-        let stretch = match &self.backoff {
-            Some(_) => self.pacing_stretch(),
-            None => 1,
-        };
+        // The pressure signal is read once per polling round, not once
+        // per device.
+        let stretch = self.pacing_stretch();
 
         let mut observations = Vec::new();
         {
@@ -290,30 +272,29 @@ impl Agent for CollectorAgent {
                     CollectorInterface::Snmp => Self::poll_device_snmp(device, now),
                     CollectorInterface::Cli => Self::poll_device_cli(device, now),
                 };
-                if let Some(policy) = &self.backoff {
-                    let failed =
-                        obs.len() == 1 && obs[0].metric == "agent.reachable" && obs[0].value == 0.0;
-                    let failures = self.device_failures.entry(device_name.clone()).or_insert(0);
-                    if *failures > 0 {
-                        // Any poll after a failure is a retry, whether
-                        // or not the device recovered in the meantime.
-                        self.retries += 1;
-                        if let Some(c) = &self.retry_metric {
-                            c.inc();
-                        }
+                let failed =
+                    obs.len() == 1 && obs[0].metric == "agent.reachable" && obs[0].value == 0.0;
+                let failures = self.device_failures.entry(device_name.clone()).or_insert(0);
+                if *failures > 0 {
+                    // Any poll after a failure is a retry, whether or
+                    // not the device recovered in the meantime.
+                    self.retries += 1;
+                    if let Some(c) = &self.retry_metric {
+                        c.inc();
                     }
-                    let next = if failed {
-                        let delay = policy
-                            .delay_ms(*failures, jitter_key(device_name))
-                            .min(self.period_ms.max(1));
-                        *failures = failures.saturating_add(1).min(30);
-                        now + delay
-                    } else {
-                        *failures = 0;
-                        now + self.period_ms.saturating_mul(stretch)
-                    };
-                    self.device_next_ms.insert(device_name.clone(), next);
                 }
+                let next = if failed {
+                    let delay = self
+                        .backoff
+                        .delay_ms(*failures, jitter_key(device_name))
+                        .min(self.period_ms.max(1));
+                    *failures = failures.saturating_add(1).min(30);
+                    now + delay
+                } else {
+                    *failures = 0;
+                    now + self.period_ms.saturating_mul(stretch)
+                };
+                self.device_next_ms.insert(device_name.clone(), next);
                 observations.extend(obs);
             }
         }

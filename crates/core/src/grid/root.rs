@@ -14,21 +14,14 @@ use crate::grid::classifier::parse_data_ready;
 use crate::overload::{AdmissionConfig, AdmissionGate, BreakerBoard, BreakerConfig};
 use crate::recovery::{jitter_key, Liveness, RecoveryConfig};
 
-/// Ticks a task may stay outstanding before the root checks whether its
-/// container died.
-const REASSIGN_AFTER_TICKS: u64 = 3;
-
 /// One outstanding task the root is waiting on.
 #[derive(Debug, Clone)]
 struct Pending {
     task: AnalysisTask,
     container: String,
-    ticks_outstanding: u64,
-    /// Retries already sent (recovery mode; the initial award is not a
-    /// retry).
+    /// Retries already sent (the initial award is not a retry).
     attempts: u32,
-    /// Simulated time after which the next retry fires (recovery mode;
-    /// `u64::MAX` when recovery is off).
+    /// Simulated time after which the next retry fires.
     deadline_ms: u64,
 }
 
@@ -73,7 +66,6 @@ pub struct FederationLink {
 #[derive(Debug)]
 struct BrokerMetrics {
     assigned: Counter,
-    unassigned: Counter,
     reassigned: Counter,
     completed: Counter,
     /// `agentgrid_retries_total{component="broker"}` — deadline-driven
@@ -100,7 +92,6 @@ impl BrokerMetrics {
         };
         BrokerMetrics {
             assigned: counter("assigned"),
-            unassigned: counter("unassigned"),
             reassigned: counter("reassigned"),
             completed: counter("completed"),
             retries: telemetry
@@ -156,25 +147,23 @@ pub struct RootStats {
     /// `assignments` holds `1 + (times the id appears in rebrokered)`
     /// entries.
     pub assignments: Vec<(String, String)>,
-    /// Tasks that found no capable container.
-    pub unassigned: u64,
-    /// Tasks reassigned after a container death.
+    /// Tasks re-awarded after their container died or left, or after
+    /// their retries ran out.
     pub reassigned: u64,
     /// `done` reports received (deduplicated: one per in-flight award).
     pub completed: u64,
     /// Ids of completed tasks, in completion order.
     pub completed_ids: Vec<String>,
     /// Ids of tasks re-awarded via a fresh brokering round, once per
-    /// re-award (recovery mode).
+    /// re-award.
     pub rebrokered: Vec<String>,
-    /// Deadline-driven request retries sent (recovery mode).
+    /// Deadline-driven request retries sent.
     pub retries: u64,
-    /// Tasks whose retries were exhausted and escalated to the
-    /// interface grid (recovery mode).
+    /// Escalations raised to the interface grid: one per dead container
+    /// and one per task whose retries were exhausted.
     pub escalations: u64,
-    /// Awards turned away by the admission gate (overload mode): with
-    /// recovery on the task parks for a later window, without it the
-    /// task is dropped — either way the rejection is counted here.
+    /// Awards turned away by the admission gate (overload mode); each
+    /// rejected task parks for a later window.
     pub rejected: u64,
     /// Ids still in flight or parked as of the root's last event. An
     /// assigned-but-uncompleted task is only *lost* if it is absent
@@ -191,15 +180,16 @@ pub struct RootStats {
 /// task through its [`LoadBalancer`] against the directory's resource
 /// profiles, and requests the container's analyzer agent to run it.
 ///
-/// **Fault tolerance**: tasks whose container disappears from the
-/// directory before reporting `done` are re-brokered to a surviving
-/// container. With a [`RecoveryConfig`] attached
-/// ([`set_recovery`](Self::set_recovery)) the root additionally runs
-/// heartbeat-staleness liveness detection (suspect containers are
-/// excluded from awards, dead ones are deregistered and their in-flight
-/// ledger reclaimed and re-awarded), deadline-driven retries with
-/// seeded exponential backoff, and escalation of retry-exhausted tasks
-/// to the interface grid as alerts.
+/// **Fault tolerance**: every tick runs the recovery layer under the
+/// root's [`RecoveryConfig`] (the default unless
+/// [`set_recovery`](Self::set_recovery) replaced it). Tasks whose
+/// container left the directory before reporting `done` are re-brokered
+/// to a surviving container; heartbeat-staleness liveness detection
+/// excludes suspect containers from awards and deregisters dead ones,
+/// reclaiming and re-awarding their in-flight ledger; past-due awards
+/// retry with seeded exponential backoff, and retry-exhausted tasks
+/// escalate to the interface grid as alerts. A task that finds no
+/// capable container parks until one appears.
 pub struct ProcessorRootAgent {
     policy: Box<dyn LoadBalancer>,
     task_seq: u64,
@@ -217,7 +207,7 @@ pub struct ProcessorRootAgent {
     pending: Vec<Pending>,
     stats: Arc<Mutex<RootStats>>,
     metrics: Option<BrokerMetrics>,
-    recovery: Option<RecoveryConfig>,
+    recovery: RecoveryConfig,
     /// Where retry-exhaustion and container-death alerts escalate.
     escalate_to: Option<AgentId>,
     /// Tasks awaiting a capable container; the bool marks re-awards
@@ -244,7 +234,7 @@ pub struct ProcessorRootAgent {
     /// quarantined container is **Suspect, never Dead**: it is excluded
     /// from awards but keeps its directory entry and in-flight ledger —
     /// unlike a crash, its work will finish once the partition heals.
-    quarantine: Option<Arc<Mutex<BTreeMap<String, u64>>>>,
+    quarantine: Arc<Mutex<BTreeMap<String, u64>>>,
     /// Task ids whose completion has already been counted, so a
     /// duplicated or retransmitted `done` — or a stale award finishing
     /// after the task was re-brokered — never double-counts.
@@ -298,7 +288,7 @@ impl ProcessorRootAgent {
             pending: Vec::new(),
             stats: Arc::new(Mutex::new(RootStats::default())),
             metrics: None,
-            recovery: None,
+            recovery: RecoveryConfig::default(),
             escalate_to: None,
             parked: Vec::new(),
             suspect: BTreeSet::new(),
@@ -306,7 +296,7 @@ impl ProcessorRootAgent {
             admission: None,
             breakers: None,
             liveness_seen: BTreeMap::new(),
-            quarantine: None,
+            quarantine: Arc::default(),
             done_seen: BTreeSet::new(),
             federation: None,
             digests: BTreeMap::new(),
@@ -319,19 +309,19 @@ impl ProcessorRootAgent {
     }
 
     /// Exports brokering outcomes as
-    /// `agentgrid_broker_tasks_total{outcome=...}` counters (plus, in
-    /// recovery mode, `agentgrid_retries_total`,
-    /// `agentgrid_rebrokered_tasks_total` and the per-container
-    /// `agentgrid_container_liveness` gauges) in `telemetry`'s registry.
+    /// `agentgrid_broker_tasks_total{outcome=...}` counters (plus
+    /// `agentgrid_retries_total`, `agentgrid_rebrokered_tasks_total` and
+    /// the per-container `agentgrid_container_liveness` gauges) in
+    /// `telemetry`'s registry.
     pub fn attach_telemetry(&mut self, telemetry: &TelemetryHandle) {
         self.metrics = Some(BrokerMetrics::new(telemetry));
     }
 
-    /// Turns on the recovery layer: liveness sweeps, deadline retries
-    /// with backoff, reclaim-and-re-broker of dead containers' tasks.
-    /// Alerts escalate to `escalate_to` (normally the interface agent).
+    /// Replaces the recovery layer's configuration (liveness
+    /// thresholds, retry backoff). Alerts escalate to `escalate_to`
+    /// (normally the interface agent).
     pub fn set_recovery(&mut self, config: RecoveryConfig, escalate_to: Option<AgentId>) {
-        self.recovery = Some(config);
+        self.recovery = config;
         self.escalate_to = escalate_to;
     }
 
@@ -343,7 +333,7 @@ impl ProcessorRootAgent {
     /// ledger survive and its tasks are *retried*, not reclaimed, until
     /// the quarantine (heal + grace) expires.
     pub fn set_quarantine(&mut self, quarantine: Arc<Mutex<BTreeMap<String, u64>>>) {
-        self.quarantine = Some(quarantine);
+        self.quarantine = quarantine;
     }
 
     /// Turns on overload protection at the broker: a token-bucket
@@ -390,7 +380,7 @@ impl ProcessorRootAgent {
         // Only containers that actually host an analysis agent are
         // candidates; spare containers (profile but no agent yet) are
         // skipped until mobility moves an analyzer in. Suspect
-        // containers (stale heartbeats, recovery mode) are skipped too.
+        // containers (stale heartbeats) are skipped too.
         let now = ctx.now_ms();
         // Federated roots broker only over their own shard's tier.
         let service = self.service().to_owned();
@@ -440,43 +430,34 @@ impl ProcessorRootAgent {
         if let Some(m) = &self.metrics {
             m.assigned.inc();
         }
-        let deadline_ms = match &self.recovery {
-            Some(cfg) => ctx
-                .now_ms()
-                .saturating_add(cfg.backoff.delay_ms(0, task_key(&task.task_id))),
-            None => u64::MAX,
-        };
+        let deadline_ms =
+            now.saturating_add(self.recovery.backoff.delay_ms(0, task_key(&task.task_id)));
         self.pending.push(Pending {
             task,
             container: container.clone(),
-            ticks_outstanding: 0,
             attempts: 0,
             deadline_ms,
         });
         Some(container)
     }
 
-    /// First-award path. Without recovery an unawardable task counts
-    /// `unassigned` and is dropped (the legacy behavior); with recovery
-    /// it parks and is retried every tick until a capable container
-    /// appears.
+    /// First-award path. A task the admission gate turns away, or that
+    /// finds no capable container, spills to a peer shard when
+    /// federated and otherwise parks; parked tasks are retried every
+    /// tick until a capable container appears.
     fn assign_and_send(&mut self, task: AnalysisTask, ctx: &mut AgentCtx<'_>) {
         // Admission gate (overload mode): a first award only flows when
         // the token bucket has budget and the mean measured load across
-        // the directory's profiles is under the threshold. Re-awards of
-        // reclaimed tasks bypass the gate — they were admitted once.
-        let federated = self.federation.is_some();
+        // the root's analyzer containers is under the threshold.
+        // Re-awards of reclaimed tasks bypass the gate — they were
+        // admitted once.
         let service = self.service().to_owned();
         if let Some(gate) = &mut self.admission {
             let aggregate = {
                 let df = ctx.df();
-                // A federated root gates on the mean load of its own
-                // shard's analyzer containers, not the whole directory.
                 let (sum, n) = df
                     .container_profiles()
-                    .filter(|p| {
-                        !federated || df.providers_with(&service, &p.container).next().is_some()
-                    })
+                    .filter(|p| df.providers_with(&service, &p.container).next().is_some())
                     .fold((0.0_f64, 0u32), |(s, n), p| (s + p.load, n + 1));
                 if n == 0 {
                     0.0
@@ -497,12 +478,8 @@ impl ProcessorRootAgent {
                 }
                 // Sharded mode: a gate rejection is the spill trigger —
                 // the least-loaded peer shard runs the task instead.
-                if self.try_spill(&task, ctx) {
-                    return;
-                }
-                // Parks under recovery (retried next window); dropped —
-                // but counted — without it.
-                if self.recovery.is_some() {
+                if !self.try_spill(&task, ctx) {
+                    // Retried next window.
                     self.parked.push((task, false));
                 }
                 return;
@@ -525,16 +502,8 @@ impl ProcessorRootAgent {
         }
         // Sharded mode: no capable local container is the other spill
         // trigger.
-        if self.try_spill(&task, ctx) {
-            return;
-        }
-        if self.recovery.is_some() {
+        if !self.try_spill(&task, ctx) {
             self.parked.push((task, false));
-        } else {
-            self.stats.lock().unassigned += 1;
-            if let Some(m) = &self.metrics {
-                m.unassigned.inc();
-            }
         }
     }
 
@@ -572,8 +541,8 @@ impl ProcessorRootAgent {
     /// to the least-loaded peer shard (by gossiped digest; ties break
     /// to the lowest shard index). Returns `false` when unfederated,
     /// when the task itself arrived as a spill (one domain hop, never
-    /// a relay), or when there is no peer — the caller then falls back
-    /// to the usual park/drop path.
+    /// a relay), or when there is no peer — the caller then parks the
+    /// task.
     fn try_spill(&mut self, task: &AnalysisTask, ctx: &mut AgentCtx<'_>) -> bool {
         let Some(link) = &self.federation else {
             return false;
@@ -659,14 +628,7 @@ impl ProcessorRootAgent {
             }
             return;
         }
-        if self.recovery.is_some() {
-            self.parked.push((task, false));
-        } else {
-            self.stats.lock().unassigned += 1;
-            if let Some(m) = &self.metrics {
-                m.unassigned.inc();
-            }
-        }
+        self.parked.push((task, false));
     }
 
     /// Publishes this shard's load digest to every peer — once per
@@ -902,37 +864,35 @@ impl ProcessorRootAgent {
         self.drain_breaker_transitions(now);
     }
 
-    /// The recovery-mode tick: liveness sweep, dead-container reclaim,
-    /// deadline retries, escalations, and re-award of parked work.
-    fn recovery_tick(&mut self, cfg: RecoveryConfig, ctx: &mut AgentCtx<'_>) {
+    /// The recovery tick: liveness sweep, reclaim of departed and dead
+    /// containers' work, deadline retries, escalations, and re-award of
+    /// parked work.
+    fn recovery_tick(&mut self, ctx: &mut AgentCtx<'_>) {
+        let cfg = self.recovery;
         let now = ctx.now_ms();
         let service = self.service().to_owned();
-        let federated = self.federation.is_some();
 
-        // 1. Liveness sweep over the registered container profiles.
-        //    Federated roots sweep only containers hosting their own
-        //    shard's analyzers — a peer's tier is the peer's problem.
+        // 1. Liveness sweep over the containers hosting this root's
+        //    analyzers. Spare containers (a profile but no analyzer)
+        //    never heartbeat and are not swept; a federated root leaves
+        //    a peer's tier to the peer.
         let containers: Vec<String> = {
             let df = ctx.df();
             df.container_profiles()
-                .filter(|p| {
-                    !federated || df.providers_with(&service, &p.container).next().is_some()
-                })
+                .filter(|p| df.providers_with(&service, &p.container).next().is_some())
                 .map(|p| p.container.clone())
                 .collect()
         };
         self.suspect.clear();
         // Containers under partition quarantine are pinned to Suspect:
         // the network cut them off, their process is still running.
-        let quarantined: BTreeSet<String> = match &self.quarantine {
-            Some(q) => q
-                .lock()
-                .iter()
-                .filter(|(_, until)| now < **until)
-                .map(|(c, _)| c.clone())
-                .collect(),
-            None => BTreeSet::new(),
-        };
+        let quarantined: BTreeSet<String> = self
+            .quarantine
+            .lock()
+            .iter()
+            .filter(|(_, until)| now < **until)
+            .map(|(c, _)| c.clone())
+            .collect();
         let mut dead = Vec::new();
         for container in containers {
             let last = ctx.df().last_heartbeat(&container).unwrap_or(0);
@@ -969,10 +929,20 @@ impl ProcessorRootAgent {
             }
         }
 
-        // 2. Dead containers: drop their stale directory entries so no
-        //    further awards can reach them, reclaim their in-flight
-        //    ledger, and raise one alert per death.
+        // 2. Containers that left the directory in an orderly way
+        //    (killed, not crashed) take their in-flight work with them:
+        //    reclaim it silently. Dead containers: drop their stale
+        //    directory entries so no further awards can reach them,
+        //    reclaim their in-flight ledger, and raise one alert per
+        //    death.
         let mut to_reaward = Vec::new();
+        self.pending.retain(|p| {
+            let registered = ctx.df().container_profile(&p.container).is_some();
+            if !registered {
+                to_reaward.push(p.task.clone());
+            }
+            registered
+        });
         for container in dead {
             let providers: Vec<AgentId> = ctx
                 .df()
@@ -1015,7 +985,6 @@ impl ProcessorRootAgent {
         // signal: each is one timeout against the awarded container.
         let mut timeouts = Vec::new();
         self.pending.retain_mut(|p| {
-            p.ticks_outstanding += 1;
             if now < p.deadline_ms {
                 return true;
             }
@@ -1043,8 +1012,10 @@ impl ProcessorRootAgent {
                 .next()
                 .cloned()
             else {
-                // Provider vanished between award and retry; the next
-                // liveness sweep reclaims the task.
+                // The container is still registered but no longer hosts
+                // an analyzer (it migrated away): nothing to resend to.
+                // The deadline keeps running, and exhaustion re-brokers
+                // the task.
                 continue;
             };
             let request = AclMessage::builder(Performative::Request)
@@ -1262,33 +1233,7 @@ impl Agent for ProcessorRootAgent {
         if self.federation.is_some() {
             self.gossip_digest(ctx);
         }
-        if let Some(cfg) = self.recovery {
-            self.recovery_tick(cfg, ctx);
-            self.sweep_round(ctx);
-            self.sync_outstanding();
-            return;
-        }
-        // Legacy path: reassign tasks whose container vanished from the
-        // directory (orderly kills only — silent crashes need the
-        // recovery layer's heartbeat detection).
-        let mut orphans = Vec::new();
-        self.pending.retain_mut(|p| {
-            p.ticks_outstanding += 1;
-            let container_alive = ctx.df().container_profile(&p.container).is_some();
-            if p.ticks_outstanding >= REASSIGN_AFTER_TICKS && !container_alive {
-                orphans.push(p.task.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for task in orphans {
-            self.stats.lock().reassigned += 1;
-            if let Some(m) = &self.metrics {
-                m.reassigned.inc();
-            }
-            self.assign_and_send(task, ctx);
-        }
+        self.recovery_tick(ctx);
         self.sweep_round(ctx);
         self.sync_outstanding();
     }
@@ -1358,6 +1303,37 @@ mod tests {
         assert!(containers.contains(&"pg-1") && containers.contains(&"pg-2"));
     }
 
+    /// Ticks the root at `at` right after every registered container
+    /// heartbeats, as the live analyzers do on each tick.
+    fn beat_and_tick(
+        root: &mut ProcessorRootAgent,
+        at: u64,
+        outbox: &mut Vec<SharedMessage>,
+        df: &mut DirectoryFacilitator,
+    ) {
+        let containers: Vec<String> = df
+            .container_profiles()
+            .map(|p| p.container.clone())
+            .collect();
+        for container in &containers {
+            df.record_heartbeat(container, at);
+        }
+        let id = AgentId::new("pg-root@g");
+        let mut ctx = AgentCtx::new(&id, "root-ct", at, outbox, df);
+        root.on_tick(&mut ctx);
+    }
+
+    /// The tasks in `outbox`, each once in order of its first send
+    /// (deadline retries re-send the same task).
+    fn distinct_tasks(outbox: &[SharedMessage]) -> Vec<AnalysisTask> {
+        let mut seen = BTreeSet::new();
+        outbox
+            .iter()
+            .filter_map(|m| AnalysisTask::from_content(m.content()).ok())
+            .filter(|t| seen.insert(t.task_id.clone()))
+            .collect()
+    }
+
     /// A `data-ready` from each of `sites` at simulated time `at`.
     fn round_at(
         root: &mut ProcessorRootAgent,
@@ -1380,13 +1356,11 @@ mod tests {
         store
             .lock()
             .insert(Record::new("site-0-dev0", "cpu.load.1", 97.0, 60_000).with_site("site-0"));
-        let id = AgentId::new("pg-root@g");
         let mut outbox = Vec::new();
         let mut df = df_with_shard_containers(0, &["pg-1"]);
         let sweeps = |outbox: &[SharedMessage]| {
-            outbox
+            distinct_tasks(outbox)
                 .iter()
-                .filter_map(|m| AnalysisTask::from_content(m.content()).ok())
                 .filter(|t| t.level == 3)
                 .count()
         };
@@ -1401,36 +1375,28 @@ mod tests {
         assert_eq!(outbox.len(), 3);
         assert_eq!(sweeps(&outbox), 0);
         // The tick at T issues the round's one sweep and one summary.
-        let mut ctx = AgentCtx::new(&id, "root-ct", 60_000, &mut outbox, &mut df);
-        root.on_tick(&mut ctx);
-        drop(ctx);
+        beat_and_tick(&mut root, 60_000, &mut outbox, &mut df);
         assert_eq!(sweeps(&outbox), 1);
         assert_eq!(summaries(&outbox), 1);
         assert_eq!(fstats.lock().summaries_sent, 1);
-        let sweep = outbox
-            .iter()
-            .filter_map(|m| AnalysisTask::from_content(m.content()).ok())
+        let sweep = distinct_tasks(&outbox)
+            .into_iter()
             .find(|t| t.level == 3)
             .unwrap();
         assert_eq!(sweep.skill, "correlation");
         assert_eq!(sweep.site, None, "the sweep spans every site");
         // A second tick at T, a tick after a late notification at T and
         // a tick with no fresh data add none.
-        let mut ctx = AgentCtx::new(&id, "root-ct", 60_000, &mut outbox, &mut df);
-        root.on_tick(&mut ctx);
-        drop(ctx);
+        beat_and_tick(&mut root, 60_000, &mut outbox, &mut df);
         round_at(&mut root, &["d"], 60_000, &mut outbox, &mut df);
         for at in [60_000, 120_000] {
-            let mut ctx = AgentCtx::new(&id, "root-ct", at, &mut outbox, &mut df);
-            root.on_tick(&mut ctx);
+            beat_and_tick(&mut root, at, &mut outbox, &mut df);
         }
         assert_eq!(sweeps(&outbox), 1);
         assert_eq!(summaries(&outbox), 1);
         // The next round's notifications bring the next sweep.
         round_at(&mut root, &["a"], 180_000, &mut outbox, &mut df);
-        let mut ctx = AgentCtx::new(&id, "root-ct", 180_000, &mut outbox, &mut df);
-        root.on_tick(&mut ctx);
-        drop(ctx);
+        beat_and_tick(&mut root, 180_000, &mut outbox, &mut df);
         assert_eq!(sweeps(&outbox), 2);
     }
 
@@ -1458,12 +1424,10 @@ mod tests {
         for round in 1..=3 {
             let at = round * 60_000;
             round_at(&mut root, &["hq", "branch"], at, &mut outbox, &mut df);
-            let mut ctx = AgentCtx::new(&id, "root-ct", at, &mut outbox, &mut df);
-            root.on_tick(&mut ctx);
+            beat_and_tick(&mut root, at, &mut outbox, &mut df);
         }
-        let tasks: Vec<(Option<String>, u8)> = outbox
-            .iter()
-            .map(|m| AnalysisTask::from_content(m.content()).unwrap())
+        let tasks: Vec<(Option<String>, u8)> = distinct_tasks(&outbox)
+            .into_iter()
             .map(|t| (t.site, t.level))
             .collect();
         let at = |site: &str, level| (Some(site.to_owned()), level);
@@ -1484,7 +1448,7 @@ mod tests {
     }
 
     #[test]
-    fn missing_skill_counts_unassigned() {
+    fn missing_skill_parks_the_task() {
         let mut root = ProcessorRootAgent::new(Box::new(KnowledgeCapacityIdle));
         let stats = root.stats_handle();
         let id = AgentId::new("pg-root@g");
@@ -1493,8 +1457,17 @@ mod tests {
         let mut ctx = AgentCtx::new(&id, "root-ct", 0, &mut outbox, &mut df);
         root.on_message(&data_ready_msg(&[("memory", 1)]), &mut ctx);
         drop(ctx);
-        assert_eq!(stats.lock().unassigned, 1);
         assert!(outbox.is_empty());
+        assert_eq!(stats.lock().outstanding, ["t1"], "parked, not dropped");
+
+        // A container with the skill registers: the next tick awards it.
+        df.register_container(ResourceProfile::new("pg-mem", 1.0, 1.0, 1024, ["memory"]));
+        df.register_service(AgentId::new("analyzer-pg-mem@g"), "analysis", ["pg-mem"]);
+        beat_and_tick(&mut root, 60_000, &mut outbox, &mut df);
+        let stats = stats.lock();
+        assert_eq!(stats.assignments, [("t1".into(), "pg-mem".into())]);
+        assert!(stats.rebrokered.is_empty(), "a first award, not a re-award");
+        assert_eq!(stats.outstanding, ["t1"], "in flight until done");
     }
 
     #[test]
@@ -1661,7 +1634,6 @@ mod tests {
     #[test]
     fn unawardable_task_parks_until_capacity_returns() {
         let mut root = ProcessorRootAgent::new(Box::new(KnowledgeCapacityIdle));
-        root.set_recovery(RecoveryConfig::default(), None);
         let stats = root.stats_handle();
         let id = AgentId::new("pg-root@g");
         let mut outbox = Vec::new();
@@ -1669,8 +1641,8 @@ mod tests {
         let mut ctx = AgentCtx::new(&id, "root-ct", 0, &mut outbox, &mut df);
         root.on_message(&data_ready_msg(&[("cpu", 1)]), &mut ctx);
         drop(ctx);
-        // Nowhere to run the task: parked, not dropped, not unassigned.
-        assert_eq!(stats.lock().unassigned, 0);
+        // Nowhere to run the task: parked, not dropped.
+        assert_eq!(stats.lock().outstanding, ["t1"]);
         assert!(stats.lock().assignments.is_empty());
         let mut ctx = AgentCtx::new(&id, "root-ct", 60_000, &mut outbox, &mut df);
         root.on_tick(&mut ctx);
@@ -1764,7 +1736,6 @@ mod tests {
     #[test]
     fn late_done_for_parked_task_completes_without_reaward() {
         let mut root = ProcessorRootAgent::new(Box::new(KnowledgeCapacityIdle));
-        root.set_recovery(RecoveryConfig::default(), None);
         let stats = root.stats_handle();
         let id = AgentId::new("pg-root@g");
         let mut outbox = Vec::new();
@@ -2015,15 +1986,15 @@ mod tests {
         root.on_message(&data_ready_msg(&[("cpu", 1)]), &mut ctx);
         drop(ctx);
         assert_eq!(stats.lock().assignments[0].1, "pg-1");
-        // pg-1 dies before reporting done.
+        // pg-1 leaves the directory before reporting done.
         df.deregister_container("pg-1");
         df.update_load("pg-2", 0.0);
-        for _ in 0..REASSIGN_AFTER_TICKS {
-            let mut ctx = AgentCtx::new(&id, "root-ct", 0, &mut outbox, &mut df);
-            root.on_tick(&mut ctx);
-        }
+        // The first tick reclaims and re-brokers its task, silently.
+        beat_and_tick(&mut root, 60_000, &mut outbox, &mut df);
         let stats = stats.lock();
         assert_eq!(stats.reassigned, 1);
         assert_eq!(stats.assignments.last().unwrap().1, "pg-2");
+        assert_eq!(stats.rebrokered, ["t1"]);
+        assert_eq!(stats.escalations, 0, "an orderly removal raises no alert");
     }
 }

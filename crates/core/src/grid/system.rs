@@ -159,7 +159,7 @@ pub struct GridBuilder {
     faults: FaultInjector,
     telemetry: Option<TelemetryHandle>,
     live_profiles: bool,
-    recovery: Option<RecoveryConfig>,
+    recovery: RecoveryConfig,
     chaos: Option<ChaosPlan>,
     overload: Option<OverloadConfig>,
     store_backend: StoreBackend,
@@ -248,20 +248,19 @@ impl GridBuilder {
         self
     }
 
-    /// Turns on the recovery layer (heartbeat liveness, deadline
-    /// retries with seeded backoff, reclaim-and-re-broker of dead
-    /// containers' tasks, requeue-once dead letters). Default off,
-    /// keeping unconfigured runs byte-for-byte identical to the
-    /// pre-recovery grid.
+    /// Replaces the recovery layer's configuration (default
+    /// [`RecoveryConfig::default`]). The layer is always on: heartbeat
+    /// liveness, deadline retries with seeded backoff, reclaim and
+    /// re-broker of departed or dead containers' tasks, collector poll
+    /// retries and requeue-once dead letters. The default liveness
+    /// thresholds assume the canonical 60 s tick.
     pub fn recovery(mut self, config: RecoveryConfig) -> Self {
-        self.recovery = Some(config);
+        self.recovery = config;
         self
     }
 
     /// Attaches a chaos schedule: container crashes/restarts and
-    /// transport-fault windows applied at the top of each tick. Implies
-    /// [`recovery`](Self::recovery) with defaults unless one was set
-    /// explicitly.
+    /// transport-fault windows applied at the top of each tick.
     pub fn chaos(mut self, plan: ChaosPlan) -> Self {
         self.chaos = Some(plan);
         self
@@ -270,11 +269,10 @@ impl GridBuilder {
     /// Turns on the overload-protection layer ([`OverloadConfig`]):
     /// bounded mailboxes with priority shedding, root admission
     /// control, per-container circuit breakers and collector pacing —
-    /// each mechanism individually opt-in inside the config. A
-    /// configured breaker implies [`recovery`](Self::recovery) defaults
-    /// (its failure signal is the recovery layer's award deadlines).
-    /// Default off, keeping unconfigured runs byte-for-byte identical
-    /// to the unprotected grid.
+    /// each mechanism individually opt-in inside the config. A breaker's
+    /// failure signal is the recovery layer's award deadlines. Default
+    /// off, keeping unconfigured runs byte-for-byte identical to the
+    /// unprotected grid.
     pub fn overload(mut self, config: OverloadConfig) -> Self {
         self.overload = Some(config);
         self
@@ -400,16 +398,7 @@ impl GridBuilder {
         let kb = Arc::new(KnowledgeBase::from_rules(
             parse_rules(&self.rules).expect("analysis rules must parse"),
         ));
-        // A chaos schedule without an explicit recovery config gets the
-        // defaults — injecting failures without the means to survive
-        // them is never what a caller wants. Likewise a circuit breaker
-        // without recovery: its failure signal is the recovery layer's
-        // award deadlines.
         let overload = self.overload.unwrap_or_default();
-        let recovery = self
-            .recovery
-            .or_else(|| self.chaos.as_ref().map(|_| RecoveryConfig::default()))
-            .or_else(|| overload.breaker.map(|_| RecoveryConfig::default()));
 
         // Partition the managed network by site: shard 0 keeps the
         // original `Network` value, peers split off their sites.
@@ -426,9 +415,7 @@ impl GridBuilder {
 
         let alerts: AlertSink = Arc::new(Mutex::new(Vec::new()));
         let mut platform = R::create(PLATFORM_NAME);
-        if recovery.is_some() {
-            platform.set_dead_letter_requeue(true);
-        }
+        platform.set_dead_letter_requeue(true);
         if let Some(seed) = self.net_seed {
             platform.net_command(NetCommand::Seed(seed));
         }
@@ -499,10 +486,8 @@ impl GridBuilder {
             if let Some(telemetry) = &self.telemetry {
                 root_agent.attach_telemetry(telemetry);
             }
-            if let Some(cfg) = recovery {
-                root_agent.set_recovery(cfg, Some(interface_id.clone()));
-                root_agent.set_quarantine(Arc::clone(&quarantine));
-            }
+            root_agent.set_recovery(self.recovery, Some(interface_id.clone()));
+            root_agent.set_quarantine(Arc::clone(&quarantine));
             if overload.admission.is_some() || overload.breaker.is_some() {
                 root_agent.set_overload(overload.admission, overload.breaker);
             }
@@ -605,16 +590,13 @@ impl GridBuilder {
                         classifier_id.clone(),
                         site.clone(),
                     );
-                    if let Some(cfg) = recovery {
-                        collector.set_backoff(cfg.backoff);
-                        if let Some(telemetry) = &self.telemetry {
-                            collector.set_retry_metric(
-                                telemetry.registry().counter(
-                                    "agentgrid_retries_total",
-                                    &[("component", "collector")],
-                                ),
-                            );
-                        }
+                    collector.set_backoff(self.recovery.backoff);
+                    if let Some(telemetry) = &self.telemetry {
+                        collector.set_retry_metric(
+                            telemetry
+                                .registry()
+                                .counter("agentgrid_retries_total", &[("component", "collector")]),
+                        );
                     }
                     if let Some(signal) = &pressure {
                         collector.set_pacing(Arc::clone(signal), Arc::clone(&paced_polls));
@@ -664,21 +646,19 @@ pub struct GridReport {
     pub dead_letters: usize,
     /// `(task, container)` assignment log.
     pub assignments: Vec<(String, String)>,
-    /// Tasks with no capable container.
-    pub unassigned: u64,
-    /// Tasks re-brokered after container death.
+    /// Tasks re-brokered after their container died or left, or after
+    /// their retries ran out.
     pub reassigned: u64,
     /// Tasks completed.
     pub tasks_completed: u64,
     /// Ids of completed tasks, in completion order.
     pub completed_ids: Vec<String>,
     /// Ids of tasks re-awarded through a fresh brokering round (once per
-    /// re-award; recovery mode).
+    /// re-award).
     pub rebrokered: Vec<String>,
-    /// Deadline-driven broker retries sent (recovery mode).
+    /// Deadline-driven broker retries sent.
     pub retries: u64,
-    /// Retry-exhaustion / container-death escalations raised (recovery
-    /// mode).
+    /// Retry-exhaustion / container-death escalations raised.
     pub escalations: u64,
     /// Ids still in flight or parked at the root when the run ended —
     /// owed a completion, not lost.
@@ -716,7 +696,7 @@ pub struct GridReport {
 
 impl GridReport {
     /// Task ids that were assigned, never completed, and are no longer
-    /// tracked anywhere — permanently lost work. A recovery-enabled grid
+    /// tracked anywhere — permanently lost work. The recovery layer
     /// must keep this empty under any chaos plan.
     pub fn lost_tasks(&self) -> Vec<&str> {
         let completed: BTreeSet<&str> = self.completed_ids.iter().map(String::as_str).collect();
@@ -757,13 +737,12 @@ impl GridReport {
         let mut out = String::new();
         out.push_str(&format!(
             "grid run over {} ms: {} records stored, {} messages, {} tasks \
-             ({} completed, {} unassigned, {} reassigned), {} alerts\n",
+             ({} completed, {} reassigned), {} alerts\n",
             self.duration_ms,
             self.records_stored,
             self.messages_delivered,
             self.assignments.len(),
             self.tasks_completed,
-            self.unassigned,
             self.reassigned,
             self.alerts.len(),
         ));
@@ -921,7 +900,7 @@ impl ManagementGrid {
             faults: FaultInjector::default(),
             telemetry: None,
             live_profiles: false,
-            recovery: None,
+            recovery: RecoveryConfig::default(),
             chaos: None,
             overload: None,
             store_backend: StoreBackend::default(),
@@ -1141,7 +1120,6 @@ impl<R: Runtime> ManagementGrid<R> {
     fn report(&self, duration_ms: u64) -> GridReport {
         // Aggregate the shard roots in shard order.
         let mut assignments = Vec::new();
-        let mut unassigned = 0;
         let mut reassigned = 0;
         let mut completed = 0;
         let mut completed_ids = Vec::new();
@@ -1157,7 +1135,6 @@ impl<R: Runtime> ManagementGrid<R> {
             let stats = shard.root_stats.lock();
             shard_created.push(stats.created);
             assignments.extend(stats.assignments.iter().cloned());
-            unassigned += stats.unassigned;
             reassigned += stats.reassigned;
             completed += stats.completed;
             completed_ids.extend(stats.completed_ids.iter().cloned());
@@ -1182,7 +1159,6 @@ impl<R: Runtime> ManagementGrid<R> {
             messages_delivered: self.platform.delivered_count(),
             dead_letters: self.platform.dead_letter_count(),
             assignments,
-            unassigned,
             reassigned,
             tasks_completed: completed,
             completed_ids,
@@ -1333,7 +1309,7 @@ mod tests {
             "every task reported done"
         );
         assert_eq!(report.dead_letters, 0);
-        assert_eq!(report.unassigned, 0);
+        assert!(report.outstanding.is_empty(), "no task left parked");
     }
 
     #[test]

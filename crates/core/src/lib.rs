@@ -23,7 +23,7 @@
 //! * [`workflow`] — the traditional management workflow of Fig. 1 as an
 //!   executable pipeline;
 //! * [`recovery`] — heartbeat liveness, retry/backoff and re-brokering
-//!   policies (opt-in via [`grid::GridBuilder::recovery`]);
+//!   policies (always on; tuned via [`grid::GridBuilder::recovery`]);
 //! * [`chaos`] — seeded, simulated-time chaos schedules for recovery
 //!   testing ([`grid::GridBuilder::chaos`]);
 //! * [`overload`] — bounded mailboxes, priority shedding, admission

@@ -93,6 +93,12 @@ impl Rebalancer {
                 .unwrap_or(0.0);
             platform.df_mut().update_load(&to, old_load.min(0.5));
             platform.df_mut().update_load(&from, 0.0);
+            // The analyzer's heartbeat moves with it, so the root's
+            // liveness sweep does not find the destination silent
+            // before the moved analyzer's first tick there.
+            if let Some(beat) = platform.df().last_heartbeat(&from) {
+                platform.df_mut().record_heartbeat(&to, beat);
+            }
             migrations.push(Migration { agent, from, to });
         }
         migrations

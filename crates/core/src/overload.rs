@@ -12,9 +12,9 @@
 //!    [`MessageClass`] lattice.
 //! 2. **Admission control** ([`AdmissionConfig`]): a token bucket at
 //!    the grid root, refilled once per clock window and gated on the
-//!    aggregate measured load of the directory's resource profiles.
-//!    Non-admitted task awards park (recovery on) or count `rejected`
-//!    (recovery off).
+//!    aggregate measured load of the root's analyzer containers.
+//!    Non-admitted task awards count `rejected` and park for a later
+//!    window (or spill to a peer shard when federated).
 //! 3. **Circuit breakers** ([`BreakerConfig`]): per-container
 //!    Closed→Open→HalfOpen state driven by consecutive award timeouts,
 //!    with [`BackoffPolicy`] scheduling the half-open probe. An open
@@ -48,7 +48,7 @@ pub struct AdmissionConfig {
     /// timestamp), capped at `bucket_capacity`.
     pub refill_per_window: u32,
     /// Aggregate measured-load ceiling in `[0, 1]`: when the mean load
-    /// across the directory's container profiles exceeds this, awards
+    /// across the root's analyzer containers exceeds this, awards
     /// are not admitted regardless of tokens. `1.0` disables the gate.
     pub load_threshold: f64,
 }
@@ -65,9 +65,8 @@ impl Default for AdmissionConfig {
 
 /// Circuit-breaker knobs for per-container award diversion.
 ///
-/// Breakers trip on consecutive award *timeouts* (deadline expiries in
-/// the recovery layer), so configuring one implies recovery defaults —
-/// without deadlines there is no failure signal.
+/// Breakers trip on consecutive award *timeouts*: the deadline expiries
+/// of the always-on recovery layer.
 #[derive(Debug, Clone, Copy)]
 pub struct BreakerConfig {
     /// Consecutive timeouts that trip Closed → Open.
@@ -97,7 +96,7 @@ pub struct OverloadConfig {
     pub mailbox: Option<MailboxConfig>,
     /// Token-bucket admission control at the grid root.
     pub admission: Option<AdmissionConfig>,
-    /// Per-container circuit breakers (implies recovery defaults).
+    /// Per-container circuit breakers.
     pub breaker: Option<BreakerConfig>,
     /// Collector poll-interval pacing under mailbox pressure (requires
     /// `mailbox` — the pressure signal comes from the bounded-mailbox
@@ -157,8 +156,8 @@ impl AdmissionGate {
         }
     }
 
-    /// Admits one award at `now` given the directory's aggregate
-    /// measured load. A rejected award consumes no token.
+    /// Admits one award at `now` given the aggregate measured load of
+    /// the root's analyzer containers. A rejected award consumes no token.
     pub(crate) fn admit(&mut self, now_ms: u64, aggregate_load: f64) -> bool {
         if self.last_refill_ms != Some(now_ms) {
             self.last_refill_ms = Some(now_ms);

@@ -13,6 +13,10 @@
 //! * [`RecoveryConfig`] — the bundle handed to
 //!   [`GridBuilder::recovery`](crate::grid::GridBuilder::recovery).
 //!
+//! The recovery layer is the grid's one fault-handling path and is
+//! always on; a grid built without `.recovery(..)` runs it under
+//! [`RecoveryConfig::default`].
+//!
 //! Everything here is driven by **simulated time** and a caller-provided
 //! seed — no wall clocks, no global RNG — so recovery decisions are
 //! exactly reproducible on both the deterministic and the pool runtime.
@@ -182,9 +186,9 @@ impl BackoffPolicy {
 }
 
 /// The recovery bundle: liveness detection plus retry/backoff, handed to
-/// [`GridBuilder::recovery`](crate::grid::GridBuilder::recovery).
-/// Recovery is **opt-in**: without it the grid behaves byte-identically
-/// to the pre-recovery baseline.
+/// [`GridBuilder::recovery`](crate::grid::GridBuilder::recovery). Every
+/// grid runs the recovery layer; the default bundle applies unless one
+/// is set.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Heartbeat staleness thresholds.

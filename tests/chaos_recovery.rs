@@ -188,7 +188,7 @@ proptest! {
 
         assert_nothing_lost(&report);
         assert_exactly_once(&report);
-        prop_assert_eq!(report.unassigned, 0);
+        prop_assert_eq!(report.unaccounted_tasks(), 0);
         prop_assert!(report.records_stored > 0);
         // Dead letters only come from mail aimed at a dead container
         // (awards, retries) plus its own undeliverable replies — each
@@ -247,7 +247,7 @@ fn network_adversary_with_reliability_loses_nothing_across_64_seeds() {
         let report = build().build().run(horizon, 60_000);
         assert_nothing_lost(&report);
         assert_exactly_once(&report);
-        assert_eq!(report.unassigned, 0, "seed {seed}");
+        assert_eq!(report.unaccounted_tasks(), 0, "seed {seed}");
         assert!(
             report
                 .alerts

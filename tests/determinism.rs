@@ -199,7 +199,7 @@ proptest! {
         let mut grid = builder.build();
         let report = grid.run(12 * 60_000, 60_000);
         prop_assert_eq!(report.dead_letters, 0);
-        prop_assert_eq!(report.unassigned, 0);
+        prop_assert!(report.outstanding.is_empty());
         prop_assert_eq!(report.tasks_completed, report.assignments.len() as u64);
         prop_assert!(report.records_stored > 0);
     }

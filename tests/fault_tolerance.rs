@@ -119,6 +119,71 @@ fn crashed_containers_in_flight_tasks_complete_elsewhere() {
     assert!(report.alerts.iter().any(|a| a.rule == "container-dead"));
 }
 
+/// An orderly removal (`crash_container` deregisters the container)
+/// takes its in-flight work with it: the root reclaims the tasks on its
+/// next tick and re-awards each exactly once through a fresh brokering
+/// round, without waiting out the retry deadlines and without an alert.
+#[test]
+fn killed_containers_in_flight_tasks_are_rebrokered_on_the_next_tick() {
+    // From minute 1, awards to pg-1's analyzer vanish in transit, so its
+    // ledger entries stay in flight until the kill.
+    let plan =
+        ChaosPlan::new().drop_to_between(60_000, 3 * 60_000, AgentId::new("analyzer-pg-1@grid"));
+    let mut grid = ManagementGrid::builder()
+        .network(network(4, 23))
+        .collectors_per_site(2)
+        .analyzer("pg-1", 4.0, ALL_SKILLS)
+        .analyzer("pg-2", 1.0, ALL_SKILLS)
+        .chaos(plan)
+        .build();
+    let before = grid.run(2 * 60_000, 60_000);
+    let stranded: Vec<String> = before
+        .outstanding
+        .iter()
+        .filter(|id| {
+            before
+                .assignments
+                .iter()
+                .rev()
+                .find(|(t, _)| t == *id)
+                .is_some_and(|(_, c)| c == "pg-1")
+        })
+        .cloned()
+        .collect();
+    assert!(!stranded.is_empty(), "pg-1 must hold in-flight work");
+
+    grid.crash_container("pg-1");
+    let next_tick = grid.run(60_000, 60_000);
+    for id in &stranded {
+        assert!(
+            next_tick.rebrokered.contains(id),
+            "{id} not re-brokered on the next tick: {:?}",
+            next_tick.rebrokered
+        );
+        let last = next_tick.assignments.iter().rev().find(|(t, _)| t == id);
+        assert_eq!(last.map(|(_, c)| c.as_str()), Some("pg-2"));
+    }
+
+    let report = grid.run(5 * 60_000, 60_000);
+    let mut awards: std::collections::BTreeMap<&str, usize> = Default::default();
+    for (id, _) in &report.assignments {
+        *awards.entry(id).or_insert(0) += 1;
+    }
+    for (id, count) in awards {
+        let rebrokered = report.rebrokered.iter().filter(|r| *r == id).count();
+        assert_eq!(count, 1 + rebrokered, "task {id}: unlogged re-award");
+    }
+    for id in &stranded {
+        assert!(report.completed_ids.contains(id), "{id} never completed");
+    }
+    assert!(report.lost_tasks().is_empty());
+    assert_eq!(report.escalations, 0, "an orderly removal raises no alert");
+    assert!(!report
+        .alerts
+        .iter()
+        .any(|a| a.rule == "container-dead" || a.rule == "task-retry-exhausted"));
+}
+
 #[test]
 fn unreachable_device_keeps_the_rest_of_the_fleet_monitored() {
     let mut grid = ManagementGrid::builder()

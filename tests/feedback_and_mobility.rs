@@ -169,8 +169,47 @@ fn rebalancer_moves_analyzer_to_spare_and_work_follows() {
         new_assignments.iter().all(|(_, c)| c == "spare"),
         "after migration all work must flow to the spare: {new_assignments:?}"
     );
-    assert_eq!(after.unassigned, 0);
+    assert!(after.outstanding.is_empty());
     assert_eq!(after.dead_letters, 0, "migration must not lose messages");
+}
+
+/// The liveness sweep covers only containers that host an analyzer, and
+/// a migrated analyzer's heartbeat moves with it: an agentless spare is
+/// not reaped as a container that never beat, and the destination of a
+/// move is not declared dead before the analyzer's first tick there.
+#[test]
+fn spare_survives_liveness_and_takes_work_after_migration() {
+    use agentgrid_suite::core::recovery::RecoveryConfig;
+
+    let mut grid = ManagementGrid::builder()
+        .network(network(4, 21))
+        .collectors_per_site(2)
+        .analyzer("pg-1", 1.0, ALL_SKILLS)
+        .recovery(RecoveryConfig::default())
+        .build();
+    grid.platform_mut().add_container("spare");
+    grid.platform_mut()
+        .df_mut()
+        .register_container(ResourceProfile::new("spare", 4.0, 1.0, 8192, ALL_SKILLS));
+    // Long past the death threshold: the spare never beats.
+    let before = grid.run(6 * 60_000, 60_000);
+
+    let rebalancer = Rebalancer {
+        high_watermark: 0.0,
+        low_watermark: 1.0,
+    };
+    let migrations = rebalancer.rebalance(grid.platform_mut());
+    assert_eq!(migrations.len(), 1, "the spare is still registered");
+    assert_eq!(migrations[0].to, "spare");
+
+    let after = grid.run(4 * 60_000, 60_000);
+    let on_spare = after.assignments[before.assignments.len()..]
+        .iter()
+        .filter(|(_, c)| c == "spare")
+        .count();
+    assert!(on_spare > 0, "work must follow the migrated analyzer");
+    assert_eq!(after.escalations, 0, "no container was declared dead");
+    assert!(after.lost_tasks().is_empty());
 }
 
 /// Migration mid-scenario while the network adversary is active: an
@@ -206,15 +245,11 @@ fn migration_under_network_adversary_loses_nothing_and_replays_identically() {
             .chaos(plan.clone())
             .build();
         grid.run(half, 60_000);
-        // The spare joins mid-scenario — profile, container and a
-        // fresh heartbeat (recovery's liveness sweep deregisters
-        // containers that never beat; an agentless spare only starts
-        // beating once the analyzer moves in).
+        // The spare joins mid-scenario: a profile and a container.
         grid.platform_mut().add_container("spare");
         grid.platform_mut()
             .df_mut()
             .register_container(ResourceProfile::new("spare", 4.0, 1.0, 8192, ALL_SKILLS));
-        grid.platform_mut().df_mut().record_heartbeat("spare", half);
         // Force a migration regardless of current load figures.
         let rebalancer = Rebalancer {
             high_watermark: 0.0,
@@ -230,7 +265,7 @@ fn migration_under_network_adversary_loses_nothing_and_replays_identically() {
 
     let lost = report.lost_tasks();
     assert!(lost.is_empty(), "tasks lost across the migration: {lost:?}");
-    assert_eq!(report.unassigned, 0);
+    assert_eq!(report.unaccounted_tasks(), 0);
     assert!(
         report.tasks_per_container().contains_key("spare"),
         "work must follow the migrated analyzer: {:?}",
