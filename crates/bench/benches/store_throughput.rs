@@ -7,23 +7,29 @@
 //! point). `repro --store-bench-json <path>` records the same comparison
 //! without Criterion for CI artifacts.
 
-use agentgrid_bench::store_workload;
-use agentgrid_store::{AggKind, Classifier, LabelFilter, ManagementStore, StoreBackend};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use agentgrid_bench::{store_workload, BenchStore};
+use agentgrid_store::{AggKind, ManagementStore, NaiveStore, Record};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-fn build(backend: StoreBackend, records: &[agentgrid_store::Record]) -> ManagementStore {
-    let mut store = ManagementStore::with_backend(backend, Classifier::standard());
-    store.insert_all(records.iter().cloned());
-    store
-}
-
-fn sweep(store: &ManagementStore, step_ms: u64, kind: AggKind) -> u64 {
-    store
-        .query_windows(&LabelFilter::Any, 0, u64::MAX, step_ms, kind)
-        .iter()
-        .map(|series| series.windows.len() as u64)
-        .sum()
+fn bench_engine<S: BenchStore>(group: &mut BenchmarkGroup<'_>, label: &str, records: &[Record]) {
+    let n = records.len();
+    group.bench_with_input(
+        BenchmarkId::new(format!("ingest/{label}"), n),
+        records,
+        |b, records| b.iter(|| black_box(S::ingest(records))),
+    );
+    let store = S::ingest(records);
+    group.bench_with_input(
+        BenchmarkId::new(format!("daily_peak/{label}"), n),
+        &store,
+        |b, store| b.iter(|| black_box(store.sweep(1_440 * 60_000, AggKind::Max))),
+    );
+    group.bench_with_input(
+        BenchmarkId::new(format!("mean_10m/{label}"), n),
+        &store,
+        |b, store| b.iter(|| black_box(store.sweep(10 * 60_000, AggKind::Mean))),
+    );
 }
 
 fn bench_store_throughput(c: &mut Criterion) {
@@ -31,28 +37,8 @@ fn bench_store_throughput(c: &mut Criterion) {
     group.sample_size(10);
     for n in [10_000usize, 100_000] {
         let records = store_workload(n);
-        for backend in [StoreBackend::Naive, StoreBackend::Chunked] {
-            let label = match backend {
-                StoreBackend::Naive => "naive",
-                StoreBackend::Chunked => "chunked",
-            };
-            group.bench_with_input(
-                BenchmarkId::new(format!("ingest/{label}"), n),
-                &records,
-                |b, records| b.iter(|| black_box(build(backend, records).len())),
-            );
-            let store = build(backend, &records);
-            group.bench_with_input(
-                BenchmarkId::new(format!("daily_peak/{label}"), n),
-                &store,
-                |b, store| b.iter(|| black_box(sweep(store, 1_440 * 60_000, AggKind::Max))),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("mean_10m/{label}"), n),
-                &store,
-                |b, store| b.iter(|| black_box(sweep(store, 10 * 60_000, AggKind::Mean))),
-            );
-        }
+        bench_engine::<NaiveStore>(&mut group, "naive", &records);
+        bench_engine::<ManagementStore>(&mut group, "chunked", &records);
     }
     group.finish();
 }

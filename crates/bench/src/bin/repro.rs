@@ -54,21 +54,17 @@
 //! live-grid experiments (fig2, lb, chaos, overload): `deterministic`
 //! (default) is the in-order stepper, `pool` ticks collector containers
 //! on a work-stealing thread pool. Both produce byte-identical reports
-//! on these seeded scenarios — CI diffs `--runtime pool` output against
-//! the default to prove it. (`mobility` always uses the deterministic
-//! stepper: migration is a stepper-only API.)
-//!
-//! `--store {chunked,naive}` selects the time-series backend for the
-//! live-grid experiments: `chunked` (default) is the compressed
-//! chunk engine, `naive` is the executable specification it is proved
-//! against. Both produce byte-identical reports — CI diffs
-//! `--store naive` output against the default to prove it.
+//! on these seeded scenarios — CI diffs `repro all --runtime pool`
+//! against the committed `results/repro_output.txt` to prove it.
+//! (`mobility` always uses the deterministic stepper: migration is a
+//! stepper-only API.)
 //!
 //! `--store-bench-json <path>` times store ingest, windowed range
-//! queries and bytes/sample for both backends at 1k/100k/1M points and
-//! writes the medians to `<path>` as JSON (the `BENCH_pr8.json`
-//! artifact). With no explicit experiment list, `--store-bench-json`
-//! runs only the store benchmark.
+//! queries and bytes/sample for the chunked `ManagementStore` and its
+//! `NaiveStore` reference at 1k/100k/1M points and writes the medians
+//! to `<path>` as JSON (the `BENCH_pr8.json` artifact). With no
+//! explicit experiment list, `--store-bench-json` runs only the store
+//! benchmark.
 //!
 //! `--sharded <n> [seed]` runs the federated-grid experiment: the grid
 //! split into `n` domain shards connected by the federation protocol
@@ -77,12 +73,16 @@
 //! and once on the pool runtime (all three must be byte-identical),
 //! then an overload scenario that forces spill-over and proves every
 //! task in the federation is counted exactly once — stdout is fully
-//! deterministic so CI can diff two fresh runs. With
+//! deterministic so CI diffs it against a committed golden file. With
 //! `--shard-bench-json <path>`, a 10 000-device scenario is also timed
 //! on the pool runtime at 1 shard vs `n` shards and the measured
 //! throughputs written to `<path>` (the `BENCH_pr10.json` artifact).
 //! With no explicit experiment list, `--sharded` runs only this
 //! experiment.
+//!
+//! Every name is checked before anything runs: an unknown experiment,
+//! an unknown flag or a flag without a valid value prints an error and
+//! exits with status 2.
 
 use agentgrid::balance::{
     ContractNet, KnowledgeCapacityIdle, LeastLoaded, LoadBalancer, Random, RoundRobin,
@@ -101,12 +101,12 @@ use agentgrid::CostModel;
 use agentgrid_baselines::MultiAgentSystem;
 use agentgrid_bench::{
     fig6_reports, grid_scaling_report, inference_facts, inference_kb, inference_store,
-    mean_completions, standard_network, store_workload, ALL_SKILLS,
+    mean_completions, standard_network, store_workload, BenchStore, ALL_SKILLS,
 };
 use agentgrid_net::{FaultKind, ScheduledFault};
 use agentgrid_platform::{ReliabilityConfig, Telemetry, TelemetryHandle};
 use agentgrid_rules::{parse_rules, Engine, KnowledgeBase, NaiveEngine};
-use agentgrid_store::{AggKind, Classifier, LabelFilter, ManagementStore, StoreBackend};
+use agentgrid_store::{AggKind, ManagementStore, NaiveStore};
 
 /// Execution model for the live-grid experiments; both produce
 /// byte-identical reports on the seeded scenarios.
@@ -143,75 +143,90 @@ fn run_grid(
     }
 }
 
+/// The suite `all` runs (and the default when no experiment is named),
+/// in order.
+const ALL: [&str; 12] = [
+    "table1",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "crossover",
+    "lb",
+    "scaling",
+    "mobility",
+    "chaos",
+];
+
+/// Experiments outside `all`: run when named, or alone when their flag
+/// is the only selection.
+const ON_DEMAND: [&str; 5] = ["netchaos", "overload", "bench", "store-bench", "sharded"];
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let metrics_path = take_metrics_flag(&mut args);
-    let trace_path = take_trace_flag(&mut args);
-    let chaos_seed = take_chaos_flag(&mut args);
-    let netchaos_seed = take_netchaos_flag(&mut args);
-    let overload_seed = take_overload_flag(&mut args);
-    let bench_json = take_bench_json_flag(&mut args);
-    let store_bench_json = take_store_bench_json_flag(&mut args);
-    let sharded_shards = take_sharded_flag(&mut args);
-    let shard_bench_json = take_shard_bench_json_flag(&mut args);
+    let metrics_path = take_flag(&mut args, "--metrics", "a path argument");
+    let trace_path = take_flag(&mut args, "--trace", "a path argument");
+    let chaos_seed =
+        take_flag(&mut args, "--chaos", "a seed argument").map(|raw| seed("--chaos", &raw));
+    let netchaos_seed =
+        take_flag(&mut args, "--netchaos", "a seed argument").map(|raw| seed("--netchaos", &raw));
+    let overload_seed =
+        take_flag(&mut args, "--overload", "a seed argument").map(|raw| seed("--overload", &raw));
+    let bench_json = take_flag(&mut args, "--bench-json", "a path argument");
+    let store_bench_json = take_flag(&mut args, "--store-bench-json", "a path argument");
+    let sharded_shards =
+        take_flag(&mut args, "--sharded", "a shard count argument").map(|raw| shard_count(&raw));
+    let shard_bench_json = take_flag(&mut args, "--shard-bench-json", "a path argument");
     // `--sharded N SEED`: the bare number after the flags is the seed.
     let sharded_seed = sharded_shards.and_then(|_| {
         args.iter()
             .position(|a| a.parse::<u64>().is_ok())
             .map(|i| args.remove(i).parse().expect("position checked"))
     });
-    let runtime = take_runtime_flag(&mut args);
-    let store = take_store_flag(&mut args);
+    let runtime = take_flag(
+        &mut args,
+        "--runtime",
+        "an argument (deterministic or pool)",
+    )
+    .map_or(RuntimeChoice::Deterministic, |raw| match raw.as_str() {
+        "deterministic" => RuntimeChoice::Deterministic,
+        "pool" => RuntimeChoice::Pool,
+        other => fail(&format!(
+            "--runtime must be deterministic or pool, got `{other}`"
+        )),
+    });
+    // Every remaining argument must name an experiment: reject typos and
+    // unknown flags before anything runs.
+    for arg in &args {
+        if arg.starts_with('-') {
+            fail(&format!("unknown flag `{arg}`"));
+        }
+        if arg != "all" && !ALL.contains(&arg.as_str()) && !ON_DEMAND.contains(&arg.as_str()) {
+            fail(&format!("unknown experiment `{arg}` (try `all`)"));
+        }
+    }
     let telemetry = (metrics_path.is_some() || trace_path.is_some()).then(Telemetry::new);
     if let (Some(_), Some(t)) = (&trace_path, &telemetry) {
         t.flight_recorder().enable();
         t.pool_profiler().enable();
     }
-    let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        if args.is_empty()
-            && (chaos_seed.is_some()
-                || netchaos_seed.is_some()
-                || overload_seed.is_some()
-                || bench_json.is_some()
-                || store_bench_json.is_some()
-                || sharded_shards.is_some())
-        {
-            let mut only = Vec::new();
-            if chaos_seed.is_some() {
-                only.push("chaos");
-            }
-            if netchaos_seed.is_some() {
-                only.push("netchaos");
-            }
-            if overload_seed.is_some() {
-                only.push("overload");
-            }
-            if bench_json.is_some() {
-                only.push("bench");
-            }
-            if store_bench_json.is_some() {
-                only.push("store-bench");
-            }
-            if sharded_shards.is_some() {
-                only.push("sharded");
-            }
-            only
-        } else {
-            vec![
-                "table1",
-                "fig1",
-                "fig2",
-                "fig3",
-                "fig4",
-                "fig5",
-                "fig6",
-                "crossover",
-                "lb",
-                "scaling",
-                "mobility",
-                "chaos",
-            ]
-        }
+    let flagged: Vec<&str> = [
+        (chaos_seed.is_some(), "chaos"),
+        (netchaos_seed.is_some(), "netchaos"),
+        (overload_seed.is_some(), "overload"),
+        (bench_json.is_some(), "bench"),
+        (store_bench_json.is_some(), "store-bench"),
+        (sharded_shards.is_some(), "sharded"),
+    ]
+    .into_iter()
+    .filter_map(|(on, name)| on.then_some(name))
+    .collect();
+    let wanted: Vec<&str> = if args.is_empty() && !flagged.is_empty() {
+        flagged
+    } else if args.is_empty() || args.iter().any(|a| a == "all") {
+        ALL.to_vec()
     } else {
         args.iter().map(String::as_str).collect()
     };
@@ -219,23 +234,18 @@ fn main() {
         match experiment {
             "table1" => table1(),
             "fig1" => fig1(),
-            "fig2" => fig2(telemetry.as_ref(), runtime, store),
+            "fig2" => fig2(telemetry.as_ref(), runtime),
             "fig3" => fig3(),
             "fig4" => fig4(),
             "fig5" => fig5(),
             "fig6" => fig6(),
             "crossover" => crossover(),
-            "lb" => lb_ablation(telemetry.as_ref(), runtime, store),
+            "lb" => lb_ablation(telemetry.as_ref(), runtime),
             "scaling" => scaling(),
-            "mobility" => mobility(telemetry.as_ref(), store),
-            "chaos" => chaos(chaos_seed.unwrap_or(42), telemetry.as_ref(), runtime, store),
-            "netchaos" => netchaos(netchaos_seed.unwrap_or(42), telemetry.as_ref(), store),
-            "overload" => overload(
-                overload_seed.unwrap_or(7),
-                telemetry.as_ref(),
-                runtime,
-                store,
-            ),
+            "mobility" => mobility(telemetry.as_ref()),
+            "chaos" => chaos(chaos_seed.unwrap_or(42), telemetry.as_ref(), runtime),
+            "netchaos" => netchaos(netchaos_seed.unwrap_or(42), telemetry.as_ref()),
+            "overload" => overload(overload_seed.unwrap_or(7), telemetry.as_ref(), runtime),
             "bench" => bench_inference(bench_json.as_deref()),
             "store-bench" => store_bench(store_bench_json.as_deref()),
             "sharded" => sharded(
@@ -243,7 +253,7 @@ fn main() {
                 sharded_seed.unwrap_or(42),
                 shard_bench_json.as_deref(),
             ),
-            other => eprintln!("unknown experiment `{other}` (try `all`)"),
+            other => unreachable!("experiment `{other}` passed the name check"),
         }
     }
     if let (Some(path), Some(telemetry)) = (&metrics_path, &telemetry) {
@@ -254,264 +264,45 @@ fn main() {
     }
 }
 
-/// Removes `--metrics <path>` (or `--metrics=<path>`) from `args` and
-/// returns the path, if present.
-fn take_metrics_flag(args: &mut Vec<String>) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == "--metrics") {
-        if i + 1 >= args.len() {
-            eprintln!("--metrics needs a path argument");
-            std::process::exit(2);
-        }
-        let path = args.remove(i + 1);
-        args.remove(i);
-        return Some(path);
-    }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--metrics=")) {
-        let path = args.remove(i)["--metrics=".len()..].to_owned();
-        return Some(path);
-    }
-    None
+/// Prints a usage error and exits with status 2.
+fn fail(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
-/// Removes `--trace <path>` (or `--trace=<path>`) from `args` and
-/// returns the path, if present.
-fn take_trace_flag(args: &mut Vec<String>) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == "--trace") {
+/// Removes `name <value>` (or `name=<value>`) from `args` and returns
+/// the value, if the flag is present; `needs` completes the error
+/// message when the value is missing.
+fn take_flag(args: &mut Vec<String>, name: &str, needs: &str) -> Option<String> {
+    if let Some(i) = args.iter().position(|a| a == name) {
         if i + 1 >= args.len() {
-            eprintln!("--trace needs a path argument");
-            std::process::exit(2);
+            fail(&format!("{name} needs {needs}"));
         }
-        let path = args.remove(i + 1);
+        let value = args.remove(i + 1);
         args.remove(i);
-        return Some(path);
+        return Some(value);
     }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--trace=")) {
-        let path = args.remove(i)["--trace=".len()..].to_owned();
-        return Some(path);
-    }
-    None
+    let prefix = format!("{name}=");
+    let i = args.iter().position(|a| a.starts_with(&prefix))?;
+    Some(args.remove(i)[prefix.len()..].to_owned())
 }
 
-/// Removes `--chaos <seed>` (or `--chaos=<seed>`) from `args` and
-/// returns the seed, if present.
-fn take_chaos_flag(args: &mut Vec<String>) -> Option<u64> {
-    let parse = |raw: &str| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("--chaos needs an unsigned integer seed, got `{raw}`");
-            std::process::exit(2);
-        })
-    };
-    if let Some(i) = args.iter().position(|a| a == "--chaos") {
-        if i + 1 >= args.len() {
-            eprintln!("--chaos needs a seed argument");
-            std::process::exit(2);
-        }
-        let raw = args.remove(i + 1);
-        args.remove(i);
-        return Some(parse(&raw));
-    }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--chaos=")) {
-        let raw = args.remove(i)["--chaos=".len()..].to_owned();
-        return Some(parse(&raw));
-    }
-    None
+/// Parses the seed value of `flag`.
+fn seed(flag: &str, raw: &str) -> u64 {
+    raw.parse().unwrap_or_else(|_| {
+        fail(&format!(
+            "{flag} needs an unsigned integer seed, got `{raw}`"
+        ))
+    })
 }
 
-/// Removes `--netchaos <seed>` (or `--netchaos=<seed>`) from `args` and
-/// returns the seed, if present.
-fn take_netchaos_flag(args: &mut Vec<String>) -> Option<u64> {
-    let parse = |raw: &str| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("--netchaos needs an unsigned integer seed, got `{raw}`");
-            std::process::exit(2);
-        })
-    };
-    if let Some(i) = args.iter().position(|a| a == "--netchaos") {
-        if i + 1 >= args.len() {
-            eprintln!("--netchaos needs a seed argument");
-            std::process::exit(2);
-        }
-        let raw = args.remove(i + 1);
-        args.remove(i);
-        return Some(parse(&raw));
+/// Parses the `--sharded` shard count (at least one).
+fn shard_count(raw: &str) -> usize {
+    match raw.parse() {
+        Ok(0) => fail("--sharded needs at least one shard"),
+        Ok(shards) => shards,
+        Err(_) => fail(&format!("--sharded needs a shard count, got `{raw}`")),
     }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--netchaos=")) {
-        let raw = args.remove(i)["--netchaos=".len()..].to_owned();
-        return Some(parse(&raw));
-    }
-    None
-}
-
-/// Removes `--overload <seed>` (or `--overload=<seed>`) from `args` and
-/// returns the seed, if present.
-fn take_overload_flag(args: &mut Vec<String>) -> Option<u64> {
-    let parse = |raw: &str| {
-        raw.parse().unwrap_or_else(|_| {
-            eprintln!("--overload needs an unsigned integer seed, got `{raw}`");
-            std::process::exit(2);
-        })
-    };
-    if let Some(i) = args.iter().position(|a| a == "--overload") {
-        if i + 1 >= args.len() {
-            eprintln!("--overload needs a seed argument");
-            std::process::exit(2);
-        }
-        let raw = args.remove(i + 1);
-        args.remove(i);
-        return Some(parse(&raw));
-    }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--overload=")) {
-        let raw = args.remove(i)["--overload=".len()..].to_owned();
-        return Some(parse(&raw));
-    }
-    None
-}
-
-/// Removes `--runtime <name>` (or `--runtime=<name>`) from `args` and
-/// returns the chosen execution model; defaults to the deterministic
-/// stepper.
-fn take_runtime_flag(args: &mut Vec<String>) -> RuntimeChoice {
-    let parse = |raw: &str| match raw {
-        "deterministic" => RuntimeChoice::Deterministic,
-        "pool" => RuntimeChoice::Pool,
-        other => {
-            eprintln!("--runtime must be deterministic or pool, got `{other}`");
-            std::process::exit(2);
-        }
-    };
-    if let Some(i) = args.iter().position(|a| a == "--runtime") {
-        if i + 1 >= args.len() {
-            eprintln!("--runtime needs an argument (deterministic or pool)");
-            std::process::exit(2);
-        }
-        let raw = args.remove(i + 1);
-        args.remove(i);
-        return parse(&raw);
-    }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--runtime=")) {
-        let raw = args.remove(i)["--runtime=".len()..].to_owned();
-        return parse(&raw);
-    }
-    RuntimeChoice::Deterministic
-}
-
-/// Removes `--store <backend>` (or `--store=<backend>`) from `args` and
-/// returns the chosen time-series backend; defaults to the chunked
-/// engine.
-fn take_store_flag(args: &mut Vec<String>) -> StoreBackend {
-    let parse = |raw: &str| {
-        StoreBackend::parse(raw).unwrap_or_else(|| {
-            eprintln!("--store must be chunked or naive, got `{raw}`");
-            std::process::exit(2);
-        })
-    };
-    if let Some(i) = args.iter().position(|a| a == "--store") {
-        if i + 1 >= args.len() {
-            eprintln!("--store needs an argument (chunked or naive)");
-            std::process::exit(2);
-        }
-        let raw = args.remove(i + 1);
-        args.remove(i);
-        return parse(&raw);
-    }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--store=")) {
-        let raw = args.remove(i)["--store=".len()..].to_owned();
-        return parse(&raw);
-    }
-    StoreBackend::default()
-}
-
-/// Removes `--store-bench-json <path>` (or `--store-bench-json=<path>`)
-/// from `args` and returns the path, if present.
-fn take_store_bench_json_flag(args: &mut Vec<String>) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == "--store-bench-json") {
-        if i + 1 >= args.len() {
-            eprintln!("--store-bench-json needs a path argument");
-            std::process::exit(2);
-        }
-        let path = args.remove(i + 1);
-        args.remove(i);
-        return Some(path);
-    }
-    if let Some(i) = args
-        .iter()
-        .position(|a| a.starts_with("--store-bench-json="))
-    {
-        let path = args.remove(i)["--store-bench-json=".len()..].to_owned();
-        return Some(path);
-    }
-    None
-}
-
-/// Removes `--sharded <n>` (or `--sharded=<n>`) from `args` and returns
-/// the shard count, if present.
-fn take_sharded_flag(args: &mut Vec<String>) -> Option<usize> {
-    let parse = |raw: &str| {
-        let shards: usize = raw.parse().unwrap_or_else(|_| {
-            eprintln!("--sharded needs a shard count, got `{raw}`");
-            std::process::exit(2);
-        });
-        if shards == 0 {
-            eprintln!("--sharded needs at least one shard");
-            std::process::exit(2);
-        }
-        shards
-    };
-    if let Some(i) = args.iter().position(|a| a == "--sharded") {
-        if i + 1 >= args.len() {
-            eprintln!("--sharded needs a shard count argument");
-            std::process::exit(2);
-        }
-        let raw = args.remove(i + 1);
-        args.remove(i);
-        return Some(parse(&raw));
-    }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--sharded=")) {
-        let raw = args.remove(i)["--sharded=".len()..].to_owned();
-        return Some(parse(&raw));
-    }
-    None
-}
-
-/// Removes `--shard-bench-json <path>` (or `--shard-bench-json=<path>`)
-/// from `args` and returns the path, if present.
-fn take_shard_bench_json_flag(args: &mut Vec<String>) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == "--shard-bench-json") {
-        if i + 1 >= args.len() {
-            eprintln!("--shard-bench-json needs a path argument");
-            std::process::exit(2);
-        }
-        let path = args.remove(i + 1);
-        args.remove(i);
-        return Some(path);
-    }
-    if let Some(i) = args
-        .iter()
-        .position(|a| a.starts_with("--shard-bench-json="))
-    {
-        let path = args.remove(i)["--shard-bench-json=".len()..].to_owned();
-        return Some(path);
-    }
-    None
-}
-
-/// Removes `--bench-json <path>` (or `--bench-json=<path>`) from `args`
-/// and returns the path, if present.
-fn take_bench_json_flag(args: &mut Vec<String>) -> Option<String> {
-    if let Some(i) = args.iter().position(|a| a == "--bench-json") {
-        if i + 1 >= args.len() {
-            eprintln!("--bench-json needs a path argument");
-            std::process::exit(2);
-        }
-        let path = args.remove(i + 1);
-        args.remove(i);
-        return Some(path);
-    }
-    if let Some(i) = args.iter().position(|a| a.starts_with("--bench-json=")) {
-        let path = args.remove(i)["--bench-json=".len()..].to_owned();
-        return Some(path);
-    }
-    None
 }
 
 /// Writes the telemetry snapshot to `path`: JSON for `.json` paths,
@@ -576,11 +367,10 @@ fn fig1() {
 }
 
 /// Figure 2: the full agent-grid architecture, live, over two sites.
-fn fig2(telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoice, store: StoreBackend) {
+fn fig2(telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoice) {
     banner("Figure 2 — agent-grid architecture, live run over two sites");
     let mut builder = ManagementGrid::builder()
         .network(standard_network(2, 4, 11))
-        .store_backend(store)
         .collectors_per_site(2)
         .analyzer("pg-1", 1.0, ALL_SKILLS)
         .analyzer("pg-2", 1.0, ALL_SKILLS)
@@ -704,18 +494,16 @@ fn crossover() {
 }
 
 /// Extension: load-balancing policy ablation on the live grid.
-fn lb_ablation(telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoice, store: StoreBackend) {
+fn lb_ablation(telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoice) {
     banner("Extension — load-balancing policy ablation (live grid)");
     fn run_with(
         policy: impl LoadBalancer + 'static,
         telemetry: Option<&TelemetryHandle>,
         runtime: RuntimeChoice,
-        store: StoreBackend,
     ) -> (String, String) {
         let name = policy.name().to_owned();
         let mut builder = ManagementGrid::builder()
             .network(standard_network(1, 6, 17))
-            .store_backend(store)
             .collectors_per_site(2)
             .analyzer("pg-fast", 4.0, ALL_SKILLS)
             .analyzer("pg-slow", 1.0, ALL_SKILLS)
@@ -736,11 +524,11 @@ fn lb_ablation(telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoice, stor
         )
     }
     for (name, line) in [
-        run_with(KnowledgeCapacityIdle, telemetry, runtime, store),
-        run_with(ContractNet, telemetry, runtime, store),
-        run_with(LeastLoaded, telemetry, runtime, store),
-        run_with(RoundRobin::default(), telemetry, runtime, store),
-        run_with(Random::new(42), telemetry, runtime, store),
+        run_with(KnowledgeCapacityIdle, telemetry, runtime),
+        run_with(ContractNet, telemetry, runtime),
+        run_with(LeastLoaded, telemetry, runtime),
+        run_with(RoundRobin::default(), telemetry, runtime),
+        run_with(Random::new(42), telemetry, runtime),
     ] {
         println!("{name:<24} {line}");
     }
@@ -766,11 +554,10 @@ fn scaling() {
 }
 
 /// Extension: mobility — migrating an analyzer to a spare container.
-fn mobility(telemetry: Option<&TelemetryHandle>, store: StoreBackend) {
+fn mobility(telemetry: Option<&TelemetryHandle>) {
     banner("Extension — mobility: analyzer migration to spare capacity");
     let mut builder = ManagementGrid::builder()
         .network(standard_network(1, 6, 23))
-        .store_backend(store)
         .collectors_per_site(2)
         .analyzer("pg-1", 1.0, ALL_SKILLS);
     if let Some(t) = telemetry {
@@ -820,12 +607,7 @@ fn mobility(telemetry: Option<&TelemetryHandle>, store: StoreBackend) {
 /// crash-detect-re-broker sequence is reproducible. Exits nonzero if
 /// any task is permanently lost or the replay diverges, so CI can use
 /// it as a smoke check.
-fn chaos(
-    seed: u64,
-    telemetry: Option<&TelemetryHandle>,
-    runtime: RuntimeChoice,
-    store: StoreBackend,
-) {
+fn chaos(seed: u64, telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoice) {
     banner(&format!(
         "Chaos — seeded failures vs the recovery layer (seed {seed})"
     ));
@@ -839,7 +621,6 @@ fn chaos(
     let run_once = |telemetry: Option<&TelemetryHandle>| {
         let mut builder = ManagementGrid::builder()
             .network(standard_network(1, 4, 7))
-            .store_backend(store)
             .collectors_per_site(2)
             .analyzer("pg-1", 1.0, ALL_SKILLS)
             .analyzer("pg-2", 1.0, ALL_SKILLS)
@@ -904,7 +685,7 @@ fn chaos(
 /// diverges, or the reliability layer never retransmitted/suppressed
 /// anything (an idle defence proves nothing), so CI can use it as a
 /// smoke check.
-fn netchaos(seed: u64, telemetry: Option<&TelemetryHandle>, store: StoreBackend) {
+fn netchaos(seed: u64, telemetry: Option<&TelemetryHandle>) {
     banner(&format!(
         "Net chaos — seeded network adversary vs reliable delivery (seed {seed})"
     ));
@@ -921,7 +702,6 @@ fn netchaos(seed: u64, telemetry: Option<&TelemetryHandle>, store: StoreBackend)
     let run_once = |telemetry: Option<&TelemetryHandle>, pool: bool| {
         let mut builder = ManagementGrid::builder()
             .network(standard_network(1, 4, 7))
-            .store_backend(store)
             .collectors_per_site(2)
             .analyzer("pg-1", 1.0, ALL_SKILLS)
             .analyzer("pg-2", 1.0, ALL_SKILLS)
@@ -1120,37 +900,25 @@ fn store_bench(json_path: Option<&str>) {
         } else {
             15
         };
-        let build = |backend: StoreBackend| {
-            let mut store = ManagementStore::with_backend(backend, Classifier::standard());
-            store.insert_all(records.iter().cloned());
-            store
-        };
-        let (naive_ingest_ns, _) = median_ns(runs, || build(StoreBackend::Naive).len() as u64);
-        let (chunked_ingest_ns, _) = median_ns(runs, || build(StoreBackend::Chunked).len() as u64);
-        let naive = build(StoreBackend::Naive);
-        let chunked = build(StoreBackend::Chunked);
+        let (naive_ingest_ns, _) = median_ns(runs, || NaiveStore::ingest(&records).len() as u64);
+        let (chunked_ingest_ns, _) =
+            median_ns(runs, || ManagementStore::ingest(&records).len() as u64);
+        let naive = NaiveStore::ingest(&records);
+        let chunked = ManagementStore::ingest(&records);
         // Two range-query shapes over every series' full retention
         // window: the capacity-report "daily peak" sweep (where the
         // chunked engine absorbs whole-chunk summaries without
         // decompressing) and the consolidation "mean per ten minutes"
         // sweep (which decodes every point).
-        let sweep = |store: &ManagementStore, step: u64, kind: AggKind| {
-            store
-                .query_windows(&LabelFilter::Any, 0, u64::MAX, step, kind)
-                .iter()
-                .map(|series| series.windows.len() as u64)
-                .sum()
-        };
         let (naive_peak_ns, naive_w) =
-            median_ns(runs, || sweep(&naive, 1_440 * 60_000, AggKind::Max));
+            median_ns(runs, || naive.sweep(1_440 * 60_000, AggKind::Max));
         let (chunked_peak_ns, chunked_w) =
-            median_ns(runs, || sweep(&chunked, 1_440 * 60_000, AggKind::Max));
-        assert_eq!(naive_w, chunked_w, "backends must agree");
-        let (naive_mean_ns, naive_w) =
-            median_ns(runs, || sweep(&naive, 10 * 60_000, AggKind::Mean));
+            median_ns(runs, || chunked.sweep(1_440 * 60_000, AggKind::Max));
+        assert_eq!(naive_w, chunked_w, "engines must agree");
+        let (naive_mean_ns, naive_w) = median_ns(runs, || naive.sweep(10 * 60_000, AggKind::Mean));
         let (chunked_mean_ns, chunked_w) =
-            median_ns(runs, || sweep(&chunked, 10 * 60_000, AggKind::Mean));
-        assert_eq!(naive_w, chunked_w, "backends must agree");
+            median_ns(runs, || chunked.sweep(10 * 60_000, AggKind::Mean));
+        assert_eq!(naive_w, chunked_w, "engines must agree");
         let naive_bps = naive.storage_bytes() as f64 / n as f64;
         let chunked_bps = chunked.storage_bytes() as f64 / n as f64;
         let ingest_speedup = naive_ingest_ns as f64 / chunked_ingest_ns.max(1) as f64;
@@ -1208,12 +976,7 @@ fn store_bench(json_path: Option<&str>) {
 /// alert-class message was lost, the mailbox high-water stayed within
 /// the cap, and the replay is bit-identical — so CI can use it as a
 /// smoke check.
-fn overload(
-    seed: u64,
-    telemetry: Option<&TelemetryHandle>,
-    runtime: RuntimeChoice,
-    store: StoreBackend,
-) {
+fn overload(seed: u64, telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoice) {
     banner(&format!(
         "Overload — burst traffic vs bounded mailboxes (seed {seed})"
     ));
@@ -1235,7 +998,6 @@ fn overload(
             .collector_pacing(true);
         let mut builder = ManagementGrid::builder()
             .network(standard_network(2, 4, seed))
-            .store_backend(store)
             .collectors_per_site(3)
             .analyzer("pg-1", 1.0, ALL_SKILLS)
             .analyzer("pg-2", 1.0, ALL_SKILLS)
@@ -1338,7 +1100,7 @@ rule "sustained-cpu" salience 5 {
 /// domains (devices partitioned by site, one root + broker scope +
 /// analyzer tier per shard) connected by the federation protocol. Two
 /// deterministic phases with fully deterministic stdout, so CI can diff
-/// two fresh runs of the same seed:
+/// a run against its committed golden file:
 ///
 /// 1. **Cross-domain correlation** — CPU runaways injected into two
 ///    different shards; the run executes twice on the stepper and once

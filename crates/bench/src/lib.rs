@@ -9,7 +9,7 @@ use agentgrid::CostModel;
 use agentgrid_des::{ResourceKind, SimReport};
 use agentgrid_net::{Device, DeviceKind, Network};
 use agentgrid_rules::{parse_rules, Fact, KnowledgeBase};
-use agentgrid_store::{ManagementStore, Record};
+use agentgrid_store::{AggKind, LabelFilter, ManagementStore, NaiveStore, Record, SeriesWindows};
 
 /// All analysis skills the simulated metrics map to, plus correlation.
 pub const ALL_SKILLS: [&str; 8] = [
@@ -193,6 +193,50 @@ pub fn store_workload(total: usize) -> Vec<Record> {
         out.push(Record::new(format!("host-{device}"), metric, value, ts));
     }
     out
+}
+
+/// A store engine under the store benchmark: the chunk-compressed
+/// [`ManagementStore`] or its record-per-point [`NaiveStore`] reference.
+pub trait BenchStore: Sized {
+    /// Ingests `records` into an empty store on the standard classifier.
+    fn ingest(records: &[Record]) -> Self;
+
+    /// Runs `query_windows` over every series' full range.
+    fn windows(&self, step_ms: u64, kind: AggKind) -> Vec<SeriesWindows>;
+
+    /// Windows returned by one full-range sweep.
+    fn sweep(&self, step_ms: u64, kind: AggKind) -> u64 {
+        self.windows(step_ms, kind)
+            .iter()
+            .map(|series| series.windows.len() as u64)
+            .sum()
+    }
+}
+
+impl BenchStore for ManagementStore {
+    fn ingest(records: &[Record]) -> Self {
+        let mut store = ManagementStore::default();
+        store.insert_all(records.iter().cloned());
+        store
+    }
+
+    fn windows(&self, step_ms: u64, kind: AggKind) -> Vec<SeriesWindows> {
+        self.query_windows(&LabelFilter::Any, 0, u64::MAX, step_ms, kind)
+    }
+}
+
+impl BenchStore for NaiveStore {
+    fn ingest(records: &[Record]) -> Self {
+        let mut store = NaiveStore::default();
+        for record in records {
+            store.insert(record.clone());
+        }
+        store
+    }
+
+    fn windows(&self, step_ms: u64, kind: AggKind) -> Vec<SeriesWindows> {
+        self.query_windows(&LabelFilter::Any, 0, u64::MAX, step_ms, kind)
+    }
 }
 
 /// Sum of network busy time across all hosts of a report.

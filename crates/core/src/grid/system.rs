@@ -11,7 +11,7 @@ use agentgrid_platform::{
     TransportFault,
 };
 use agentgrid_rules::{parse_rules, KnowledgeBase};
-use agentgrid_store::{Classifier, ManagementStore, StoreBackend};
+use agentgrid_store::{Classifier, ManagementStore};
 use agentgrid_telemetry::{measured_load, EventKind, TaskLatencySummary};
 use parking_lot::Mutex;
 
@@ -162,7 +162,6 @@ pub struct GridBuilder {
     recovery: RecoveryConfig,
     chaos: Option<ChaosPlan>,
     overload: Option<OverloadConfig>,
-    store_backend: StoreBackend,
     net_seed: Option<u64>,
     reliability: Option<ReliabilityConfig>,
     shards: usize,
@@ -328,16 +327,6 @@ impl GridBuilder {
         self
     }
 
-    /// Selects the management-store engine (default
-    /// [`StoreBackend::Chunked`]). The naive backend is the executable
-    /// spec the chunked engine is tested against; running a grid on it
-    /// (CI's store-parity smoke does) must produce byte-identical
-    /// reports.
-    pub fn store_backend(mut self, backend: StoreBackend) -> Self {
-        self.store_backend = backend;
-        self
-    }
-
     /// Feeds **measured** load (mailbox depth + handler busy time, the
     /// paper's Fig. 4 resource profile as observed rather than declared)
     /// into the directory each tick, so [`KnowledgeCapacityIdle`] ranks
@@ -476,10 +465,7 @@ impl GridBuilder {
             // internally in order but concurrently with other shards
             // on the pool runtime.
             let group = format!("shard-{s}");
-            let store = Arc::new(Mutex::new(ManagementStore::with_backend(
-                self.store_backend,
-                Classifier::standard(),
-            )));
+            let store = Arc::new(Mutex::new(ManagementStore::new(Classifier::standard())));
             platform.add_container(&names.root_container);
             platform.hint_parallel_group(&group, &names.root_container);
             let mut root_agent = ProcessorRootAgent::new(self.policy.boxed_clone());
@@ -903,7 +889,6 @@ impl ManagementGrid {
             recovery: RecoveryConfig::default(),
             chaos: None,
             overload: None,
-            store_backend: StoreBackend::default(),
             net_seed: None,
             reliability: None,
             shards: 1,

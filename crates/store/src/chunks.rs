@@ -603,8 +603,9 @@ impl ChunkSeries {
     /// point was added, `false` when an existing timestamp's value was
     /// replaced.
     ///
-    /// NaN values must be filtered by the caller (the store facade
-    /// rejects them); they would poison the encoded stream.
+    /// NaN values must be filtered by the caller
+    /// ([`ManagementStore::insert`](crate::ManagementStore::insert)
+    /// drops them); they would poison the encoded stream.
     pub fn upsert(&mut self, ts: u64, value: f64) -> bool {
         debug_assert!(!value.is_nan(), "NaN must be rejected by the caller");
         // Fast path: strictly-newer append.

@@ -10,10 +10,11 @@
 //!   prefix, so analysis tasks can be divided along partition lines;
 //! * [`ManagementStore`] — an indexed time-series store with per-device /
 //!   per-metric / per-partition retrieval, label-filter selection, range
-//!   queries, windowed aggregation and retention. A facade over two
-//!   engines: the chunk-compressed [`ChunkedStore`] (Gorilla-style
-//!   delta-of-delta + XOR encoding, default) and the record-per-point
-//!   [`NaiveStore`] (the executable spec both are tested against);
+//!   queries, windowed aggregation and retention, on chunk-compressed
+//!   series (Gorilla-style delta-of-delta + XOR encoding);
+//! * [`NaiveStore`] — the record-per-point reference engine: the
+//!   executable spec `ManagementStore` is tested against and the
+//!   baseline it is benchmarked against;
 //! * [`ReplicatedStore`] — N-way replication with primary failover (the
 //!   paper's future-work item on "storage, replication, indexing and
 //!   recuperation of management data").
@@ -53,4 +54,4 @@ pub use naive::NaiveStore;
 pub use query::{AggKind, SeriesStats, SeriesWindows, WindowPoint};
 pub use record::Record;
 pub use replicate::{ReplicaError, ReplicatedStore};
-pub use store::{ChunkedStore, ManagementStore, StoreBackend};
+pub use store::ManagementStore;

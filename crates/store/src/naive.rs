@@ -3,9 +3,10 @@
 //! This is the store exactly as it shipped before the chunked engine:
 //! one `BTreeMap<u64, f64>` per series plus eagerly-maintained rolling
 //! aggregates. It is kept as the **executable specification** for the
-//! chunked backend — the same convention as the rules crate's
-//! `NaiveEngine` — and as the baseline in `benches/store_throughput.rs`.
-//! Property tests drive both backends with identical operation
+//! chunk-compressed [`ManagementStore`](crate::ManagementStore) — the
+//! same convention as the rules crate's `NaiveEngine` — and as the
+//! baseline in `benches/store_throughput.rs`. Property tests drive both
+//! engines with identical operation
 //! sequences and require bit-identical observables
 //! (`stats`/`latest`/`trend_per_min`/`range`/windowed queries).
 
@@ -78,9 +79,9 @@ impl Series {
 /// The pre-chunking store: a `BTreeMap<u64, f64>` per series.
 ///
 /// Simple, obviously correct, memory-hungry (~40+ bytes per point of
-/// node overhead) — the executable spec the chunked backend is tested
+/// node overhead) — the executable spec the chunked engine is tested
 /// against, and the baseline it is benchmarked against. The API
-/// mirrors [`ChunkedStore`](crate::ChunkedStore) exactly.
+/// mirrors [`ManagementStore`](crate::ManagementStore) exactly.
 #[derive(Debug, Clone)]
 pub struct NaiveStore {
     classifier: Classifier,
@@ -107,11 +108,13 @@ impl NaiveStore {
     }
 
     /// Inserts one record. Re-inserting the same `(device, metric,
-    /// timestamp)` replaces the value (idempotent collection retries).
-    /// NaN values must be filtered by the caller (the facade drops
-    /// them).
+    /// timestamp)` replaces the value (idempotent collection retries);
+    /// NaN values are dropped, as in
+    /// [`ManagementStore::insert`](crate::ManagementStore::insert).
     pub fn insert(&mut self, record: Record) {
-        debug_assert!(!record.value.is_nan(), "NaN must be rejected by the caller");
+        if record.value.is_nan() {
+            return;
+        }
         let partition = self.classifier.classify(&record).to_owned();
         let key = (record.device.clone(), record.metric.clone());
         let series = self.series.entry(key).or_insert_with(Series::new);

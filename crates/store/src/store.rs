@@ -1,21 +1,44 @@
-//! The chunked store engine and the `ManagementStore` facade.
+//! `ManagementStore`: the chunk-compressed time-series store engine.
 
 use std::collections::BTreeMap;
 
 use crate::chunks::{ChunkSeries, DEFAULT_CHUNK_CAPACITY};
 use crate::index::{LabelFilter, LabelIndex, SeriesKey};
 use crate::query::{self, AggKind, SeriesStats, SeriesWindows};
-use crate::{Classifier, NaiveStore, Record};
+use crate::{Classifier, Record};
 
-/// The chunk-compressed store backend.
+/// The classifier grid's indexed time-series store.
 ///
-/// One [`ChunkSeries`] per `(device, metric)` key — sealed Gorilla
-/// chunks plus an uncompressed head buffer — behind the same
-/// [`LabelIndex`] the naive backend uses. All aggregate folds go
-/// through [`query`], so observables are bit-identical to
-/// [`NaiveStore`] (pinned by the equivalence proptests).
+/// Inserting a [`Record`] files it under its `(device, metric)` series,
+/// updates the label index, and tags it with the partition assigned by
+/// the [`Classifier`]. Everything is retrievable without scanning: the
+/// paper's "easy-to-retrieve form".
+///
+/// Each series is one [`ChunkSeries`] — sealed Gorilla chunks plus an
+/// uncompressed head buffer. All aggregate folds go through [`query`],
+/// so observables are bit-identical to the record-per-point
+/// [`NaiveStore`](crate::NaiveStore) reference (pinned by the
+/// equivalence proptests).
+///
+/// NaN values are rejected (silently dropped) on insert:
+/// replace-on-equal-timestamp and min/max aggregation are undefined for
+/// NaN, and the chunk encoder refuses it.
+///
+/// # Examples
+///
+/// ```
+/// use agentgrid_store::{Classifier, ManagementStore, Record};
+///
+/// let mut store = ManagementStore::new(Classifier::standard());
+/// for t in 0..5u64 {
+///     store.insert(Record::new("r1", "cpu.load.1", 50.0 + t as f64, t * 60_000));
+/// }
+/// let stats = store.stats("r1", "cpu.load.1", 0, u64::MAX).unwrap();
+/// assert_eq!(stats.count, 5);
+/// assert_eq!(stats.last, 54.0);
+/// ```
 #[derive(Debug, Clone)]
-pub struct ChunkedStore {
+pub struct ManagementStore {
     classifier: Classifier,
     series: BTreeMap<SeriesKey, ChunkSeries>,
     index: LabelIndex,
@@ -23,18 +46,18 @@ pub struct ChunkedStore {
     chunk_capacity: usize,
 }
 
-impl ChunkedStore {
+impl ManagementStore {
     /// Creates an empty store with the given classifier and the default
     /// chunk capacity.
     pub fn new(classifier: Classifier) -> Self {
-        ChunkedStore::with_chunk_capacity(classifier, DEFAULT_CHUNK_CAPACITY)
+        ManagementStore::with_chunk_capacity(classifier, DEFAULT_CHUNK_CAPACITY)
     }
 
     /// Creates an empty store with an explicit points-per-chunk
     /// capacity (minimum 2). Small capacities exercise seal/split/merge
     /// paths in tests.
     pub fn with_chunk_capacity(classifier: Classifier, chunk_capacity: usize) -> Self {
-        ChunkedStore {
+        ManagementStore {
             classifier,
             series: BTreeMap::new(),
             index: LabelIndex::default(),
@@ -48,11 +71,13 @@ impl ChunkedStore {
         &self.classifier
     }
 
-    /// Inserts one record (same replace-on-equal-timestamp semantics as
-    /// [`NaiveStore`]). NaN values must be filtered by the caller (the
-    /// facade drops them).
+    /// Inserts one record. Re-inserting the same `(device, metric,
+    /// timestamp)` replaces the value (idempotent collection retries);
+    /// NaN values are dropped.
     pub fn insert(&mut self, record: Record) {
-        debug_assert!(!record.value.is_nan(), "NaN must be rejected by the caller");
+        if record.value.is_nan() {
+            return;
+        }
         let partition = self.classifier.classify(&record).to_owned();
         let key = (record.device.clone(), record.metric.clone());
         let capacity = self.chunk_capacity;
@@ -65,6 +90,13 @@ impl ChunkedStore {
         }
         self.index
             .observe(&record.device, &record.metric, &partition, &record.site);
+    }
+
+    /// Inserts many records.
+    pub fn insert_all(&mut self, records: impl IntoIterator<Item = Record>) {
+        for r in records {
+            self.insert(r);
+        }
     }
 
     /// Total number of stored points.
@@ -105,7 +137,8 @@ impl ChunkedStore {
         self.index.by_partition(partition)
     }
 
-    /// Sorted series keys matching a label filter.
+    /// Sorted series keys matching a label filter (see
+    /// [`LabelFilter::parse`] for the matcher syntax).
     pub fn select(&self, filter: &LabelFilter) -> Vec<SeriesKey> {
         self.index.select(filter).into_iter().collect()
     }
@@ -160,7 +193,8 @@ impl ChunkedStore {
     }
 
     /// Least-squares slope of a series over `[from_ms, to_ms)`, in value
-    /// units **per minute**. `None` with fewer than two points or zero
+    /// units **per minute** — the level-2 trend estimate behind "disk is
+    /// filling" style rules. `None` with fewer than two points or zero
     /// time spread.
     pub fn trend_per_min(
         &self,
@@ -194,7 +228,7 @@ impl ChunkedStore {
 
     /// Windowed aggregates of one series: decoded points stream
     /// straight into the shared [`query::WindowFold`], so the output is
-    /// bit-identical to folding the naive backend's iterator.
+    /// bit-identical to folding the `NaiveStore` iterator.
     fn windows_for(
         &self,
         key: &SeriesKey,
@@ -210,8 +244,8 @@ impl ChunkedStore {
         fold.finish()
     }
 
-    /// [`query_windows`](ChunkedStore::query_windows) fanned out over
-    /// `threads` scoped worker threads; results are merged in
+    /// [`query_windows`](ManagementStore::query_windows) fanned out over
+    /// at most `threads` scoped worker threads; results are merged in
     /// series-key order and are byte-identical to the sequential path.
     pub fn query_windows_parallel(
         &self,
@@ -260,289 +294,6 @@ impl ChunkedStore {
     }
 }
 
-impl Default for ChunkedStore {
-    fn default() -> Self {
-        ChunkedStore::new(Classifier::standard())
-    }
-}
-
-/// Which engine a [`ManagementStore`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreBackend {
-    /// Chunk-compressed engine (the default).
-    #[default]
-    Chunked,
-    /// Record-per-point reference engine (the executable spec; used by
-    /// the CI parity smoke and as the bench baseline).
-    Naive,
-}
-
-impl StoreBackend {
-    /// Parses a backend name (`chunked`/`naive`).
-    pub fn parse(name: &str) -> Option<StoreBackend> {
-        match name {
-            "chunked" => Some(StoreBackend::Chunked),
-            "naive" => Some(StoreBackend::Naive),
-            _ => None,
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Inner {
-    Chunked(ChunkedStore),
-    Naive(NaiveStore),
-}
-
-/// The classifier grid's indexed time-series store.
-///
-/// Inserting a [`Record`] files it under its `(device, metric)` series,
-/// updates the label index, and tags it with the partition assigned by
-/// the [`Classifier`]. Everything is retrievable without scanning: the
-/// paper's "easy-to-retrieve form". Since PR 8 this is a facade over
-/// two interchangeable engines — the chunk-compressed default and the
-/// record-per-point [`NaiveStore`] spec — selected per instance with
-/// [`with_backend`](ManagementStore::with_backend); every observable is
-/// bit-identical across the two.
-///
-/// NaN values are rejected (silently dropped) at this facade for both
-/// backends: replace-on-equal-timestamp and min/max aggregation are
-/// undefined for NaN, and the chunk encoder refuses it.
-///
-/// # Examples
-///
-/// ```
-/// use agentgrid_store::{Classifier, ManagementStore, Record};
-///
-/// let mut store = ManagementStore::new(Classifier::standard());
-/// for t in 0..5u64 {
-///     store.insert(Record::new("r1", "cpu.load.1", 50.0 + t as f64, t * 60_000));
-/// }
-/// let stats = store.stats("r1", "cpu.load.1", 0, u64::MAX).unwrap();
-/// assert_eq!(stats.count, 5);
-/// assert_eq!(stats.last, 54.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ManagementStore {
-    inner: Inner,
-}
-
-macro_rules! delegate {
-    ($self:ident, $s:ident => $body:expr) => {
-        match &$self.inner {
-            Inner::Chunked($s) => $body,
-            Inner::Naive($s) => $body,
-        }
-    };
-    (mut $self:ident, $s:ident => $body:expr) => {
-        match &mut $self.inner {
-            Inner::Chunked($s) => $body,
-            Inner::Naive($s) => $body,
-        }
-    };
-}
-
-impl ManagementStore {
-    /// Creates an empty store on the default (chunked) backend.
-    pub fn new(classifier: Classifier) -> Self {
-        ManagementStore::with_backend(StoreBackend::Chunked, classifier)
-    }
-
-    /// Creates an empty store on an explicit backend.
-    pub fn with_backend(backend: StoreBackend, classifier: Classifier) -> Self {
-        let inner = match backend {
-            StoreBackend::Chunked => Inner::Chunked(ChunkedStore::new(classifier)),
-            StoreBackend::Naive => Inner::Naive(NaiveStore::new(classifier)),
-        };
-        ManagementStore { inner }
-    }
-
-    /// Which backend this store runs on.
-    pub fn backend(&self) -> StoreBackend {
-        match &self.inner {
-            Inner::Chunked(_) => StoreBackend::Chunked,
-            Inner::Naive(_) => StoreBackend::Naive,
-        }
-    }
-
-    /// The classifier in use.
-    pub fn classifier(&self) -> &Classifier {
-        delegate!(self, s => s.classifier())
-    }
-
-    /// Inserts one record. Re-inserting the same `(device, metric,
-    /// timestamp)` replaces the value (idempotent collection retries);
-    /// NaN values are dropped.
-    pub fn insert(&mut self, record: Record) {
-        if record.value.is_nan() {
-            return;
-        }
-        delegate!(mut self, s => s.insert(record))
-    }
-
-    /// Inserts many records.
-    pub fn insert_all(&mut self, records: impl IntoIterator<Item = Record>) {
-        for r in records {
-            self.insert(r);
-        }
-    }
-
-    /// Total number of stored points.
-    pub fn len(&self) -> usize {
-        delegate!(self, s => s.len())
-    }
-
-    /// Whether the store holds no points.
-    pub fn is_empty(&self) -> bool {
-        delegate!(self, s => s.is_empty())
-    }
-
-    /// All devices seen, in name order.
-    pub fn devices(&self) -> impl Iterator<Item = &str> {
-        let (a, b) = match &self.inner {
-            Inner::Chunked(s) => (Some(s.devices()), None),
-            Inner::Naive(s) => (None, Some(s.devices())),
-        };
-        a.into_iter().flatten().chain(b.into_iter().flatten())
-    }
-
-    /// Metrics observed on one device.
-    pub fn metrics_of(&self, device: &str) -> impl Iterator<Item = &str> {
-        let (a, b) = match &self.inner {
-            Inner::Chunked(s) => (Some(s.metrics_of(device)), None),
-            Inner::Naive(s) => (None, Some(s.metrics_of(device))),
-        };
-        a.into_iter().flatten().chain(b.into_iter().flatten())
-    }
-
-    /// Devices seen at a site.
-    pub fn devices_at(&self, site: &str) -> impl Iterator<Item = &str> {
-        let (a, b) = match &self.inner {
-            Inner::Chunked(s) => (Some(s.devices_at(site)), None),
-            Inner::Naive(s) => (None, Some(s.devices_at(site))),
-        };
-        a.into_iter().flatten().chain(b.into_iter().flatten())
-    }
-
-    /// Non-empty partitions, in name order.
-    pub fn partitions(&self) -> Vec<&str> {
-        delegate!(self, s => s.partitions())
-    }
-
-    /// Series keys `(device, metric)` in a partition.
-    pub fn by_partition<'a>(
-        &'a self,
-        partition: &str,
-    ) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
-        let (a, b) = match &self.inner {
-            Inner::Chunked(s) => (Some(s.by_partition(partition)), None),
-            Inner::Naive(s) => (None, Some(s.by_partition(partition))),
-        };
-        a.into_iter().flatten().chain(b.into_iter().flatten())
-    }
-
-    /// Sorted series keys matching a label filter (see
-    /// [`LabelFilter::parse`] for the matcher syntax).
-    pub fn select(&self, filter: &LabelFilter) -> Vec<SeriesKey> {
-        delegate!(self, s => s.select(filter))
-    }
-
-    /// Points of one series in `[from_ms, to_ms)`, in time order.
-    pub fn range(
-        &self,
-        device: &str,
-        metric: &str,
-        from_ms: u64,
-        to_ms: u64,
-    ) -> impl Iterator<Item = (u64, f64)> + '_ {
-        let (a, b) = match &self.inner {
-            Inner::Chunked(s) => (Some(s.range(device, metric, from_ms, to_ms)), None),
-            Inner::Naive(s) => (None, Some(s.range(device, metric, from_ms, to_ms))),
-        };
-        a.into_iter().flatten().chain(b.into_iter().flatten())
-    }
-
-    /// Latest point of a series, if any. O(log n).
-    pub fn latest(&self, device: &str, metric: &str) -> Option<(u64, f64)> {
-        delegate!(self, s => s.latest(device, metric))
-    }
-
-    /// Aggregate statistics over `[from_ms, to_ms)`; `None` when the
-    /// range holds no points.
-    pub fn stats(
-        &self,
-        device: &str,
-        metric: &str,
-        from_ms: u64,
-        to_ms: u64,
-    ) -> Option<SeriesStats> {
-        delegate!(self, s => s.stats(device, metric, from_ms, to_ms))
-    }
-
-    /// Least-squares slope of a series over `[from_ms, to_ms)`, in value
-    /// units **per minute** — the level-2 trend estimate behind "disk is
-    /// filling" style rules. `None` with fewer than two points or zero
-    /// time spread.
-    pub fn trend_per_min(
-        &self,
-        device: &str,
-        metric: &str,
-        from_ms: u64,
-        to_ms: u64,
-    ) -> Option<f64> {
-        delegate!(self, s => s.trend_per_min(device, metric, from_ms, to_ms))
-    }
-
-    /// Windowed aggregates for every series matching `filter`,
-    /// sequentially, in series-key order.
-    pub fn query_windows(
-        &self,
-        filter: &LabelFilter,
-        from_ms: u64,
-        to_ms: u64,
-        step_ms: u64,
-        kind: AggKind,
-    ) -> Vec<SeriesWindows> {
-        delegate!(self, s => s.query_windows(filter, from_ms, to_ms, step_ms, kind))
-    }
-
-    /// [`query_windows`](ManagementStore::query_windows) fanned out
-    /// over at most `threads` scoped worker threads; results are merged
-    /// in series-key order and are byte-identical to the sequential
-    /// path.
-    pub fn query_windows_parallel(
-        &self,
-        filter: &LabelFilter,
-        from_ms: u64,
-        to_ms: u64,
-        step_ms: u64,
-        kind: AggKind,
-        threads: usize,
-    ) -> Vec<SeriesWindows> {
-        delegate!(self, s => s.query_windows_parallel(filter, from_ms, to_ms, step_ms, kind, threads))
-    }
-
-    /// Drops every point older than `horizon_ms`, returning how many
-    /// were removed.
-    pub fn prune_before(&mut self, horizon_ms: u64) -> usize {
-        delegate!(mut self, s => s.prune_before(horizon_ms))
-    }
-
-    /// Stored payload bytes (encoded chunks + head buffers for the
-    /// chunked backend; 16 bytes/point for the naive one).
-    pub fn storage_bytes(&self) -> usize {
-        delegate!(self, s => s.storage_bytes())
-    }
-
-    /// Total chunks across all series; 0 on the naive backend.
-    pub fn chunk_count(&self) -> usize {
-        match &self.inner {
-            Inner::Chunked(s) => s.chunk_count(),
-            Inner::Naive(_) => 0,
-        }
-    }
-}
-
 impl Default for ManagementStore {
     fn default() -> Self {
         ManagementStore::new(Classifier::standard())
@@ -552,6 +303,7 @@ impl Default for ManagementStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NaiveStore;
 
     fn sample_store() -> ManagementStore {
         let mut store = ManagementStore::default();
@@ -721,56 +473,60 @@ mod tests {
     }
 
     #[test]
-    fn nan_is_dropped_on_both_backends() {
-        for backend in [StoreBackend::Chunked, StoreBackend::Naive] {
-            let mut store = ManagementStore::with_backend(backend, Classifier::standard());
-            store.insert(Record::new("d", "m", f64::NAN, 0));
-            assert!(store.is_empty(), "{backend:?}");
-            store.insert(Record::new("d", "m", 1.0, 0));
-            store.insert(Record::new("d", "m", f64::NAN, 0));
-            assert_eq!(store.latest("d", "m"), Some((0, 1.0)), "{backend:?}");
+    fn nan_is_dropped_on_both_engines() {
+        let mut store = ManagementStore::default();
+        let mut naive = NaiveStore::default();
+        store.insert(Record::new("d", "m", f64::NAN, 0));
+        naive.insert(Record::new("d", "m", f64::NAN, 0));
+        assert!(store.is_empty(), "chunked");
+        assert!(naive.is_empty(), "naive");
+        for r in [
+            Record::new("d", "m", 1.0, 0),
+            Record::new("d", "m", f64::NAN, 0),
+        ] {
+            store.insert(r.clone());
+            naive.insert(r);
         }
+        assert_eq!(store.latest("d", "m"), Some((0, 1.0)), "chunked");
+        assert_eq!(naive.latest("d", "m"), Some((0, 1.0)), "naive");
     }
 
     #[test]
-    fn backends_report_their_identity_and_footprint() {
+    fn engines_report_their_footprint() {
         let store = sample_store();
-        assert_eq!(store.backend(), StoreBackend::Chunked);
         assert!(store.chunk_count() >= 3, "one head per series");
         assert!(store.storage_bytes() > 0);
-        let mut naive = ManagementStore::with_backend(StoreBackend::Naive, Classifier::standard());
+        let mut naive = NaiveStore::default();
         naive.insert(Record::new("d", "m", 1.0, 0));
-        assert_eq!(naive.backend(), StoreBackend::Naive);
-        assert_eq!(naive.chunk_count(), 0);
         assert_eq!(naive.storage_bytes(), 16);
     }
 
     #[test]
-    fn select_spans_both_backends_identically() {
-        for backend in [StoreBackend::Chunked, StoreBackend::Naive] {
-            let mut store = ManagementStore::with_backend(backend, Classifier::standard());
-            store.insert_all([
-                Record::new("r1", "cpu.load.1", 40.0, 0),
-                Record::new("r2", "cpu.load.1", 41.0, 0),
-                Record::new("r1", "storage.disk.used-pct", 70.0, 0),
-            ]);
-            let f = LabelFilter::parse("device=r1 & (class=cpu | class=disk)").unwrap();
-            let keys = store.select(&f);
-            assert_eq!(
-                keys,
-                [
-                    ("r1".to_owned(), "cpu.load.1".to_owned()),
-                    ("r1".to_owned(), "storage.disk.used-pct".to_owned())
-                ],
-                "{backend:?}"
-            );
+    fn select_spans_both_engines_identically() {
+        let records = [
+            Record::new("r1", "cpu.load.1", 40.0, 0),
+            Record::new("r2", "cpu.load.1", 41.0, 0),
+            Record::new("r1", "storage.disk.used-pct", 70.0, 0),
+        ];
+        let mut store = ManagementStore::default();
+        let mut naive = NaiveStore::default();
+        for r in records {
+            store.insert(r.clone());
+            naive.insert(r);
         }
+        let f = LabelFilter::parse("device=r1 & (class=cpu | class=disk)").unwrap();
+        let expected = [
+            ("r1".to_owned(), "cpu.load.1".to_owned()),
+            ("r1".to_owned(), "storage.disk.used-pct".to_owned()),
+        ];
+        assert_eq!(store.select(&f), expected, "chunked");
+        assert_eq!(naive.select(&f), expected, "naive");
     }
 
     #[test]
-    fn windowed_queries_agree_across_backends_and_paths() {
+    fn windowed_queries_agree_across_engines_and_paths() {
         let mut chunked = ManagementStore::default();
-        let mut naive = ManagementStore::with_backend(StoreBackend::Naive, Classifier::standard());
+        let mut naive = NaiveStore::default();
         for i in 0..300u64 {
             for dev in ["r1", "r2", "r3"] {
                 let rec = Record::new(dev, "cpu.load.1", (i % 17) as f64, i * 60_000);
@@ -791,7 +547,7 @@ mod tests {
             let par = chunked.query_windows_parallel(&f, 0, u64::MAX, 30 * 60_000, kind, 4);
             let spec = naive.query_windows(&f, 0, u64::MAX, 30 * 60_000, kind);
             assert_eq!(seq, par, "{kind:?} parallel parity");
-            assert_eq!(seq, spec, "{kind:?} backend parity");
+            assert_eq!(seq, spec, "{kind:?} engine parity");
         }
     }
 }

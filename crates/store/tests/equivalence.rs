@@ -7,7 +7,8 @@
 //! same-timestamp replacements and prunes, over small chunk capacities
 //! so seal/split/merge paths are exercised constantly — and require
 //! **bit-identical** observables: `stats`, `latest`, `trend_per_min`,
-//! `range` and windowed queries. Float comparisons go through
+//! `range` and windowed queries. NaN values are mixed into the inserts,
+//! and both engines must drop them. Float comparisons go through
 //! `to_bits`, so `-0.0` vs `0.0` or differently-ordered summation
 //! cannot slip through.
 //!
@@ -16,7 +17,7 @@
 //! timestamp deltas, and pins NaN rejection.
 
 use agentgrid_store::{
-    AggKind, ChunkedStore, Classifier, EncodeError, LabelFilter, NaiveStore, Record, SealedChunk,
+    AggKind, Classifier, EncodeError, LabelFilter, ManagementStore, NaiveStore, Record, SealedChunk,
 };
 use proptest::prelude::*;
 
@@ -45,6 +46,7 @@ fn record_strategy() -> impl Strategy<Value = Record> {
             Just(0.0),
             Just(-0.0),
             Just(f64::MIN_POSITIVE / 4.0),
+            Just(f64::NAN),
         ],
         // Narrow timestamp range → frequent out-of-order inserts and
         // same-timestamp replacements across the sequence.
@@ -77,7 +79,7 @@ fn bits(v: f64) -> u64 {
 }
 
 /// Asserts every observable of the two engines is bit-identical.
-fn assert_equivalent(chunked: &ChunkedStore, naive: &NaiveStore) -> Result<(), TestCaseError> {
+fn assert_equivalent(chunked: &ManagementStore, naive: &NaiveStore) -> Result<(), TestCaseError> {
     prop_assert_eq!(chunked.len(), naive.len());
     prop_assert_eq!(
         chunked.devices().collect::<Vec<_>>(),
@@ -129,19 +131,34 @@ proptest! {
     /// NaiveStore spec under arbitrary interleavings of in-order
     /// appends, out-of-order inserts, replacements and prunes — at
     /// chunk capacities small enough that every sequence seals, splits
-    /// and merges chunks.
+    /// and merges chunks. A NaN insert changes neither engine.
     #[test]
     fn chunked_store_matches_naive_spec(
         ops in prop::collection::vec(op_strategy(), 1..120),
         capacity in prop_oneof![Just(4usize), Just(8), Just(32)],
     ) {
-        let mut chunked = ChunkedStore::with_chunk_capacity(Classifier::standard(), capacity);
+        let mut chunked = ManagementStore::with_chunk_capacity(Classifier::standard(), capacity);
         let mut naive = NaiveStore::new(Classifier::standard());
         for op in ops {
             match op {
                 Op::Insert(record) => {
+                    let nan = record.value.is_nan();
+                    let (device, metric) = (record.device.clone(), record.metric.clone());
+                    let observe = |c: &ManagementStore, n: &NaiveStore| {
+                        let bits_of = |p: Option<(u64, f64)>| p.map(|(t, v)| (t, bits(v)));
+                        (
+                            c.len(),
+                            n.len(),
+                            bits_of(c.latest(&device, &metric)),
+                            bits_of(n.latest(&device, &metric)),
+                        )
+                    };
+                    let before = observe(&chunked, &naive);
                     chunked.insert(record.clone());
                     naive.insert(record);
+                    if nan {
+                        prop_assert_eq!(observe(&chunked, &naive), before, "NaN must be dropped");
+                    }
                 }
                 Op::Prune(horizon) => {
                     prop_assert_eq!(chunked.prune_before(horizon), naive.prune_before(horizon));
@@ -159,7 +176,7 @@ proptest! {
         step in prop_oneof![Just(1_000u64), Just(7_000), Just(30_000), Just(u64::MAX / 2)],
         capacity in prop_oneof![Just(4usize), Just(16)],
     ) {
-        let mut chunked = ChunkedStore::with_chunk_capacity(Classifier::standard(), capacity);
+        let mut chunked = ManagementStore::with_chunk_capacity(Classifier::standard(), capacity);
         let mut naive = NaiveStore::new(Classifier::standard());
         for r in records {
             chunked.insert(r.clone());
@@ -279,7 +296,7 @@ proptest! {
 /// naive engine's eagerly-rescanned aggregates.
 #[test]
 fn prune_burst_refolds_lazily_and_matches_eager_spec() {
-    let mut chunked = ChunkedStore::with_chunk_capacity(Classifier::standard(), 16);
+    let mut chunked = ManagementStore::with_chunk_capacity(Classifier::standard(), 16);
     let mut naive = NaiveStore::new(Classifier::standard());
     for i in 0..500u64 {
         let r = Record::new("d0", "cpu.load.1", (i % 23) as f64, i * 1_000);

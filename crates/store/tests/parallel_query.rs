@@ -9,7 +9,7 @@
 //! `-Zsanitizer=thread`).
 
 use agentgrid_store::{
-    AggKind, Classifier, LabelFilter, ManagementStore, Record, SeriesWindows, StoreBackend,
+    AggKind, Classifier, LabelFilter, ManagementStore, NaiveStore, Record, SeriesWindows,
 };
 use proptest::prelude::*;
 
@@ -60,7 +60,7 @@ fn as_bits(rows: &[SeriesWindows]) -> BitRows<'_> {
 
 proptest! {
     /// Fan-out over any thread count returns byte-identical results to
-    /// the sequential path, on both backends.
+    /// the sequential path, on both engines.
     #[test]
     fn parallel_query_matches_sequential(
         records in prop::collection::vec(record_strategy(), 1..120),
@@ -70,16 +70,30 @@ proptest! {
         kind_ix in 0usize..6,
     ) {
         let kind = [AggKind::Min, AggKind::Max, AggKind::Mean, AggKind::Sum, AggKind::Count, AggKind::Trend][kind_ix];
-        for backend in [StoreBackend::Chunked, StoreBackend::Naive] {
-            let mut store = ManagementStore::with_backend(backend, Classifier::standard());
-            store.insert_all(records.iter().cloned());
-            let seq = store.query_windows(&filter, 0, u64::MAX, step, kind);
-            let par = store.query_windows_parallel(&filter, 0, u64::MAX, step, kind, threads);
+        let mut chunked = ManagementStore::new(Classifier::standard());
+        let mut naive = NaiveStore::new(Classifier::standard());
+        for r in &records {
+            chunked.insert(r.clone());
+            naive.insert(r.clone());
+        }
+        let runs = [
+            (
+                "chunked",
+                chunked.query_windows(&filter, 0, u64::MAX, step, kind),
+                chunked.query_windows_parallel(&filter, 0, u64::MAX, step, kind, threads),
+            ),
+            (
+                "naive",
+                naive.query_windows(&filter, 0, u64::MAX, step, kind),
+                naive.query_windows_parallel(&filter, 0, u64::MAX, step, kind, threads),
+            ),
+        ];
+        for (engine, seq, par) in &runs {
             prop_assert_eq!(
-                as_bits(&seq),
-                as_bits(&par),
-                "{:?} {:?} threads={}",
-                backend,
+                as_bits(seq),
+                as_bits(par),
+                "{} {:?} threads={}",
+                engine,
                 kind,
                 threads
             );

@@ -52,9 +52,7 @@ fn run_once(seed: u64, minutes: u64) -> agentgrid_suite::GridReport {
 /// The Figure-2 experiment's grid, reconstructed here so the test pins
 /// the same shape `repro fig2` runs: two sites of four devices, two
 /// collectors per site, two analyzers, a CPU fault and a link fault.
-fn fig2_builder(
-    store: agentgrid_suite::store::StoreBackend,
-) -> agentgrid_suite::core::grid::GridBuilder {
+fn fig2_builder() -> agentgrid_suite::core::grid::GridBuilder {
     let mut net = Network::new();
     for s in 0..2 {
         let site = format!("site-{s}");
@@ -74,7 +72,6 @@ fn fig2_builder(
     }
     ManagementGrid::builder()
         .network(net)
-        .store_backend(store)
         .collectors_per_site(2)
         .analyzer("pg-1", 1.0, ALL_SKILLS)
         .analyzer("pg-2", 1.0, ALL_SKILLS)
@@ -97,21 +94,9 @@ fn fig2_builder(
 /// surface here.
 #[test]
 fn fig2_runs_diff_clean_across_det_and_pool_runtimes() {
-    use agentgrid_suite::store::StoreBackend;
-
     let horizon = 10 * 60_000;
-    let stepper = || {
-        fig2_builder(StoreBackend::Chunked)
-            .build()
-            .run(horizon, 60_000)
-            .render()
-    };
-    let pool = || {
-        fig2_builder(StoreBackend::Chunked)
-            .build_pool()
-            .run(horizon, 60_000)
-            .render()
-    };
+    let stepper = || fig2_builder().build().run(horizon, 60_000).render();
+    let pool = || fig2_builder().build_pool().run(horizon, 60_000).render();
 
     let reference = stepper();
     assert!(!reference.is_empty(), "the report must render something");
@@ -120,21 +105,122 @@ fn fig2_runs_diff_clean_across_det_and_pool_runtimes() {
     assert_eq!(reference, pool(), "stepper and pool must diff clean");
 }
 
-/// The record-per-point naive engine is the executable spec of the
-/// chunked engine: a grid run on either backend must render the exact
-/// same report (CI's store-parity smoke diffs the real `repro fig2`
-/// output the same way).
+/// The record-per-point `NaiveStore` is the executable spec of the
+/// chunked store engine. The Figure-2 run's store is replayed into it —
+/// every series read back whole with `range` and tagged with its
+/// device's site — and every query the grid issues must then answer
+/// bit-identically on both engines.
 #[test]
-fn fig2_report_is_identical_on_chunked_and_naive_backends() {
-    use agentgrid_suite::store::StoreBackend;
+fn fig2_store_replays_bit_identically_into_the_naive_spec() {
+    use agentgrid_suite::store::{AggKind, LabelFilter, NaiveStore, Record};
 
-    let run = |store| {
-        fig2_builder(store)
-            .build()
-            .run(10 * 60_000, 60_000)
-            .render()
-    };
-    assert_eq!(run(StoreBackend::Chunked), run(StoreBackend::Naive));
+    let bits = |p: Option<(u64, f64)>| p.map(|(t, v)| (t, v.to_bits()));
+    let mut grid = fig2_builder().build();
+    grid.run(10 * 60_000, 60_000);
+    let store = grid.store();
+    let store = store.lock();
+    let sites = ["site-0", "site-1", "default"];
+    let mut naive = NaiveStore::new(store.classifier().clone());
+    for device in store.devices() {
+        let at: Vec<&str> = sites
+            .into_iter()
+            .filter(|site| store.devices_at(site).any(|d| d == device))
+            .collect();
+        let [site] = at[..] else {
+            panic!("{device} must sit at exactly one site, found {at:?}");
+        };
+        for metric in store.metrics_of(device) {
+            for (ts, value) in store.range(device, metric, 0, u64::MAX) {
+                naive.insert(Record::new(device, metric, value, ts).with_site(site));
+            }
+        }
+    }
+
+    assert!(!store.is_empty(), "the run must store data");
+    assert_eq!(store.len(), naive.len());
+    assert_eq!(store.partitions(), naive.partitions());
+    assert_eq!(
+        store.devices().collect::<Vec<_>>(),
+        naive.devices().collect::<Vec<_>>()
+    );
+    for site in sites {
+        assert_eq!(
+            store.devices_at(site).collect::<Vec<_>>(),
+            naive.devices_at(site).collect::<Vec<_>>(),
+            "devices at {site}"
+        );
+    }
+    for partition in store.partitions() {
+        let class = LabelFilter::class(partition);
+        assert_eq!(store.select(&class), naive.select(&class), "{partition}");
+        for site in sites {
+            let scoped = class.clone().and(LabelFilter::site(site));
+            assert_eq!(
+                store.select(&scoped),
+                naive.select(&scoped),
+                "{partition}@{site}"
+            );
+        }
+    }
+    for (device, metric) in store.select(&LabelFilter::Any) {
+        let series = format!("{device}/{metric}");
+        assert_eq!(
+            bits(store.latest(&device, &metric)),
+            bits(naive.latest(&device, &metric)),
+            "latest {series}"
+        );
+        let stats = |s: Option<agentgrid_suite::store::SeriesStats>| {
+            s.map(|s| {
+                (
+                    s.count,
+                    s.min.to_bits(),
+                    s.max.to_bits(),
+                    s.mean.to_bits(),
+                    s.last.to_bits(),
+                )
+            })
+        };
+        assert_eq!(
+            stats(store.stats(&device, &metric, 0, u64::MAX)),
+            stats(naive.stats(&device, &metric, 0, u64::MAX)),
+            "stats {series}"
+        );
+        assert_eq!(
+            store
+                .trend_per_min(&device, &metric, 0, u64::MAX)
+                .map(f64::to_bits),
+            naive
+                .trend_per_min(&device, &metric, 0, u64::MAX)
+                .map(f64::to_bits),
+            "trend {series}"
+        );
+    }
+    for kind in [
+        AggKind::Min,
+        AggKind::Max,
+        AggKind::Mean,
+        AggKind::Sum,
+        AggKind::Count,
+        AggKind::Trend,
+    ] {
+        let windows = |rows: Vec<agentgrid_suite::store::SeriesWindows>| {
+            rows.into_iter()
+                .map(|r| {
+                    let points: Vec<(u64, u64)> = r
+                        .windows
+                        .iter()
+                        .map(|w| (w.window_ms, w.value.to_bits()))
+                        .collect();
+                    (r.key, points)
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            windows(store.query_windows(&LabelFilter::Any, 0, u64::MAX, 3 * 60_000, kind)),
+            windows(naive.query_windows(&LabelFilter::Any, 0, u64::MAX, 3 * 60_000, kind)),
+            "{kind:?} windows"
+        );
+    }
 }
 
 #[test]
