@@ -4,15 +4,15 @@ use std::sync::Arc;
 use agentgrid_acl::ontology::{CollectedBatch, FromContent, MANAGEMENT_ONTOLOGY};
 use agentgrid_acl::{AclMessage, AgentId, Performative, Value};
 use agentgrid_platform::{Agent, AgentCtx};
-use agentgrid_store::{ManagementStore, Record};
+use agentgrid_store::ManagementStore;
 use parking_lot::Mutex;
 
 /// A classifier-grid agent (paper §3.2).
 ///
 /// Receives [`CollectedBatch`]es from collectors, parses them, stores
 /// every observation in the shared indexed [`ManagementStore`] (which
-/// classifies each record into a partition — data-clustering), and sends
-/// the processor-grid root a `data-ready` notification listing the
+/// classifies each new series into a partition — data-clustering), and
+/// sends the processor-grid root a `data-ready` notification listing the
 /// partitions that received fresh data and their sizes.
 pub struct ClassifierAgent {
     store: Arc<Mutex<ManagementStore>>,
@@ -50,11 +50,7 @@ impl ClassifierAgent {
 
 /// Builds the `data-ready` notification content (also used by tests of
 /// the processor root).
-pub(crate) fn data_ready_content(
-    site: &str,
-    partitions: &BTreeMap<String, u64>,
-    now: u64,
-) -> Value {
+pub(crate) fn data_ready_content(site: &str, partitions: &BTreeMap<&str, u64>, now: u64) -> Value {
     Value::map([
         ("concept", Value::symbol("data-ready")),
         ("site", Value::from(site.to_owned())),
@@ -63,7 +59,7 @@ pub(crate) fn data_ready_content(
             "partitions",
             Value::list(partitions.iter().map(|(name, size)| {
                 Value::map([
-                    ("name", Value::from(name.clone())),
+                    ("name", Value::from(*name)),
                     ("size", Value::Int(*size as i64)),
                 ])
             })),
@@ -78,23 +74,34 @@ impl Agent for ClassifierAgent {
             return;
         };
         self.batches += 1;
-        let mut touched: BTreeMap<String, u64> = BTreeMap::new();
-        {
+        self.records += batch.observations.len() as u64;
+        let content = {
             let mut store = self.store.lock();
             for obs in &batch.observations {
-                let record = Record::new(&obs.device, &obs.metric, obs.value, obs.timestamp_ms)
-                    .with_site(&batch.site);
-                let partition = store.classifier().partition_of(&obs.metric).to_owned();
-                *touched.entry(partition).or_insert(0) += 1;
-                store.insert(record);
-                self.records += 1;
+                store.insert_point(
+                    &obs.device,
+                    &obs.metric,
+                    obs.value,
+                    obs.timestamp_ms,
+                    &batch.site,
+                );
             }
-        }
+            // Every observation counts toward its partition's size, even
+            // one the store drops (NaN) or folds into an earlier point.
+            let classifier = store.classifier();
+            let mut touched: BTreeMap<&str, u64> = BTreeMap::new();
+            for obs in &batch.observations {
+                *touched
+                    .entry(classifier.partition_of(&obs.metric))
+                    .or_insert(0) += 1;
+            }
+            data_ready_content(&batch.site, &touched, ctx.now_ms())
+        };
         let notify = AclMessage::builder(Performative::Inform)
             .sender(ctx.self_id().clone())
             .receiver(self.pg_root.clone())
             .ontology(MANAGEMENT_ONTOLOGY)
-            .content(data_ready_content(&batch.site, &touched, ctx.now_ms()))
+            .content(content)
             .build()
             .expect("sender and receiver are set");
         ctx.send(notify);
@@ -138,9 +145,7 @@ mod tests {
 
     #[test]
     fn data_ready_round_trips() {
-        let mut touched = BTreeMap::new();
-        touched.insert("cpu".to_owned(), 2u64);
-        touched.insert("disk".to_owned(), 1u64);
+        let touched = BTreeMap::from([("cpu", 2u64), ("disk", 1u64)]);
         let content = data_ready_content("hq", &touched, 99);
         let (site, partitions) = parse_data_ready(&content).unwrap();
         assert_eq!(site, "hq");
@@ -187,6 +192,69 @@ mod tests {
         let (site, partitions) = parse_data_ready(platform.dead_letters()[0].content()).unwrap();
         assert_eq!(site, "hq");
         assert_eq!(partitions.len(), 2);
+    }
+
+    #[test]
+    fn nan_and_repeated_points_count_toward_partitions_but_store_as_records_do() {
+        use agentgrid_store::{LabelFilter, NaiveStore, Record};
+
+        let observations = vec![
+            Observation::new("r1", "cpu.load.1", 95.0, 1000),
+            Observation::new("r1", "cpu.load.1", f64::NAN, 2000),
+            Observation::new("r1", "storage.disk.used-pct", 50.0, 1000),
+            Observation::new("r1", "cpu.load.1", 97.0, 1000),
+            Observation::new("r2", "cpu.load.1", f64::NAN, 1000),
+        ];
+        let store = Arc::new(Mutex::new(ManagementStore::default()));
+        let mut agent = ClassifierAgent::new(Arc::clone(&store), AgentId::new("root"));
+        let id = AgentId::new("classifier@g");
+        let mut outbox = Vec::new();
+        let mut df = agentgrid_platform::DirectoryFacilitator::new();
+        let mut ctx = agentgrid_platform::AgentCtx::new(&id, "clg", 0, &mut outbox, &mut df);
+        let msg = AclMessage::builder(Performative::Inform)
+            .sender(AgentId::new("cg-1@g"))
+            .receiver(id.clone())
+            .content(CollectedBatch::new("b1", "cg-1", "hq", observations.clone()).to_content())
+            .build()
+            .unwrap();
+        agent.on_message(&msg, &mut ctx);
+        drop(ctx);
+        assert_eq!(agent.records, 5);
+        // Every observation counts, the dropped NaNs and the replaced
+        // point included.
+        let (site, partitions) = parse_data_ready(outbox[0].content()).unwrap();
+        assert_eq!(site, "hq");
+        assert_eq!(partitions, [("cpu".to_owned(), 4), ("disk".to_owned(), 1)]);
+        // The store holds what inserting each observation as a record
+        // into the reference store holds.
+        let mut reference = NaiveStore::default();
+        for obs in &observations {
+            reference.insert(
+                Record::new(&obs.device, &obs.metric, obs.value, obs.timestamp_ms).with_site("hq"),
+            );
+        }
+        let store = store.lock();
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.len(), reference.len());
+        assert_eq!(store.devices_at("hq").collect::<Vec<_>>(), ["r1"]);
+        assert_eq!(
+            store.devices_at("hq").collect::<Vec<_>>(),
+            reference.devices_at("hq").collect::<Vec<_>>()
+        );
+        assert_eq!(store.partitions(), reference.partitions());
+        let all = LabelFilter::Any;
+        assert_eq!(store.select(&all), reference.select(&all));
+        for (device, metric) in reference.select(&all) {
+            assert_eq!(
+                store
+                    .range(&device, &metric, 0, u64::MAX)
+                    .collect::<Vec<_>>(),
+                reference
+                    .range(&device, &metric, 0, u64::MAX)
+                    .collect::<Vec<_>>()
+            );
+        }
+        assert_eq!(store.latest("r1", "cpu.load.1"), Some((1000, 97.0)));
     }
 
     #[test]

@@ -1272,10 +1272,7 @@ mod tests {
     }
 
     fn data_ready_at(site: &str, partitions: &[(&str, u64)]) -> AclMessage {
-        let mut map = BTreeMap::new();
-        for (p, s) in partitions {
-            map.insert((*p).to_owned(), *s);
-        }
+        let map: BTreeMap<&str, u64> = partitions.iter().copied().collect();
         let content = crate::grid::classifier::data_ready_content(site, &map, 0);
         AclMessage::builder(Performative::Inform)
             .sender(AgentId::new("clg@g"))

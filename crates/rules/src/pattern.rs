@@ -146,6 +146,13 @@ impl Pattern {
         &self.fields
     }
 
+    /// Whether matching this pattern binds `var`.
+    pub(crate) fn binds(&self, var: &str) -> bool {
+        self.fields
+            .iter()
+            .any(|(_, fp)| matches!(fp, FieldPattern::Var(v) if v == var))
+    }
+
     /// Attempts to match `fact`, extending `bindings`.
     ///
     /// On failure `bindings` may contain partial additions; callers clone

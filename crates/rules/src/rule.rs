@@ -311,6 +311,26 @@ impl Rule {
         self.patterns.first().map(|p| p.kind())
     }
 
+    /// The guard schedule: for each guard, how many patterns must be
+    /// joined before it runs — one past the pattern that binds its last
+    /// variable, so every operand it reads is already bound. A guard over
+    /// constants only runs before the first join; a guard over a
+    /// variable no pattern binds runs after the last, where it fails.
+    fn guard_schedule(&self) -> Vec<usize> {
+        let depth_of = |operand: &Operand| match operand {
+            Operand::Const(_) => 0,
+            Operand::Var(var) => self
+                .patterns
+                .iter()
+                .position(|pattern| pattern.binds(var))
+                .map_or(self.patterns.len(), |index| index + 1),
+        };
+        self.guards
+            .iter()
+            .map(|guard| depth_of(&guard.left).max(depth_of(&guard.right)))
+            .collect()
+    }
+
     /// The fact kinds this rule's effects assert.
     fn writes(&self) -> impl Iterator<Item = &str> {
         self.effects.iter().filter_map(|effect| match effect {
@@ -510,13 +530,22 @@ impl RuleView {
     }
 }
 
+/// What a knowledge base compiles on first use after an edit.
+#[derive(Debug, Clone)]
+struct Compiled {
+    /// The [`View::PerDevice`] and [`View::Correlation`] views.
+    views: [RuleView; 2],
+    /// Each rule's [`Rule::guard_schedule`], by rule index.
+    guard_schedules: Vec<Vec<usize>>,
+}
+
 /// A named collection of rules — the paper's *knowledge base* (KdB).
 ///
 /// Knowledge bases can be merged (`absorb`) and extended at runtime
 /// (`learn`), which is how the interface grid feeds user-defined rules
 /// back into the processor grid (§3.4). Every edit recompiles the
-/// base's [`AlphaKeys`] and drops its [`RuleView`]s, which are compiled
-/// again on first use.
+/// base's [`AlphaKeys`] and drops its [`RuleView`]s and guard schedules,
+/// which are compiled again on first use.
 ///
 /// # Examples
 ///
@@ -531,10 +560,9 @@ impl RuleView {
 pub struct KnowledgeBase {
     rules: Vec<Rule>,
     alpha: AlphaKeys,
-    /// The [`View::PerDevice`] and [`View::Correlation`] views, compiled
-    /// on first use: a base shared by many engines compiles them once,
-    /// and one no engine restricts never does.
-    views: OnceLock<[RuleView; 2]>,
+    /// The views and guard schedules, compiled on first use: a base
+    /// shared by many engines compiles them once.
+    compiled: OnceLock<Compiled>,
 }
 
 impl KnowledgeBase {
@@ -579,16 +607,27 @@ impl KnowledgeBase {
     /// One level's view of the rules, compiled on first use after an
     /// edit.
     pub fn view(&self, view: View) -> &RuleView {
-        let views = self.views.get_or_init(|| {
-            [
-                RuleView::compile(&self.rules, View::PerDevice),
-                RuleView::compile(&self.rules, View::Correlation),
-            ]
-        });
+        let views = &self.compiled().views;
         match view {
             View::PerDevice => &views[0],
             View::Correlation => &views[1],
         }
+    }
+
+    /// The guard schedule of the rule at `index`: for each of its guards,
+    /// the number of joined patterns after which the guard runs.
+    pub(crate) fn guard_schedule(&self, index: usize) -> &[usize] {
+        &self.compiled().guard_schedules[index]
+    }
+
+    fn compiled(&self) -> &Compiled {
+        self.compiled.get_or_init(|| Compiled {
+            views: [
+                RuleView::compile(&self.rules, View::PerDevice),
+                RuleView::compile(&self.rules, View::Correlation),
+            ],
+            guard_schedules: self.rules.iter().map(Rule::guard_schedule).collect(),
+        })
     }
 
     /// Replace-by-name insertion without recompiling the alpha keys.
@@ -602,7 +641,7 @@ impl KnowledgeBase {
 
     fn recompile(&mut self) {
         self.alpha = AlphaKeys::compile(&self.rules);
-        self.views = OnceLock::new();
+        self.compiled = OnceLock::new();
     }
 
     /// Looks up a rule by name.

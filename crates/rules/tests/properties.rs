@@ -96,20 +96,37 @@ fn small_effect() -> impl Strategy<Value = Effect> {
     ]
 }
 
+/// A guard variable: one of the pattern variables or, less often, `w`,
+/// which no pattern binds (a guard over it never passes).
+fn guard_var() -> impl Strategy<Value = &'static str> {
+    // Shim prop_oneof! is unweighted; repeat the common arms.
+    prop_oneof![Just("u"), Just("v"), Just("u"), Just("v"), Just("w")]
+}
+
+fn guard_operand() -> impl Strategy<Value = Operand> {
+    prop_oneof![
+        small_term().prop_map(Operand::Const),
+        guard_var().prop_map(|v| Operand::Var(v.into())),
+    ]
+}
+
+/// Variable-versus-constant (`?u > 1`), variable-versus-variable
+/// (`?u < ?v`, the shape of `correlated-cpu`'s device ordering),
+/// constant-only, and guards over the unbound `w`.
+fn guard_strategy() -> impl Strategy<Value = Guard> {
+    (guard_operand(), op_strategy(), guard_operand())
+        .prop_map(|(left, op, right)| Guard::new(left, op, right))
+}
+
 /// Everything of a random rule except its name (names are assigned by
 /// index afterwards — duplicate names would alias refraction entries).
-type RuleParts = (
-    i32,
-    Vec<Pattern>,
-    Option<(&'static str, GuardOp, Term)>,
-    Vec<Effect>,
-);
+type RuleParts = (i32, Vec<Pattern>, Vec<Guard>, Vec<Effect>);
 
 fn rule_parts() -> impl Strategy<Value = RuleParts> {
     (
         -2i32..3,
         prop::collection::vec(small_pattern(), 0..3),
-        prop::option::of((small_var(), op_strategy(), small_term())),
+        prop::collection::vec(guard_strategy(), 0..4),
         prop::collection::vec(small_effect(), 1..3),
     )
 }
@@ -118,17 +135,13 @@ fn build_rules(parts: Vec<RuleParts>) -> Vec<Rule> {
     parts
         .into_iter()
         .enumerate()
-        .map(|(i, (salience, patterns, guard, effects))| {
+        .map(|(i, (salience, patterns, guards, effects))| {
             let mut rule = Rule::new(format!("r{i}")).salience(salience);
             for p in patterns {
                 rule = rule.when(p);
             }
-            if let Some((var, op, term)) = guard {
-                rule = rule.guard(Guard::new(
-                    Operand::Var(var.into()),
-                    op,
-                    Operand::Const(term),
-                ));
+            for g in guards {
+                rule = rule.guard(g);
             }
             for e in effects {
                 rule = rule.then(e);

@@ -213,7 +213,14 @@ pub(crate) struct LabelIndex {
 }
 
 impl LabelIndex {
+    /// Records one point's labels: its series and its device's site.
     pub(crate) fn observe(&mut self, device: &str, metric: &str, partition: &str, site: &str) {
+        self.observe_series(device, metric, partition);
+        self.observe_site(device, site);
+    }
+
+    /// Enters a series under its device, partition and metric.
+    pub(crate) fn observe_series(&mut self, device: &str, metric: &str, partition: &str) {
         let key = (device.to_owned(), metric.to_owned());
         self.device_index
             .entry(device.to_owned())
@@ -227,11 +234,23 @@ impl LabelIndex {
             .entry(metric.to_owned())
             .or_default()
             .insert(key.clone());
+        self.all.insert(key);
+    }
+
+    /// Enters `device` in `site`'s roster; allocates only when the device
+    /// is new there.
+    pub(crate) fn observe_site(&mut self, device: &str, site: &str) {
+        if self
+            .site_index
+            .get(site)
+            .is_some_and(|devices| devices.contains(device))
+        {
+            return;
+        }
         self.site_index
             .entry(site.to_owned())
             .or_default()
             .insert(device.to_owned());
-        self.all.insert(key);
     }
 
     pub(crate) fn devices(&self) -> impl Iterator<Item = &str> {

@@ -9,9 +9,11 @@ use crate::{Classifier, Record};
 
 /// The classifier grid's indexed time-series store.
 ///
-/// Inserting a [`Record`] files it under its `(device, metric)` series,
-/// updates the label index, and tags it with the partition assigned by
-/// the [`Classifier`]. Everything is retrievable without scanning: the
+/// Inserting a point files it under its `(device, metric)` series. A new
+/// series is tagged with the partition assigned by the [`Classifier`]
+/// and entered in the label index, and a device first seen at a site is
+/// entered in the site roster; a point of a known series at a known site
+/// allocates nothing. Everything is retrievable without scanning: the
 /// paper's "easy-to-retrieve form".
 ///
 /// Each series is one [`ChunkSeries`] — sealed Gorilla chunks plus an
@@ -40,7 +42,9 @@ use crate::{Classifier, Record};
 #[derive(Debug, Clone)]
 pub struct ManagementStore {
     classifier: Classifier,
-    series: BTreeMap<SeriesKey, ChunkSeries>,
+    /// device → metric → series: a lookup by `(&str, &str)` allocates
+    /// nothing, and the two levels iterate in `(device, metric)` order.
+    series: BTreeMap<String, BTreeMap<String, ChunkSeries>>,
     index: LabelIndex,
     len: usize,
     chunk_capacity: usize,
@@ -71,25 +75,15 @@ impl ManagementStore {
         &self.classifier
     }
 
-    /// Inserts one record. Re-inserting the same `(device, metric,
-    /// timestamp)` replaces the value (idempotent collection retries);
-    /// NaN values are dropped.
+    /// Inserts one record (see [`insert_point`](Self::insert_point)).
     pub fn insert(&mut self, record: Record) {
-        if record.value.is_nan() {
-            return;
-        }
-        let partition = self.classifier.classify(&record).to_owned();
-        let key = (record.device.clone(), record.metric.clone());
-        let capacity = self.chunk_capacity;
-        let series = self
-            .series
-            .entry(key)
-            .or_insert_with(|| ChunkSeries::new(capacity));
-        if series.upsert(record.timestamp_ms, record.value) {
-            self.len += 1;
-        }
-        self.index
-            .observe(&record.device, &record.metric, &partition, &record.site);
+        self.insert_point(
+            &record.device,
+            &record.metric,
+            record.value,
+            record.timestamp_ms,
+            &record.site,
+        );
     }
 
     /// Inserts many records.
@@ -97,6 +91,55 @@ impl ManagementStore {
         for r in records {
             self.insert(r);
         }
+    }
+
+    /// Inserts one point of `device`'s `metric` series, collected at
+    /// `site`. Re-inserting the same `(device, metric, timestamp)`
+    /// replaces the value (idempotent collection retries); NaN values
+    /// are dropped.
+    ///
+    /// Only a new series is classified and indexed, and only a device new
+    /// to `site` enters the site roster: a series' partition depends on
+    /// its metric alone, and the index records nothing per point.
+    pub fn insert_point(
+        &mut self,
+        device: &str,
+        metric: &str,
+        value: f64,
+        timestamp_ms: u64,
+        site: &str,
+    ) {
+        if value.is_nan() {
+            return;
+        }
+        let added = match self.series.get_mut(device).and_then(|m| m.get_mut(metric)) {
+            Some(series) => series.upsert(timestamp_ms, value),
+            None => {
+                let mut series = ChunkSeries::new(self.chunk_capacity);
+                series.upsert(timestamp_ms, value);
+                self.series
+                    .entry(device.to_owned())
+                    .or_default()
+                    .insert(metric.to_owned(), series);
+                let partition = self.classifier.partition_of(metric);
+                self.index.observe_series(device, metric, partition);
+                true
+            }
+        };
+        if added {
+            self.len += 1;
+        }
+        self.index.observe_site(device, site);
+    }
+
+    /// The series of `(device, metric)`, looked up without allocating.
+    fn series(&self, device: &str, metric: &str) -> Option<&ChunkSeries> {
+        self.series.get(device)?.get(metric)
+    }
+
+    /// Every series, in `(device, metric)` order.
+    fn all_series(&self) -> impl Iterator<Item = &ChunkSeries> {
+        self.series.values().flat_map(BTreeMap::values)
     }
 
     /// Total number of stored points.
@@ -152,8 +195,7 @@ impl ManagementStore {
         from_ms: u64,
         to_ms: u64,
     ) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.series
-            .get(&(device.to_owned(), metric.to_owned()))
+        self.series(device, metric)
             .into_iter()
             .flat_map(move |series| series.iter_range(from_ms, to_ms))
     }
@@ -161,9 +203,7 @@ impl ManagementStore {
     /// Latest point of a series, if any. O(log n) — served from the
     /// head buffer or the last chunk header, never by decoding.
     pub fn latest(&self, device: &str, metric: &str) -> Option<(u64, f64)> {
-        self.series
-            .get(&(device.to_owned(), metric.to_owned()))?
-            .latest()
+        self.series(device, metric)?.latest()
     }
 
     /// Aggregate statistics over `[from_ms, to_ms)`; `None` when the
@@ -176,7 +216,7 @@ impl ManagementStore {
         from_ms: u64,
         to_ms: u64,
     ) -> Option<SeriesStats> {
-        let series = self.series.get(&(device.to_owned(), metric.to_owned()))?;
+        let series = self.series(device, metric)?;
         let first_ts = series.first_ts()?;
         let (last_ts, last) = series.latest()?;
         if from_ms <= first_ts && to_ms > last_ts {
@@ -203,7 +243,7 @@ impl ManagementStore {
         from_ms: u64,
         to_ms: u64,
     ) -> Option<f64> {
-        let series = self.series.get(&(device.to_owned(), metric.to_owned()))?;
+        let series = self.series(device, metric)?;
         query::fold_trend(|| series.iter_range(from_ms, to_ms))
     }
 
@@ -238,7 +278,7 @@ impl ManagementStore {
         kind: AggKind,
     ) -> Vec<query::WindowPoint> {
         let mut fold = query::WindowFold::new(from_ms, step_ms, kind);
-        if let Some(series) = self.series.get(key) {
+        if let Some(series) = self.series(&key.0, &key.1) {
             series.for_each_run(from_ms, to_ms, &mut fold);
         }
         fold.finish()
@@ -271,7 +311,7 @@ impl ManagementStore {
     /// decoding; aggregates are invalidated lazily.
     pub fn prune_before(&mut self, horizon_ms: u64) -> usize {
         let mut removed = 0;
-        for series in self.series.values_mut() {
+        for series in self.series.values_mut().flat_map(BTreeMap::values_mut) {
             removed += series.prune_before(horizon_ms);
         }
         self.len -= removed;
@@ -280,17 +320,17 @@ impl ManagementStore {
 
     /// Stored bytes: encoded chunk payloads plus raw head buffers.
     pub fn storage_bytes(&self) -> usize {
-        self.series.values().map(ChunkSeries::storage_bytes).sum()
+        self.all_series().map(ChunkSeries::storage_bytes).sum()
     }
 
     /// Total chunks across all series (sealed + non-empty heads).
     pub fn chunk_count(&self) -> usize {
-        self.series.values().map(ChunkSeries::chunk_count).sum()
+        self.all_series().map(ChunkSeries::chunk_count).sum()
     }
 
     /// Total lazy aggregate re-folds performed across all series.
     pub fn agg_refolds(&self) -> u64 {
-        self.series.values().map(ChunkSeries::refolds).sum()
+        self.all_series().map(ChunkSeries::refolds).sum()
     }
 }
 

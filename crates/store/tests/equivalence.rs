@@ -7,10 +7,10 @@
 //! same-timestamp replacements and prunes, over small chunk capacities
 //! so seal/split/merge paths are exercised constantly — and require
 //! **bit-identical** observables: `stats`, `latest`, `trend_per_min`,
-//! `range` and windowed queries. NaN values are mixed into the inserts,
-//! and both engines must drop them. Float comparisons go through
-//! `to_bits`, so `-0.0` vs `0.0` or differently-ordered summation
-//! cannot slip through.
+//! `range`, windowed queries and the site roster. NaN values are mixed
+//! into the inserts, and both engines must drop them. Float comparisons
+//! go through `to_bits`, so `-0.0` vs `0.0` or differently-ordered
+//! summation cannot slip through.
 //!
 //! The second half round-trips the chunk codec over adversarial floats
 //! (`-0.0`, subnormals, infinities, random bit patterns) and extreme
@@ -88,6 +88,26 @@ fn assert_equivalent(chunked: &ManagementStore, naive: &NaiveStore) -> Result<()
     prop_assert_eq!(chunked.partitions(), naive.partitions());
     let all = LabelFilter::Any;
     prop_assert_eq!(chunked.select(&all), naive.select(&all));
+    // The site roster, which site-scoped level-1/2 tasks read: records
+    // move devices between `s0` and `s1`, and `s2` is never seen.
+    for site in ["s0", "s1", "s2"] {
+        prop_assert_eq!(
+            chunked.devices_at(site).collect::<Vec<_>>(),
+            naive.devices_at(site).collect::<Vec<_>>(),
+            "devices at {}",
+            site
+        );
+        for partition in naive.partitions() {
+            let scoped = LabelFilter::class(partition).and(LabelFilter::site(site));
+            prop_assert_eq!(
+                chunked.select(&scoped),
+                naive.select(&scoped),
+                "class={} & site={}",
+                partition,
+                site
+            );
+        }
+    }
     for (device, metric) in naive.select(&all) {
         prop_assert_eq!(
             chunked.latest(&device, &metric).map(|(t, v)| (t, bits(v))),
