@@ -468,7 +468,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_message_fan_out_shares_one_allocation() {
+    fn shared_message_multicast_shares_one_allocation() {
         let msg = base().content(Value::Int(7)).build().unwrap();
         let shared = msg.into_shared();
         let copies: Vec<SharedMessage> = (0..8).map(|_| Arc::clone(&shared)).collect();

@@ -19,30 +19,38 @@
 //! job lanes and route/tick/merge phases on the wall-clock track when
 //! `--runtime pool` is selected. Load it at <https://ui.perfetto.dev>.
 //!
+//! The chaos, netchaos, overload and sharded experiments below check a
+//! run in two ways only: [`GridReport::audit`] must find no violated
+//! invariant (no lost or unaccounted task, exactly-once awards and
+//! completions, per-shard counts that sum), and replays must produce
+//! equal reports (`==`). A failed check prints the violations on stderr
+//! and exits 1.
+//!
 //! `--chaos <seed>` runs the seeded chaos-recovery experiment: a grid
 //! with a [`ChaosPlan`](agentgrid::chaos::ChaosPlan) derived from the
 //! seed (container crash + restart, possibly a transport-fault window),
-//! executed twice to check the run is bit-identical, with zero
-//! permanently lost tasks. With no explicit experiment list, `--chaos`
-//! runs only the chaos experiment.
+//! executed twice to check the run is bit-identical, with an empty
+//! audit. With no explicit experiment list, `--chaos` runs only the
+//! chaos experiment.
 //!
 //! `--netchaos <seed>` runs the network-adversary experiment: a seeded
 //! composable fault plan (probabilistic loss, duplication, delay with
 //! jitter, bounded reordering and a named partition that heals) against
 //! the reliable-delivery protocol and the recovery layer. The scenario
 //! runs twice on the deterministic stepper and once on the pool
-//! runtime; exits nonzero unless all three reports are byte-identical,
-//! zero tasks were permanently lost, and the reliability layer actually
-//! worked (nonzero retransmits and suppressed duplicates). With no
-//! explicit experiment list, `--netchaos` runs only this experiment.
+//! runtime; exits nonzero unless all three reports are equal, the audit
+//! is empty, and the reliability layer actually worked (nonzero
+//! retransmits and suppressed duplicates). With no explicit experiment
+//! list, `--netchaos` runs only this experiment.
 //!
 //! `--overload <seed>` runs the overload-protection experiment: a burst
 //! scenario against bounded mailboxes (shed-by-priority), admission
 //! control, circuit breakers and collector pacing, executed twice to
 //! check the run is bit-identical. Exits nonzero unless messages were
-//! shed, zero alert-class messages were lost and the mailbox high-water
-//! respected the configured cap. With no explicit experiment list,
-//! `--overload` runs only the overload experiment.
+//! shed, zero alert-class messages were lost, the mailbox high-water
+//! respected the configured cap and the audit is empty. With no
+//! explicit experiment list, `--overload` runs only the overload
+//! experiment.
 //!
 //! `--bench-json <path>` times the incremental engine against the naive
 //! reference matcher (10/100/1000 facts) plus the store's whole-series
@@ -70,9 +78,9 @@
 //! split into `n` domain shards connected by the federation protocol
 //! (load gossip, task spill-over, cross-domain finding summaries). The
 //! deterministic checks run the sharded scenario twice on the stepper
-//! and once on the pool runtime (all three must be byte-identical),
-//! then an overload scenario that forces spill-over and proves every
-//! task in the federation is counted exactly once — stdout is fully
+//! and once on the pool runtime (all three reports must be equal), then
+//! an overload scenario that forces spill-over and audits every task in
+//! the federation as counted exactly once — stdout is fully
 //! deterministic so CI diffs it against a committed golden file. With
 //! `--shard-bench-json <path>`, a 10 000-device scenario is also timed
 //! on the pool runtime at 1 shard vs `n` shards and the measured
@@ -89,7 +97,7 @@ use agentgrid::balance::{
 };
 use agentgrid::broker::Broker;
 use agentgrid::chaos::ChaosPlan;
-use agentgrid::grid::{GridBuilder, GridReport, ManagementGrid, DEFAULT_RULES};
+use agentgrid::grid::{GridBuilder, GridReport, ManagementGrid, Violation, DEFAULT_RULES};
 use agentgrid::mobility::Rebalancer;
 use agentgrid::ontology::{AnalysisTask, ResourceProfile};
 use agentgrid::overload::{
@@ -346,6 +354,21 @@ fn banner(title: &str) {
     println!("\n================================================================");
     println!("{title}");
     println!("================================================================");
+}
+
+/// A replay line's verdict: whether two runs' reports are equal.
+fn verdict(same: bool) -> &'static str {
+    if same {
+        "bit-identical"
+    } else {
+        "DIVERGED"
+    }
+}
+
+/// An audit's violations as one bracketed list for a FAILED line.
+fn listed(violations: &[Violation]) -> String {
+    let items: Vec<String> = violations.iter().map(ToString::to_string).collect();
+    format!("[{}]", items.join("; "))
 }
 
 /// Table 1: relative times of management tasks.
@@ -605,8 +628,8 @@ fn mobility(telemetry: Option<&TelemetryHandle>) {
 /// Chaos experiment: seeded failure injection against the recovering
 /// grid, run twice on the deterministic runtime to prove the whole
 /// crash-detect-re-broker sequence is reproducible. Exits nonzero if
-/// any task is permanently lost or the replay diverges, so CI can use
-/// it as a smoke check.
+/// the audit finds a violation or the replay diverges, so CI can use it
+/// as a smoke check.
 fn chaos(seed: u64, telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoice) {
     banner(&format!(
         "Chaos — seeded failures vs the recovery layer (seed {seed})"
@@ -655,21 +678,15 @@ fn chaos(seed: u64, telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoice)
         first.escalations,
         first.outstanding.len(),
     );
-    let lost = first.lost_tasks();
-    println!("lost tasks: {}", lost.len());
-    let identical = first.render() == second.render()
-        && first.completed_ids == second.completed_ids
-        && first.assignments == second.assignments;
-    println!(
-        "deterministic replay: {}",
-        if identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-    if !lost.is_empty() || !identical {
-        eprintln!("chaos check FAILED (lost: {lost:?}, identical: {identical})");
+    println!("lost tasks: {}", first.lost_tasks().len());
+    let identical = first == second;
+    println!("deterministic replay: {}", verdict(identical));
+    let violations = first.audit();
+    if !violations.is_empty() || !identical {
+        eprintln!(
+            "chaos check FAILED (violations: {}, identical: {identical})",
+            listed(&violations)
+        );
         std::process::exit(1);
     }
 }
@@ -681,7 +698,7 @@ fn chaos(seed: u64, telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoice)
 /// scenario runs twice on the deterministic stepper — the whole
 /// drop/delay/duplicate/retransmit sequence is a pure function of the
 /// seed — and once on the pool runtime, which must match byte for
-/// byte. Exits nonzero if any task is permanently lost, any replay
+/// byte. Exits nonzero if the audit finds a violation, any replay
 /// diverges, or the reliability layer never retransmitted/suppressed
 /// anything (an idle defence proves nothing), so CI can use it as a
 /// smoke check.
@@ -754,41 +771,25 @@ fn netchaos(seed: u64, telemetry: Option<&TelemetryHandle>) {
         first.outstanding.len(),
         first.alerts.len(),
     );
-    let lost = first.lost_tasks();
-    println!("lost tasks: {}", lost.len());
-    let replay_identical = first.render() == second.render()
-        && first.completed_ids == second.completed_ids
-        && first.assignments == second.assignments;
-    let pool_identical = first.render() == pool.render()
-        && first.completed_ids == pool.completed_ids
-        && first.assignments == pool.assignments;
-    println!(
-        "deterministic replay: {}",
-        if replay_identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
-    println!(
-        "pool runtime: {}",
-        if pool_identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
+    println!("lost tasks: {}", first.lost_tasks().len());
+    let replay_identical = first == second;
+    let pool_identical = first == pool;
+    println!("deterministic replay: {}", verdict(replay_identical));
+    println!("pool runtime: {}", verdict(pool_identical));
+    let violations = first.audit();
     let exercised = net.retransmits > 0 && net.dup_suppressed > 0 && !first.alerts.is_empty();
-    if lost.is_empty() && replay_identical && pool_identical && exercised {
+    if violations.is_empty() && replay_identical && pool_identical && exercised {
         println!(
             "netchaos check PASSED ({} retransmits, {} duplicates suppressed, 0 lost)",
             net.retransmits, net.dup_suppressed
         );
     } else {
         eprintln!(
-            "netchaos check FAILED (lost: {lost:?}, replay identical: {replay_identical}, \
+            "netchaos check FAILED (violations: {}, replay identical: {replay_identical}, \
              pool identical: {pool_identical}, retransmits: {}, dup_suppressed: {})",
-            net.retransmits, net.dup_suppressed
+            listed(&violations),
+            net.retransmits,
+            net.dup_suppressed
         );
         std::process::exit(1);
     }
@@ -974,8 +975,8 @@ fn store_bench(json_path: Option<&str>) {
 /// breakers and collector pacing. Run twice on the deterministic
 /// runtime; exits nonzero unless the burst actually shed messages, no
 /// alert-class message was lost, the mailbox high-water stayed within
-/// the cap, and the replay is bit-identical — so CI can use it as a
-/// smoke check.
+/// the cap, the replay is bit-identical and the audit is empty — so CI
+/// can use it as a smoke check.
 fn overload(seed: u64, telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoice) {
     banner(&format!(
         "Overload — burst traffic vs bounded mailboxes (seed {seed})"
@@ -1034,20 +1035,15 @@ fn overload(seed: u64, telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoi
         first.tasks_completed,
         first.alerts.len()
     );
-    let identical = first.render() == second.render()
-        && first.completed_ids == second.completed_ids
-        && first.assignments == second.assignments
-        && stats == second_stats;
-    println!(
-        "deterministic replay: {}",
-        if identical {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        }
-    );
+    let identical = first == second && stats == second_stats;
+    println!("deterministic replay: {}", verdict(identical));
+    let violations = first.audit();
     let alerts_shed = stats.shed(MessageClass::Alert);
-    let ok = stats.shed_total() > 0 && alerts_shed == 0 && stats.highwater <= CAP && identical;
+    let ok = stats.shed_total() > 0
+        && alerts_shed == 0
+        && stats.highwater <= CAP
+        && identical
+        && violations.is_empty();
     if ok {
         println!(
             "overload check PASSED ({} shed, {} alerts lost, high-water {} <= cap {CAP})",
@@ -1058,9 +1054,10 @@ fn overload(seed: u64, telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoi
     } else {
         eprintln!(
             "overload check FAILED (shed: {}, alerts shed: {alerts_shed}, \
-             high-water: {}, identical: {identical})",
+             high-water: {}, identical: {identical}, violations: {})",
             stats.shed_total(),
-            stats.highwater
+            stats.highwater,
+            listed(&violations)
         );
         std::process::exit(1);
     }
@@ -1109,9 +1106,8 @@ rule "sustained-cpu" salience 5 {
 ///    proving a peer's summary correlated with a local fact.
 /// 2. **Spill-over conservation** — a tight admission gate forces the
 ///    roots to spill work to their peers; every task in the federation
-///    must be counted exactly once (created = completed + outstanding)
-///    with zero losses, again bit-identically across a replay and the
-///    pool runtime.
+///    must be counted exactly once (an empty audit), again
+///    bit-identically across a replay and the pool runtime.
 ///
 /// With `--shard-bench-json <path>`, a third phase times a
 /// 10 000-device scenario on the pool runtime at 1 shard vs `shards`
@@ -1210,28 +1206,15 @@ fn sharded(shards: usize, seed: u64, json_path: Option<&str>) {
         Some(a) => println!("cross-domain correlation: {} fired on {}", a.rule, a.device),
         None => println!("cross-domain correlation: no federated alert"),
     }
-    let identical = |a: &GridReport, b: &GridReport| {
-        a.render() == b.render()
-            && a.completed_ids == b.completed_ids
-            && a.assignments == b.assignments
-    };
-    let lost_a = first.lost_tasks().len();
-    let unaccounted_a = first.unaccounted_tasks();
-    let replay_a = identical(&first, &second);
-    let pool_a = identical(&first, &pool);
-    println!("unaccounted tasks: {unaccounted_a}, lost tasks: {lost_a}");
     println!(
-        "deterministic replay: {}",
-        if replay_a {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        }
+        "unaccounted tasks: {}, lost tasks: {}",
+        first.unaccounted_tasks(),
+        first.lost_tasks().len()
     );
-    println!(
-        "pool runtime: {}",
-        if pool_a { "bit-identical" } else { "DIVERGED" }
-    );
+    let replay_a = first == second;
+    let pool_a = first == pool;
+    println!("deterministic replay: {}", verdict(replay_a));
+    println!("pool runtime: {}", verdict(pool_a));
 
     // Phase 2 — spill-over conservation under a tight admission gate.
     println!("\nspill-over under admission pressure (token bucket 2, +1/window):");
@@ -1265,32 +1248,24 @@ fn sharded(shards: usize, seed: u64, json_path: Option<&str>) {
         s_first.federation.spilled_in,
         s_first.federation.spill_completed,
     );
-    let lost_b = s_first.lost_tasks().len();
-    let unaccounted_b = s_first.unaccounted_tasks();
-    let replay_b = identical(&s_first, &s_second);
-    let pool_b = identical(&s_first, &s_pool);
-    println!("  unaccounted tasks: {unaccounted_b}, lost tasks: {lost_b}");
     println!(
-        "  deterministic replay: {}",
-        if replay_b {
-            "bit-identical"
-        } else {
-            "DIVERGED"
-        }
+        "  unaccounted tasks: {}, lost tasks: {}",
+        s_first.unaccounted_tasks(),
+        s_first.lost_tasks().len()
     );
-    println!(
-        "  pool runtime: {}",
-        if pool_b { "bit-identical" } else { "DIVERGED" }
-    );
+    let replay_b = s_first == s_second;
+    let pool_b = s_first == s_pool;
+    println!("  deterministic replay: {}", verdict(replay_b));
+    println!("  pool runtime: {}", verdict(pool_b));
 
     let fed_exercised = shards == 1
         || (first.federation.summaries_sent > 0
             && fed_alert.is_some()
             && s_first.federation.spilled_out > 0
             && s_first.federation.spill_completed > 0);
-    let conserved = unaccounted_a == 0 && unaccounted_b == 0 && lost_a == 0 && lost_b == 0;
+    let (violations_a, violations_b) = (first.audit(), s_first.audit());
     let all_identical = replay_a && pool_a && replay_b && pool_b;
-    if fed_exercised && conserved && all_identical {
+    if fed_exercised && violations_a.is_empty() && violations_b.is_empty() && all_identical {
         println!(
             "sharded check PASSED ({shards} shard(s), {} spilled, {} cross-domain alert(s), \
              0 unaccounted, 0 lost)",
@@ -1300,8 +1275,9 @@ fn sharded(shards: usize, seed: u64, json_path: Option<&str>) {
     } else {
         eprintln!(
             "sharded check FAILED (federation exercised: {fed_exercised}, \
-             unaccounted: {unaccounted_a}/{unaccounted_b}, lost: {lost_a}/{lost_b}, \
-             identical: {replay_a}/{pool_a}/{replay_b}/{pool_b})"
+             violations: {}/{}, identical: {replay_a}/{pool_a}/{replay_b}/{pool_b})",
+            listed(&violations_a),
+            listed(&violations_b)
         );
         std::process::exit(1);
     }

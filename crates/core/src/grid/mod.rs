@@ -32,7 +32,7 @@ pub use classifier::ClassifierAgent;
 pub use collector::{CollectorAgent, CollectorInterface};
 pub use interface::{AlertSink, InterfaceAgent};
 pub use root::{FederationLink, ProcessorRootAgent};
-pub use system::{GridBuilder, GridReport, ManagementGrid};
+pub use system::{GridBuilder, GridReport, ManagementGrid, Violation};
 
 /// Default analysis rules shipped with the grid: the problems the paper's
 /// motivating example watches for (processor, memory, disk, processes)

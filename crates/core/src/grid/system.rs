@@ -618,7 +618,12 @@ impl GridBuilder {
 
 /// Summary of one grid run — what the interface grid would render for
 /// the operator, plus internal accounting for tests and benchmarks.
-#[derive(Debug, Clone)]
+///
+/// Two runs are the same run exactly when their reports are equal (`==`
+/// compares every field, the award log and completion order included);
+/// [`audit`](GridReport::audit) checks the invariants every run must
+/// keep.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridReport {
     /// Simulated duration covered.
     pub duration_ms: u64,
@@ -680,7 +685,98 @@ pub struct GridReport {
     pub federation: FederationStats,
 }
 
+/// One broken grid invariant, as found by [`GridReport::audit`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Violation {
+    /// Created minus completed minus outstanding is not zero (see
+    /// [`GridReport::unaccounted_tasks`]).
+    Unaccounted(i64),
+    /// An assigned task neither completed nor still tracked.
+    Lost(String),
+    /// `(task, awards, re-brokerings)`: a task awarded other than once
+    /// plus once per logged re-brokering.
+    Awards(String, usize, usize),
+    /// A task id listed twice in the completion log.
+    CompletedTwice(String),
+    /// `(ids, tasks_completed)`: the completion log's length differs
+    /// from the completion counter.
+    CompletionCount(usize, u64),
+    /// `(sum, tasks_created)`: the per-shard creation counts do not sum
+    /// to the federation's total.
+    ShardCreated(u64, u64),
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Violation::Unaccounted(n) => write!(f, "{n} task(s) unaccounted for"),
+            Violation::Lost(task) => write!(f, "task {task} lost"),
+            Violation::Awards(task, awards, rebrokered) => {
+                write!(
+                    f,
+                    "task {task} awarded {awards} time(s) for {rebrokered} re-brokering(s)"
+                )
+            }
+            Violation::CompletedTwice(task) => write!(f, "task {task} completed twice"),
+            Violation::CompletionCount(ids, counted) => {
+                write!(f, "{ids} completion id(s) for {counted} completion(s)")
+            }
+            Violation::ShardCreated(sum, created) => {
+                write!(f, "shards created {sum} task(s), report says {created}")
+            }
+        }
+    }
+}
+
 impl GridReport {
+    /// Checks the invariants every run keeps, whatever its chaos,
+    /// overload or sharding, and returns each one broken (empty for a
+    /// sound run):
+    ///
+    /// * conservation — [`unaccounted_tasks`](Self::unaccounted_tasks)
+    ///   is zero and no task is [lost](Self::lost_tasks);
+    /// * exactly-once awards — every task id is awarded once plus once per
+    ///   re-brokering;
+    /// * exactly-once completion — no id completes twice, and the
+    ///   completion log matches the counter;
+    /// * the per-shard creation counts sum to `tasks_created`.
+    pub fn audit(&self) -> Vec<Violation> {
+        let mut found = Vec::new();
+        let unaccounted = self.unaccounted_tasks();
+        if unaccounted != 0 {
+            found.push(Violation::Unaccounted(unaccounted));
+        }
+        let lost = self.lost_tasks().into_iter();
+        found.extend(lost.map(|id| Violation::Lost(id.to_owned())));
+        let mut logs: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+        for (id, _) in &self.assignments {
+            logs.entry(id).or_default().0 += 1;
+        }
+        for id in &self.rebrokered {
+            logs.entry(id).or_default().1 += 1;
+        }
+        for (task, (awards, rebrokered)) in logs {
+            if awards != 1 + rebrokered {
+                found.push(Violation::Awards(task.to_owned(), awards, rebrokered));
+            }
+        }
+        let mut completed = BTreeSet::new();
+        for id in &self.completed_ids {
+            if !completed.insert(id) {
+                found.push(Violation::CompletedTwice(id.clone()));
+            }
+        }
+        let ids = self.completed_ids.len();
+        if ids as u64 != self.tasks_completed {
+            found.push(Violation::CompletionCount(ids, self.tasks_completed));
+        }
+        let sum = self.shard_created.iter().sum();
+        if sum != self.tasks_created {
+            found.push(Violation::ShardCreated(sum, self.tasks_created));
+        }
+        found
+    }
+
     /// Task ids that were assigned, never completed, and are no longer
     /// tracked anywhere — permanently lost work. The recovery layer
     /// must keep this empty under any chaos plan.
@@ -1297,6 +1393,64 @@ mod tests {
         assert!(report.outstanding.is_empty(), "no task left parked");
     }
 
+    /// Each invariant catches its own planted defect in a clean report.
+    #[test]
+    fn audit_names_each_planted_defect() {
+        let mut grid = ManagementGrid::builder()
+            .network(small_network())
+            .analyzer("pg-1", 1.0, ALL_SKILLS)
+            .build();
+        let clean = grid.run(5 * 60_000, 60_000);
+        assert_eq!(clean.audit(), [], "{clean}");
+        assert!(clean.rebrokered.is_empty() && clean.outstanding.is_empty());
+        let task = clean.assignments[0].0.clone();
+        let done = clean.tasks_completed;
+        let created = clean.tasks_created;
+        let planted = |defect: fn(&mut GridReport)| {
+            let mut report = clean.clone();
+            defect(&mut report);
+            report.audit()
+        };
+
+        assert_eq!(
+            planted(|r| r.assignments.push(r.assignments[0].clone())),
+            [Violation::Awards(task.clone(), 2, 0)]
+        );
+        assert_eq!(
+            planted(|r| r.completed_ids.push(r.completed_ids[0].clone())),
+            [
+                Violation::CompletedTwice(clean.completed_ids[0].clone()),
+                Violation::CompletionCount(done as usize + 1, done),
+            ]
+        );
+        assert_eq!(
+            planted(|r| {
+                let task = r.assignments[0].0.clone();
+                r.completed_ids.retain(|id| *id != task);
+                r.outstanding.retain(|id| *id != task);
+            }),
+            [
+                Violation::Lost(task.clone()),
+                Violation::CompletionCount(done as usize - 1, done),
+            ]
+        );
+        assert_eq!(
+            planted(|r| r.tasks_created += 1),
+            [
+                Violation::Unaccounted(1),
+                Violation::ShardCreated(created, created + 1),
+            ]
+        );
+        assert_eq!(
+            planted(|r| r.shard_created[0] += 1),
+            [Violation::ShardCreated(created + 1, created)]
+        );
+        assert_eq!(
+            Violation::Lost(task.clone()).to_string(),
+            format!("task {task} lost")
+        );
+    }
+
     #[test]
     fn cpu_fault_produces_critical_alert() {
         let mut grid = ManagementGrid::builder()
@@ -1404,9 +1558,7 @@ mod tests {
             "both domains created work: {:?}",
             report.shard_created
         );
-        assert_eq!(report.tasks_created, report.shard_created.iter().sum());
-        assert_eq!(report.unaccounted_tasks(), 0, "{report}");
-        assert_eq!(report.lost_tasks(), Vec::<&str>::new());
+        assert_eq!(report.audit(), [], "{report}");
         assert!(
             report.federation.summaries_sent > 0,
             "roots exchanged cross-domain summaries"
@@ -1426,7 +1578,7 @@ mod tests {
                 .analyzer("pg-3", 1.0, ALL_SKILLS)
                 .shards(3)
                 .build();
-            grid.run(8 * 60_000, 60_000).render()
+            grid.run(8 * 60_000, 60_000)
         };
         assert_eq!(run(), run());
     }

@@ -37,16 +37,10 @@
 //! assert_eq!(liveness.classify(liveness.dead_after_ms + 1), Liveness::Dead);
 //! ```
 
-/// SplitMix64: tiny, high-quality stateless mixer. Used wherever the
-/// recovery layer needs reproducible pseudo-randomness from a seed and a
-/// counter (backoff jitter, chaos schedules).
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// SplitMix64, the platform's stateless mixer: the recovery layer's
+/// reproducible pseudo-randomness from a seed and a counter (backoff
+/// jitter, chaos schedules).
+pub use agentgrid_platform::net::splitmix64;
 
 /// Stable jitter key for a string identifier (task id, device name):
 /// folds the bytes through [`splitmix64`] so the retry schedules of

@@ -61,10 +61,12 @@ pub const RETRANSMIT_CAP: usize = 4096;
 /// monotone per link, so the window always covers the recent past.
 pub const DEDUP_WINDOW: usize = 1024;
 
-/// SplitMix64 — the same stateless mixer the recovery layer uses
-/// (`agentgrid::recovery::splitmix64`), duplicated here because the
-/// platform sits below the core crate. Keep the two in sync.
-fn splitmix64(x: u64) -> u64 {
+/// SplitMix64: tiny, high-quality stateless mixer. Every seeded draw in
+/// the grid goes through it — the adversary's per-message decisions here,
+/// and (re-exported as `agentgrid::recovery::splitmix64`) backoff jitter
+/// and chaos schedules.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

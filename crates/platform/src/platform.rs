@@ -956,7 +956,7 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_shares_one_allocation() {
+    fn multicast_shares_one_allocation() {
         let mut p = Platform::new("t");
         p.add_container("c");
         let msg = AclMessage::builder(Performative::Inform)

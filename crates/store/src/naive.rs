@@ -272,32 +272,6 @@ impl NaiveStore {
             .collect()
     }
 
-    /// [`query_windows`](NaiveStore::query_windows) fanned out over
-    /// `threads` scoped worker threads; byte-identical results.
-    pub fn query_windows_parallel(
-        &self,
-        filter: &LabelFilter,
-        from_ms: u64,
-        to_ms: u64,
-        step_ms: u64,
-        kind: AggKind,
-        threads: usize,
-    ) -> Vec<SeriesWindows> {
-        let keys = self.select(filter);
-        query::fan_out(&keys, threads, |key| {
-            let windows = query::windowed(
-                self.range(&key.0, &key.1, from_ms, to_ms),
-                from_ms,
-                step_ms,
-                kind,
-            );
-            SeriesWindows {
-                key: key.clone(),
-                windows,
-            }
-        })
-    }
-
     /// Drops every point older than `horizon_ms`, returning how many were
     /// removed. Series and index entries that become empty are kept (the
     /// devices still exist; only their history aged out).

@@ -1,15 +1,10 @@
-//! Range queries: shared aggregate folds, windowed aggregators and the
-//! parallel fan-out executor.
+//! Range queries: shared aggregate folds and windowed aggregators.
 //!
 //! Both store backends funnel their point streams through the fold
 //! functions here, so every aggregate accumulates **in ascending
 //! timestamp order with identical operation order** — float addition is
 //! not associative, and bit-exact backend equivalence (plus byte-stable
-//! `repro` output) depends on never combining partial sums. The
-//! parallel path fans series out across scoped threads but each series
-//! is still folded by the same sequential code, and results are merged
-//! in series-key order — byte-identical to the sequential path by
-//! construction.
+//! `repro` output) depends on never combining partial sums.
 
 use crate::index::SeriesKey;
 
@@ -351,35 +346,6 @@ pub struct SeriesWindows {
     pub windows: Vec<WindowPoint>,
 }
 
-/// Runs `work` over every key, fanned out across at most `threads`
-/// scoped worker threads on contiguous key runs, and returns results in
-/// key order — the exact output of `keys.iter().map(work).collect()`,
-/// byte for byte, because each item is still processed by the same
-/// sequential code and the merge concatenates runs in slice order.
-pub(crate) fn fan_out<K, R, F>(keys: &[K], threads: usize, work: F) -> Vec<R>
-where
-    K: Sync,
-    R: Send,
-    F: Fn(&K) -> R + Sync,
-{
-    let threads = threads.max(1).min(keys.len().max(1));
-    if threads <= 1 || keys.len() <= 1 {
-        return keys.iter().map(&work).collect();
-    }
-    let chunk = keys.len().div_ceil(threads);
-    let mut results: Vec<Vec<R>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = keys
-            .chunks(chunk)
-            .map(|run| scope.spawn(|| run.iter().map(&work).collect::<Vec<R>>()))
-            .collect();
-        for handle in handles {
-            results.push(handle.join().expect("query worker panicked"));
-        }
-    });
-    results.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,16 +399,5 @@ mod tests {
         // Single-point windows are omitted.
         let rows = windowed(pts().into_iter(), 0, 1_000, AggKind::Trend);
         assert!(rows.is_empty());
-    }
-
-    #[test]
-    fn fan_out_preserves_sequential_order() {
-        let keys: Vec<u32> = (0..37).collect();
-        let seq: Vec<u64> = keys.iter().map(|&k| k as u64 * 3).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            let par = fan_out(&keys, threads, |&k| k as u64 * 3);
-            assert_eq!(par, seq, "threads={threads}");
-        }
-        assert!(fan_out(&Vec::<u32>::new(), 4, |&k| k).is_empty());
     }
 }

@@ -247,8 +247,10 @@ impl ManagementStore {
         query::fold_trend(|| series.iter_range(from_ms, to_ms))
     }
 
-    /// Windowed aggregates for every series matching `filter`,
-    /// sequentially, in series-key order.
+    /// Windowed aggregates for every series matching `filter`, in
+    /// series-key order. Each series' decoded points stream straight into
+    /// the shared [`query::WindowFold`], so the output is bit-identical to
+    /// folding the `NaiveStore` iterator.
     pub fn query_windows(
         &self,
         filter: &LabelFilter,
@@ -260,50 +262,16 @@ impl ManagementStore {
         let keys = self.select(filter);
         keys.into_iter()
             .map(|key| {
-                let windows = self.windows_for(&key, from_ms, to_ms, step_ms, kind);
-                SeriesWindows { key, windows }
+                let mut fold = query::WindowFold::new(from_ms, step_ms, kind);
+                if let Some(series) = self.series(&key.0, &key.1) {
+                    series.for_each_run(from_ms, to_ms, &mut fold);
+                }
+                SeriesWindows {
+                    key,
+                    windows: fold.finish(),
+                }
             })
             .collect()
-    }
-
-    /// Windowed aggregates of one series: decoded points stream
-    /// straight into the shared [`query::WindowFold`], so the output is
-    /// bit-identical to folding the `NaiveStore` iterator.
-    fn windows_for(
-        &self,
-        key: &SeriesKey,
-        from_ms: u64,
-        to_ms: u64,
-        step_ms: u64,
-        kind: AggKind,
-    ) -> Vec<query::WindowPoint> {
-        let mut fold = query::WindowFold::new(from_ms, step_ms, kind);
-        if let Some(series) = self.series(&key.0, &key.1) {
-            series.for_each_run(from_ms, to_ms, &mut fold);
-        }
-        fold.finish()
-    }
-
-    /// [`query_windows`](ManagementStore::query_windows) fanned out over
-    /// at most `threads` scoped worker threads; results are merged in
-    /// series-key order and are byte-identical to the sequential path.
-    pub fn query_windows_parallel(
-        &self,
-        filter: &LabelFilter,
-        from_ms: u64,
-        to_ms: u64,
-        step_ms: u64,
-        kind: AggKind,
-        threads: usize,
-    ) -> Vec<SeriesWindows> {
-        let keys = self.select(filter);
-        query::fan_out(&keys, threads, |key| {
-            let windows = self.windows_for(key, from_ms, to_ms, step_ms, kind);
-            SeriesWindows {
-                key: key.clone(),
-                windows,
-            }
-        })
     }
 
     /// Drops every point older than `horizon_ms`, returning how many
@@ -564,7 +532,7 @@ mod tests {
     }
 
     #[test]
-    fn windowed_queries_agree_across_engines_and_paths() {
+    fn windowed_queries_agree_across_engines() {
         let mut chunked = ManagementStore::default();
         let mut naive = NaiveStore::default();
         for i in 0..300u64 {
@@ -583,11 +551,11 @@ mod tests {
             AggKind::Count,
             AggKind::Trend,
         ] {
-            let seq = chunked.query_windows(&f, 0, u64::MAX, 30 * 60_000, kind);
-            let par = chunked.query_windows_parallel(&f, 0, u64::MAX, 30 * 60_000, kind, 4);
-            let spec = naive.query_windows(&f, 0, u64::MAX, 30 * 60_000, kind);
-            assert_eq!(seq, par, "{kind:?} parallel parity");
-            assert_eq!(seq, spec, "{kind:?} engine parity");
+            assert_eq!(
+                chunked.query_windows(&f, 0, u64::MAX, 30 * 60_000, kind),
+                naive.query_windows(&f, 0, u64::MAX, 30 * 60_000, kind),
+                "{kind:?} engine parity"
+            );
         }
     }
 }

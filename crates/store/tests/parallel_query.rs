@@ -1,45 +1,12 @@
-//! Parallel-vs-sequential query parity.
+//! Concurrent readers of one store.
 //!
-//! The fan-out path splits selected series across scoped threads but
-//! folds each series with the same sequential code and merges in
-//! series-key order, so its output must be **byte-identical** to the
-//! sequential iterator — for any label selection, window width,
-//! aggregator and thread count. This file is also the TSan target for
-//! the parallel query path (`ci.yml` runs it under
-//! `-Zsanitizer=thread`).
+//! A `ManagementStore` is shared read-only across threads (`&self`
+//! queries) while its lazy whole-series aggregate caches fill on first
+//! use. These tests race readers against each other and check every
+//! thread sees the sequential answer. This file is also the TSan target
+//! for the store (`ci.yml` runs it under `-Zsanitizer=thread`).
 
-use agentgrid_store::{
-    AggKind, Classifier, LabelFilter, ManagementStore, NaiveStore, Record, SeriesWindows,
-};
-use proptest::prelude::*;
-
-fn record_strategy() -> impl Strategy<Value = Record> {
-    (
-        0u8..6,
-        prop_oneof![
-            Just("cpu.load.1"),
-            Just("cpu.load.5"),
-            Just("storage.disk.used-pct"),
-            Just("storage.ram.used"),
-            Just("if.1.in-octets"),
-            Just("processes.count"),
-        ],
-        -1000.0f64..1000.0,
-        0u64..50_000,
-    )
-        .prop_map(|(dev, metric, value, ts)| Record::new(format!("d{dev}"), metric, value, ts * 60))
-}
-
-fn filter_strategy() -> impl Strategy<Value = LabelFilter> {
-    prop_oneof![
-        Just(LabelFilter::Any),
-        Just(LabelFilter::class("cpu")),
-        Just(LabelFilter::class("cpu").or(LabelFilter::class("disk"))),
-        Just(LabelFilter::device("d1").or(LabelFilter::device("d3"))),
-        Just(LabelFilter::device("d2").and(LabelFilter::class("interface"))),
-        Just(LabelFilter::oid("cpu.load.1").or(LabelFilter::class("process"))),
-    ]
-}
+use agentgrid_store::{AggKind, LabelFilter, ManagementStore, Record, SeriesWindows};
 
 /// Bit-level view of a result set: f64 compared by representation.
 type BitRows<'a> = Vec<(&'a (String, String), Vec<(u64, u64)>)>;
@@ -58,51 +25,9 @@ fn as_bits(rows: &[SeriesWindows]) -> BitRows<'_> {
         .collect()
 }
 
-proptest! {
-    /// Fan-out over any thread count returns byte-identical results to
-    /// the sequential path, on both engines.
-    #[test]
-    fn parallel_query_matches_sequential(
-        records in prop::collection::vec(record_strategy(), 1..120),
-        filter in filter_strategy(),
-        step in prop_oneof![Just(1_000u64), Just(10_000), Just(60_000)],
-        threads in 1usize..9,
-        kind_ix in 0usize..6,
-    ) {
-        let kind = [AggKind::Min, AggKind::Max, AggKind::Mean, AggKind::Sum, AggKind::Count, AggKind::Trend][kind_ix];
-        let mut chunked = ManagementStore::new(Classifier::standard());
-        let mut naive = NaiveStore::new(Classifier::standard());
-        for r in &records {
-            chunked.insert(r.clone());
-            naive.insert(r.clone());
-        }
-        let runs = [
-            (
-                "chunked",
-                chunked.query_windows(&filter, 0, u64::MAX, step, kind),
-                chunked.query_windows_parallel(&filter, 0, u64::MAX, step, kind, threads),
-            ),
-            (
-                "naive",
-                naive.query_windows(&filter, 0, u64::MAX, step, kind),
-                naive.query_windows_parallel(&filter, 0, u64::MAX, step, kind, threads),
-            ),
-        ];
-        for (engine, seq, par) in &runs {
-            prop_assert_eq!(
-                as_bits(seq),
-                as_bits(par),
-                "{} {:?} threads={}",
-                engine,
-                kind,
-                threads
-            );
-        }
-    }
-}
-
-/// Many reader threads querying the same store concurrently (the shape
-/// TSan needs to see): every thread gets the sequential answer.
+/// Four reader threads running the same windowed query concurrently
+/// (the shape TSan needs to see): every thread gets the sequential
+/// answer.
 #[test]
 fn concurrent_readers_agree_with_sequential() {
     let mut store = ManagementStore::default();
@@ -116,15 +41,8 @@ fn concurrent_readers_agree_with_sequential() {
     std::thread::scope(|scope| {
         for _ in 0..4 {
             scope.spawn(|| {
-                for threads in [1, 2, 4, 8] {
-                    let got = store.query_windows_parallel(
-                        &filter,
-                        0,
-                        u64::MAX,
-                        120_000,
-                        AggKind::Mean,
-                        threads,
-                    );
+                for _ in 0..4 {
+                    let got = store.query_windows(&filter, 0, u64::MAX, 120_000, AggKind::Mean);
                     assert_eq!(as_bits(&expected), as_bits(&got));
                 }
             });

@@ -193,9 +193,7 @@ fn live_grid_behaves_consistently_on_both_runtimes() {
             report.alerts
         );
     }
-    assert_eq!(deterministic.render(), pool.render());
-    assert_eq!(deterministic.assignments, pool.assignments);
-    assert_eq!(deterministic.completed_ids, pool.completed_ids);
+    assert_eq!(deterministic, pool);
 }
 
 /// Telemetry is part of the cross-runtime contract: the same
@@ -346,30 +344,17 @@ fn chaos_recovery_is_consistent_across_runtimes() {
     let pool = builder().build_pool().run(horizon, 60_000);
 
     // Determinism first: same seed, same everything, to the byte.
-    assert_eq!(det.assignments, det_again.assignments);
-    assert_eq!(det.completed_ids, det_again.completed_ids);
-    assert_eq!(det.rebrokered, det_again.rebrokered);
-    assert_eq!(det.retries, det_again.retries);
-    assert_eq!(det.alerts, det_again.alerts);
-    assert_eq!(det.render(), det_again.render());
+    assert_eq!(det, det_again);
 
     // Cross-runtime parity: the chaos schedule runs on simulated time and
     // the pool merges its outboxes in the stepper's order, so the same
     // plan yields the same report, awards and completion order.
-    assert_eq!(det.render(), pool.render());
-    assert_eq!(det.assignments, pool.assignments);
-    assert_eq!(det.completed_ids, pool.completed_ids);
-    for (name, report) in [("deterministic", &det), ("pool", &pool)] {
-        assert!(
-            report.lost_tasks().is_empty(),
-            "{name}: tasks permanently lost: {:?}",
-            report.lost_tasks()
-        );
-        assert!(
-            !report.rebrokered.is_empty(),
-            "{name}: the crash must force at least one re-brokering"
-        );
-    }
+    assert_eq!(det, pool);
+    assert_eq!(det.audit(), []);
+    assert!(
+        !det.rebrokered.is_empty(),
+        "the crash must force at least one re-brokering"
+    );
 }
 
 /// Network-adversary parity: the same seeded fault plan (loss,
@@ -434,37 +419,24 @@ fn network_adversary_is_consistent_across_runtimes() {
     let pool = builder().build_pool().run(horizon, 60_000);
 
     // Determinism first: same seed, same misbehavior, to the byte.
-    assert_eq!(det.render(), det_again.render());
-    assert_eq!(det.assignments, det_again.assignments);
-    assert_eq!(det.completed_ids, det_again.completed_ids);
-    assert_eq!(det.net, det_again.net, "same adversary counters");
+    assert_eq!(det, det_again);
 
     // The pool preserves the stepper's delivery order exactly, so the
     // adversary's decisions — and everything downstream — match byte
     // for byte.
-    assert_eq!(det.render(), pool.render());
-    assert_eq!(det.assignments, pool.assignments);
-    assert_eq!(det.completed_ids, pool.completed_ids);
-    assert_eq!(det.net, pool.net);
+    assert_eq!(det, pool);
 
     let net = det.net.expect("adversary configured");
     assert!(net.retransmits > 0, "reliability layer must be exercised");
     assert!(net.dup_suppressed > 0, "dedup window must be exercised");
 
-    for (name, report) in [("deterministic", &det), ("pool", &pool)] {
-        assert!(
-            report.lost_tasks().is_empty(),
-            "{name}: tasks permanently lost: {:?}",
-            report.lost_tasks()
-        );
-        assert!(
-            report
-                .alerts
-                .iter()
-                .any(|a| a.rule == "high-cpu" && a.device == "srv-1"),
-            "{name}: the device fault's alert was lost to the adversary"
-        );
-    }
+    assert_eq!(det.audit(), []);
+    assert!(
+        det.alerts
+            .iter()
+            .any(|a| a.rule == "high-cpu" && a.device == "srv-1"),
+        "the device fault's alert was lost to the adversary"
+    );
 }
 
 /// Overflow-policy parity: the same seeded burst against the same
@@ -613,18 +585,14 @@ fn admission_gate_is_consistent_across_runtimes() {
     let det_again = builder().build().run(horizon, 60_000);
     let pool = builder().build_pool().run(horizon, 60_000);
 
-    assert_eq!(det.render(), det_again.render());
-    assert_eq!(det.rejected, det_again.rejected);
+    assert_eq!(det, det_again);
     assert!(det.rejected > 0, "the token bucket must reject awards");
     assert_eq!(
-        det.rejected, pool.rejected,
+        det, pool,
         "the admission gate must not depend on the runtime"
     );
-    assert_eq!(det.render(), pool.render());
-    assert_eq!(det.assignments, pool.assignments);
-    // Mailboxes are unbounded here: nothing may be shed on either side.
+    // Mailboxes are unbounded here: nothing may be shed.
     assert_eq!(det.shed, 0);
-    assert_eq!(pool.shed, 0);
 }
 
 /// Runtime parity matrix: the same seeded scenario — optionally with a
@@ -718,24 +686,11 @@ mod parity_matrix {
             let det_again = builder().build().run(horizon, 60_000);
             let pool = builder().build_pool().run(horizon, 60_000);
 
-            // Deterministic replay, then pool byte-identity.
-            prop_assert_eq!(det.render(), det_again.render());
-            prop_assert_eq!(det.render(), pool.render(),
-                "pool must render byte-identically to the stepper");
-            prop_assert_eq!(&det.assignments, &pool.assignments);
-            prop_assert_eq!(&det.completed_ids, &pool.completed_ids);
-            prop_assert_eq!(&det.alerts, &pool.alerts);
-            prop_assert_eq!(det.rejected, pool.rejected);
-            prop_assert_eq!(det.shed, pool.shed);
-
-            for (name, report) in [("deterministic", &det), ("pool", &pool)] {
-                prop_assert!(
-                    report.lost_tasks().is_empty(),
-                    "{}: tasks permanently lost: {:?}",
-                    name,
-                    report.lost_tasks()
-                );
-            }
+            // Deterministic replay, then pool identity, then the
+            // invariants.
+            prop_assert_eq!(&det, &det_again);
+            prop_assert_eq!(&det, &pool, "pool must match the stepper");
+            prop_assert_eq!(det.audit(), []);
         }
     }
 }
@@ -813,8 +768,7 @@ fn flight_recorder_and_task_spans_agree_across_runtimes() {
 
     // Reports byte-identical, latency summaries and full distributions
     // equal — all simulated-time quantities.
-    assert_eq!(det.render(), pool.render(), "reports must match");
-    assert_eq!(det.task_latency, pool.task_latency);
+    assert_eq!(det, pool, "reports must match");
     assert_eq!(
         det_t.task_spans().completed_latencies(),
         pool_t.task_spans().completed_latencies(),
@@ -916,7 +870,5 @@ fn sharded_grid_is_byte_identical_across_runtimes() {
         det.federation.summaries_sent > 0,
         "the federation must actually be exercised"
     );
-    assert_eq!(det.render(), pool.render(), "pool report must match");
-    assert_eq!(det.completed_ids, pool.completed_ids);
-    assert_eq!(det.assignments, pool.assignments);
+    assert_eq!(det, pool, "pool report must match");
 }

@@ -3,20 +3,20 @@
 //!
 //! The properties under test are the recovery layer's contract:
 //!
-//! * **no task is permanently lost** — every assigned task either
-//!   completes or is still tracked (in flight or parked) at the horizon;
-//! * **exactly-once re-brokering** — for every task id, the assignment
-//!   log holds exactly `1 + (times the id was re-brokered)` entries;
+//! * **the grid's invariants hold** — [`GridReport::audit`] finds no
+//!   lost or unaccounted task, every award beyond a task's first is a
+//!   logged re-brokering, and no task completes twice;
 //! * **dead letters stay bounded** — undeliverable mail is proportional
 //!   to the traffic aimed at dead containers, never unbounded.
+//!
+//! [`GridReport::audit`]: agentgrid_suite::GridReport::audit
 
 use agentgrid_suite::core::chaos::ChaosPlan;
 use agentgrid_suite::core::recovery::RecoveryConfig;
 use agentgrid_suite::net::{Device, DeviceKind, FaultKind, Network, ScheduledFault};
 use agentgrid_suite::platform::ReliabilityConfig;
-use agentgrid_suite::{GridReport, ManagementGrid};
+use agentgrid_suite::ManagementGrid;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 const ALL_SKILLS: [&str; 8] = [
     "cpu",
@@ -47,51 +47,6 @@ fn network(devices: usize, seed: u64) -> Network {
     net
 }
 
-/// `assignments(id) == 1 + rebrokered(id)` for every task id: a task is
-/// first-awarded exactly once, and every further award corresponds to
-/// exactly one logged re-brokering.
-fn assert_exactly_once(report: &GridReport) {
-    let mut awards: BTreeMap<&str, usize> = BTreeMap::new();
-    for (id, _) in &report.assignments {
-        *awards.entry(id).or_insert(0) += 1;
-    }
-    let mut rebrokered: BTreeMap<&str, usize> = BTreeMap::new();
-    for id in &report.rebrokered {
-        *rebrokered.entry(id).or_insert(0) += 1;
-    }
-    for (id, count) in &awards {
-        assert_eq!(
-            *count,
-            1 + rebrokered.get(id).copied().unwrap_or(0),
-            "task {id}: every award beyond the first must be a logged re-brokering"
-        );
-    }
-    for id in rebrokered.keys() {
-        assert!(
-            awards.contains_key(id),
-            "re-brokered task {id} never appears in the assignment log"
-        );
-    }
-}
-
-/// No assigned task may vanish: it completed, or it is still tracked.
-fn assert_nothing_lost(report: &GridReport) {
-    let lost = report.lost_tasks();
-    assert!(
-        lost.is_empty(),
-        "tasks permanently lost: {lost:?} (assigned {} / completed {} / outstanding {})",
-        report.assignments.len(),
-        report.completed_ids.len(),
-        report.outstanding.len(),
-    );
-    // Completion dedup: a retried task may report done twice, but it
-    // must be counted once.
-    let mut seen = std::collections::BTreeSet::new();
-    for id in &report.completed_ids {
-        assert!(seen.insert(id), "task {id} counted complete twice");
-    }
-}
-
 #[test]
 fn seeded_crash_mid_scenario_loses_nothing_and_rebrokers_exactly_once() {
     // Seed 42's plan crashes an analyzer at minute 2 and restarts it at
@@ -108,8 +63,7 @@ fn seeded_crash_mid_scenario_loses_nothing_and_rebrokers_exactly_once() {
         .build();
     let report = grid.run(20 * 60_000, 60_000);
 
-    assert_nothing_lost(&report);
-    assert_exactly_once(&report);
+    assert_eq!(report.audit(), []);
     assert!(
         !report.rebrokered.is_empty(),
         "the crash must strand at least one in-flight task"
@@ -144,8 +98,7 @@ fn restarted_container_rejoins_the_brokering_pool() {
         .build();
     let report = grid.run(20 * 60_000, 60_000);
 
-    assert_nothing_lost(&report);
-    assert_exactly_once(&report);
+    assert_eq!(report.audit(), []);
     // After the restart the (higher-capacity) victim receives awards
     // again: some assignment to pg-1 must postdate one to pg-2 that was
     // made while pg-1 was down. Cheap proxy: pg-1 appears in the last
@@ -186,9 +139,7 @@ proptest! {
         let mut grid = builder.build();
         let report = grid.run(horizon_min * 60_000, 60_000);
 
-        assert_nothing_lost(&report);
-        assert_exactly_once(&report);
-        prop_assert_eq!(report.unaccounted_tasks(), 0);
+        prop_assert_eq!(report.audit(), []);
         prop_assert!(report.records_stored > 0);
         // Dead letters only come from mail aimed at a dead container
         // (awards, retries) plus its own undeliverable replies — each
@@ -245,9 +196,7 @@ fn network_adversary_with_reliability_loses_nothing_across_64_seeds() {
                 ))
         };
         let report = build().build().run(horizon, 60_000);
-        assert_nothing_lost(&report);
-        assert_exactly_once(&report);
-        assert_eq!(report.unaccounted_tasks(), 0, "seed {seed}");
+        assert_eq!(report.audit(), [], "seed {seed}");
         assert!(
             report
                 .alerts
@@ -262,30 +211,21 @@ fn network_adversary_with_reliability_loses_nothing_across_64_seeds() {
         );
         if seed % 8 == 0 {
             let replay = build().build().run(horizon, 60_000);
-            assert_eq!(
-                report.render(),
-                replay.render(),
-                "seed {seed}: deterministic replay diverged"
-            );
-            assert_eq!(report.assignments, replay.assignments, "seed {seed}");
-            assert_eq!(report.completed_ids, replay.completed_ids, "seed {seed}");
+            assert_eq!(report, replay, "seed {seed}: deterministic replay diverged");
             let pool = build().build_pool().run(horizon, 60_000);
             assert_eq!(
-                report.render(),
-                pool.render(),
+                report, pool,
                 "seed {seed}: pool runtime diverged from the stepper"
             );
-            assert_eq!(report.assignments, pool.assignments, "seed {seed}");
-            assert_eq!(report.completed_ids, pool.completed_ids, "seed {seed}");
         }
     }
 }
 
 /// The work-stealing pool runtime under the same seeded chaos plan: the
-/// recovery contract holds unchanged, and the report renders
-/// byte-identically to the deterministic stepper. Also the scenario the
-/// CI ThreadSanitizer job drives, so the pool's steal/merge phase runs
-/// under a data-race detector with containers dying mid-run.
+/// recovery contract holds unchanged, and the report equals the
+/// deterministic stepper's. Also the scenario the CI ThreadSanitizer job
+/// drives, so the pool's steal/merge phase runs under a data-race
+/// detector with containers dying mid-run.
 #[test]
 fn pool_runtime_survives_chaos_and_matches_the_stepper() {
     let horizon = 20 * 60_000;
@@ -303,17 +243,10 @@ fn pool_runtime_survives_chaos_and_matches_the_stepper() {
     let pool = builder().build_pool().run(horizon, 60_000);
     let det = builder().build().run(horizon, 60_000);
 
-    assert_nothing_lost(&pool);
-    assert_exactly_once(&pool);
+    assert_eq!(pool.audit(), []);
     assert!(
         !pool.rebrokered.is_empty(),
         "the crash must force at least one re-brokering"
     );
-    assert_eq!(
-        det.render(),
-        pool.render(),
-        "pool must render byte-identically to the stepper under chaos"
-    );
-    assert_eq!(det.assignments, pool.assignments);
-    assert_eq!(det.completed_ids, pool.completed_ids);
+    assert_eq!(det, pool, "pool must match the stepper under chaos");
 }

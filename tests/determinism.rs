@@ -87,19 +87,19 @@ fn fig2_builder() -> agentgrid_suite::core::grid::GridBuilder {
         ))
 }
 
-/// Two same-seed Figure-2 runs must diff clean — the rendered report is
-/// compared as a whole string, the same artifact `repro fig2` prints —
-/// on the stepper and on the work-stealing pool, to themselves and to
-/// each other, so any nondeterminism the chunked store introduced would
-/// surface here.
+/// Two same-seed Figure-2 runs must diff clean — the whole report is
+/// compared, the rendered artifact `repro fig2` prints and every log
+/// behind it — on the stepper and on the work-stealing pool, to
+/// themselves and to each other, so any nondeterminism the chunked store
+/// introduced would surface here.
 #[test]
 fn fig2_runs_diff_clean_across_det_and_pool_runtimes() {
     let horizon = 10 * 60_000;
-    let stepper = || fig2_builder().build().run(horizon, 60_000).render();
-    let pool = || fig2_builder().build_pool().run(horizon, 60_000).render();
+    let stepper = || fig2_builder().build().run(horizon, 60_000);
+    let pool = || fig2_builder().build_pool().run(horizon, 60_000);
 
     let reference = stepper();
-    assert!(!reference.is_empty(), "the report must render something");
+    assert!(!reference.alerts.is_empty(), "the run must raise alerts");
     assert_eq!(reference, stepper(), "stepper: same seed, same report");
     assert_eq!(pool(), pool(), "pool: same seed, same report");
     assert_eq!(reference, pool(), "stepper and pool must diff clean");
@@ -225,15 +225,7 @@ fn fig2_store_replays_bit_identically_into_the_naive_spec() {
 
 #[test]
 fn identical_configurations_produce_identical_runs() {
-    let a = run_once(33, 8);
-    let b = run_once(33, 8);
-    assert_eq!(a.records_stored, b.records_stored);
-    assert_eq!(a.messages_delivered, b.messages_delivered);
-    assert_eq!(a.assignments, b.assignments);
-    assert_eq!(a.alerts.len(), b.alerts.len());
-    for (x, y) in a.alerts.iter().zip(&b.alerts) {
-        assert_eq!(x, y, "alert streams must match exactly");
-    }
+    assert_eq!(run_once(33, 8), run_once(33, 8));
 }
 
 #[test]

@@ -209,7 +209,7 @@ fn spare_survives_liveness_and_takes_work_after_migration() {
         .count();
     assert!(on_spare > 0, "work must follow the migrated analyzer");
     assert_eq!(after.escalations, 0, "no container was declared dead");
-    assert!(after.lost_tasks().is_empty());
+    assert_eq!(after.audit(), []);
 }
 
 /// Migration mid-scenario while the network adversary is active: an
@@ -263,9 +263,7 @@ fn migration_under_network_adversary_loses_nothing_and_replays_identically() {
     assert_eq!(migrations.len(), 1, "one analyzer moves to the spare");
     assert_eq!(migrations[0].to, "spare");
 
-    let lost = report.lost_tasks();
-    assert!(lost.is_empty(), "tasks lost across the migration: {lost:?}");
-    assert_eq!(report.unaccounted_tasks(), 0);
+    assert_eq!(report.audit(), [], "invariants broken across the migration");
     assert!(
         report.tasks_per_container().contains_key("spare"),
         "work must follow the migrated analyzer: {:?}",
@@ -281,10 +279,7 @@ fn migration_under_network_adversary_loses_nothing_and_replays_identically() {
     // reproducible as the rest of the simulation.
     let (again_migrations, again) = run_once();
     assert_eq!(migrations, again_migrations);
-    assert_eq!(report.render(), again.render());
-    assert_eq!(report.assignments, again.assignments);
-    assert_eq!(report.completed_ids, again.completed_ids);
-    assert_eq!(report.net, again.net);
+    assert_eq!(report, again);
 }
 
 #[test]
