@@ -1,3 +1,4 @@
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -6,8 +7,10 @@ use agentgrid_acl::ontology::{
 };
 use agentgrid_acl::{AclMessage, AgentId, Performative, Value};
 use agentgrid_platform::{Agent, AgentCtx};
-use agentgrid_rules::{parse_rules, Engine, Fact, KnowledgeBase, RuleSeverity, View};
-use agentgrid_store::{LabelFilter, ManagementStore};
+use agentgrid_rules::{
+    parse_rules, AlphaKeys, Engine, Fact, KnowledgeBase, RuleSeverity, Term, View,
+};
+use agentgrid_store::ManagementStore;
 use parking_lot::Mutex;
 
 /// How much projected load one analysis task adds to a container, per
@@ -126,18 +129,139 @@ impl AnalyzerAgent {
 /// into typed facts (`cpu`, `mem`, `disk`, `procs`, `if_status`) so
 /// rules stay readable.
 pub fn facts_for(device: &str, metric: &str, value: f64) -> Vec<Fact> {
-    let mut facts = vec![Fact::new("obs")
-        .with("device", device)
-        .with("metric", metric)
-        .with("value", value)];
-    if let Some(kind) = typed_kind(metric) {
-        let mut fact = Fact::new(kind).with("device", device).with("value", value);
-        if let Some(index) = if_index(metric) {
-            fact = fact.with("index", index);
-        }
-        facts.push(fact);
-    }
+    let mut facts = Vec::with_capacity(2);
+    let wanted = Wanted {
+        obs: true,
+        typed: typed_kind(metric),
+        stat: false,
+        trend: false,
+    };
+    let names = Names::new(device, Term::from(device), metric);
+    wanted.latest_facts(&names, value, |fact| facts.push(fact));
     facts
+}
+
+/// One series' device and metric as shared strings: every fact built
+/// for the series holds a reference to them, not a copy. The metric's
+/// string is made on first use — a typed fact does not carry it.
+struct Names<'a> {
+    device_name: &'a str,
+    device: Term,
+    metric_name: &'a str,
+    metric: OnceCell<Term>,
+}
+
+impl<'a> Names<'a> {
+    fn new(device_name: &'a str, device: Term, metric_name: &'a str) -> Self {
+        Names {
+            device_name,
+            device,
+            metric_name,
+            metric: OnceCell::new(),
+        }
+    }
+
+    fn metric(&self) -> Term {
+        self.metric
+            .get_or_init(|| Term::from(self.metric_name))
+            .clone()
+    }
+}
+
+/// Which facts of a series some pattern may admit, decided from its
+/// metric (and device, when known) before any fact is built.
+#[derive(Clone, Copy)]
+struct Wanted {
+    /// The generic `obs` fact.
+    obs: bool,
+    /// The typed fact ([`typed_kind`]).
+    typed: Option<&'static str>,
+    /// The level-2 `stat` fact.
+    stat: bool,
+    /// The level-2 `trend` fact.
+    trend: bool,
+}
+
+impl Wanted {
+    /// What `keys` may admit of `metric`'s series at `level`, on `device`
+    /// or — without one — on any device.
+    fn of(keys: &AlphaKeys, level: u8, metric: &str, device: Option<&str>) -> Self {
+        let pairs = [("metric", metric), ("device", device.unwrap_or_default())];
+        let known = &pairs[..if device.is_some() { 2 } else { 1 }];
+        Wanted {
+            obs: keys.may_admit("obs", known),
+            typed: typed_kind(metric).filter(|kind| keys.may_admit(kind, &known[1..])),
+            stat: level >= 2 && keys.may_admit("stat", known),
+            trend: level >= 2 && keys.may_admit("trend", known),
+        }
+    }
+
+    fn any(self) -> bool {
+        self.obs || self.typed.is_some() || self.stat || self.trend
+    }
+
+    /// Builds the wanted facts of one series — [`facts_for`]'s from its
+    /// latest `value`, then `stat` and `trend` from its stored history —
+    /// and keeps those `keys` admits, in that order. A pattern's
+    /// constant on a field `Wanted` cannot see (a value) may still
+    /// reject a built fact.
+    fn facts(
+        self,
+        keys: &AlphaKeys,
+        store: &ManagementStore,
+        names: &Names<'_>,
+        value: f64,
+        out: &mut Vec<Fact>,
+    ) {
+        let mut keep = |fact: Fact| {
+            if keys.admits(&fact) {
+                out.push(fact);
+            }
+        };
+        self.latest_facts(names, value, &mut keep);
+        let (device, metric) = (names.device_name, names.metric_name);
+        if self.stat {
+            if let Some(stats) = store.stats(device, metric, 0, u64::MAX) {
+                keep(
+                    Fact::new("stat")
+                        .with("count", stats.count as i64)
+                        .with("device", names.device.clone())
+                        .with("max", stats.max)
+                        .with("mean", stats.mean)
+                        .with("metric", names.metric()),
+                );
+            }
+        }
+        if self.trend {
+            if let Some(slope) = store.trend_per_min(device, metric, 0, u64::MAX) {
+                keep(
+                    Fact::new("trend")
+                        .with("device", names.device.clone())
+                        .with("metric", names.metric())
+                        .with("per-min", slope),
+                );
+            }
+        }
+    }
+
+    /// Builds the wanted [`facts_for`] facts of the latest point.
+    fn latest_facts(self, names: &Names<'_>, value: f64, mut emit: impl FnMut(Fact)) {
+        if self.obs {
+            emit(
+                Fact::new("obs")
+                    .with("device", names.device.clone())
+                    .with("metric", names.metric())
+                    .with("value", value),
+            );
+        }
+        if let Some(kind) = self.typed {
+            let mut fact = Fact::new(kind).with("device", names.device.clone());
+            if let Some(index) = if_index(names.metric_name) {
+                fact = fact.with("index", index);
+            }
+            emit(fact.with("value", value));
+        }
+    }
 }
 
 /// The typed fact kind [`facts_for`] extracts from a metric, if any.
@@ -199,11 +323,15 @@ pub fn analyze_task(
 /// across every site. Level 3 and partition `*` always span every
 /// partition and site.
 ///
-/// Analysis is rule-pruned: facts no pattern of the engine's rules can
-/// match (per [`Engine::alpha_keys`]) are never inserted, and the
+/// Analysis reads only what the engine's rules can match (per
+/// [`Engine::alpha_keys`]): the store walks only the series whose metric
+/// some pattern may admit ([`ManagementStore::select_scoped`]), a fact
+/// is built only for a kind some pattern may admit, and the
 /// `stat`/`trend` store queries run only for series whose fact some
-/// pattern could match. Such facts can never activate, so the findings
-/// are those of the unpruned procedure.
+/// pattern could match. Left-out facts can never activate, so the
+/// findings are those of the unpruned procedure. The facts of one device
+/// share one string for its name, and those of one series one string for
+/// its metric.
 ///
 /// A task whose [`round_ms`](AnalysisTask::round_ms) is older than a
 /// point it reads raises nothing: that later round's own task covers it.
@@ -214,41 +342,31 @@ pub fn analyze_task_with(
     now: u64,
 ) -> (Vec<Alert>, u64) {
     engine.reset();
-    // Series selection goes through the store's label index. Fact
-    // insertion order feeds the rule engine's recency ordering, so the
-    // enumeration must stay exactly partition-name order, then
-    // (device, metric) order within each partition — `select(class=p)`
-    // returns the same sorted set `by_partition(p)` iterates.
-    let series: Vec<(String, String)> = if task.level >= 3 || task.partition == "*" {
+    let keys = engine.alpha_keys();
+    // A metric is read only if some pattern may admit a fact of its
+    // series on some device; the filter is derived from the engine's
+    // current alpha keys, so a learned rule widens it on the next task.
+    let admit = |metric: &str| Wanted::of(keys, task.level, metric, None).any();
+    // Fact insertion order feeds the rule engine's recency ordering, so
+    // the enumeration stays partition-name order, then (device, metric)
+    // order within each partition.
+    let series: Vec<(&str, &str)> = if task.level >= 3 || task.partition == "*" {
         store
             .partitions()
-            .iter()
-            .flat_map(|p| store.select(&LabelFilter::class(p)))
+            .into_iter()
+            .flat_map(|p| store.select_scoped(p, None, admit))
             .collect()
     } else {
-        let class = LabelFilter::class(&task.partition);
-        store.select(&match &task.site {
-            Some(site) => class.and(LabelFilter::site(site)),
-            None => class,
-        })
+        store.select_scoped(&task.partition, task.site.as_deref(), admit)
     };
-    let keys = engine.alpha_keys();
     let mut facts = Vec::new();
-    let mut keep = |fact: Fact| {
-        if keys.admits(&fact) {
-            facts.push(fact);
-        }
-    };
-    for (device, metric) in &series {
-        let known = [("device", device.as_str()), ("metric", metric.as_str())];
-        let latest_admitted = keys.may_admit("obs", &known)
-            || typed_kind(metric).is_some_and(|kind| keys.may_admit(kind, &known[..1]));
-        let stat_admitted = task.level >= 2 && keys.may_admit("stat", &known);
-        let trend_admitted = task.level >= 2 && keys.may_admit("trend", &known);
-        if !(latest_admitted || stat_admitted || trend_admitted) {
+    let mut device: Option<(&str, Term)> = None;
+    for (device_name, metric) in series {
+        let wanted = Wanted::of(keys, task.level, metric, Some(device_name));
+        if !wanted.any() {
             continue;
         }
-        let Some((ts, value)) = store.latest(device, metric) else {
+        let Some((ts, value)) = store.latest(device_name, metric) else {
             continue;
         };
         // A retried or re-awarded task that finds a later round's data in
@@ -257,33 +375,16 @@ pub fn analyze_task_with(
         if task.round_ms.is_some_and(|round| ts > round) {
             return (Vec::new(), 0);
         }
-        if latest_admitted {
-            for fact in facts_for(device, metric, value) {
-                keep(fact);
-            }
-        }
-        if stat_admitted {
-            if let Some(stats) = store.stats(device, metric, 0, u64::MAX) {
-                keep(
-                    Fact::new("stat")
-                        .with("device", device.as_str())
-                        .with("metric", metric.as_str())
-                        .with("mean", stats.mean)
-                        .with("max", stats.max)
-                        .with("count", stats.count as i64),
-                );
-            }
-        }
-        if trend_admitted {
-            if let Some(slope) = store.trend_per_min(device, metric, 0, u64::MAX) {
-                keep(
-                    Fact::new("trend")
-                        .with("device", device.as_str())
-                        .with("metric", metric.as_str())
-                        .with("per-min", slope),
-                );
-            }
-        }
+        // Series arrive grouped by device: one string per device.
+        let device_term = match &device {
+            Some((name, term)) if *name == device_name => term.clone(),
+            _ => device
+                .insert((device_name, Term::from(device_name)))
+                .1
+                .clone(),
+        };
+        let names = Names::new(device_name, device_term, metric);
+        wanted.facts(keys, store, &names, value, &mut facts);
     }
     engine.insert_all(facts);
     let outcome = engine.run();
@@ -365,7 +466,7 @@ mod tests {
     use super::*;
     use crate::grid::DEFAULT_RULES;
     use agentgrid_platform::DirectoryFacilitator;
-    use agentgrid_store::Record;
+    use agentgrid_store::{LabelFilter, Record};
     use std::collections::BTreeSet;
 
     fn kb() -> KnowledgeBase {
@@ -446,6 +547,72 @@ mod tests {
         assert!(facts.iter().any(|f| f.kind() == "mem"));
         let facts = facts_for("d", "unknown.metric", 1.0);
         assert_eq!(facts.len(), 1, "only the generic obs fact");
+    }
+
+    #[test]
+    fn admitted_facts_are_the_unpruned_facts_the_keys_admit() {
+        const METRICS: [&str; 7] = [
+            "cpu.load.3",
+            "if.2.oper-status",
+            "if.2.in-octets",
+            "storage.disk.used-pct",
+            "processes.count",
+            "agent.reachable",
+            "unknown.metric",
+        ];
+        let mut store = ManagementStore::default();
+        for t in 0..3u64 {
+            for metric in METRICS {
+                store.insert(Record::new("d1", metric, 90.0 + t as f64, t * 60_000));
+            }
+        }
+        // Beyond the defaults: an `obs` constant on a value, a `stat` of
+        // any metric and a `trend` of one, so every kind is admitted for
+        // some series and pruned for others.
+        let mut kb = kb();
+        kb.absorb(KnowledgeBase::from_rules(
+            parse_rules(
+                r#"
+                rule "octets-zero" { when obs(device: ?d, metric: "if.2.in-octets", value: 0) then emit info ?d "idle" }
+                rule "any-stat" { when stat(device: ?d, metric: ?m, max: ?x) if ?x > 90 then emit info ?d "?m" }
+                rule "procs-rising" { when trend(device: ?d, metric: "processes.count", per-min: ?r) if ?r > 0 then emit info ?d "up" }
+                "#,
+            )
+            .unwrap(),
+        ));
+        for view in [View::PerDevice, View::Correlation] {
+            let keys = kb.view(view).alpha_keys();
+            for level in 1..=3 {
+                for metric in METRICS {
+                    let (_, value) = store.latest("d1", metric).unwrap();
+                    let mut got = Vec::new();
+                    let names = Names::new("d1", Term::from("d1"), metric);
+                    Wanted::of(keys, level, metric, Some("d1"))
+                        .facts(keys, &store, &names, value, &mut got);
+                    let mut want = facts_for("d1", metric, value);
+                    if level >= 2 {
+                        let stats = store.stats("d1", metric, 0, u64::MAX).unwrap();
+                        want.push(
+                            Fact::new("stat")
+                                .with("device", "d1")
+                                .with("metric", metric)
+                                .with("mean", stats.mean)
+                                .with("max", stats.max)
+                                .with("count", stats.count as i64),
+                        );
+                        let slope = store.trend_per_min("d1", metric, 0, u64::MAX).unwrap();
+                        want.push(
+                            Fact::new("trend")
+                                .with("device", "d1")
+                                .with("metric", metric)
+                                .with("per-min", slope),
+                        );
+                    }
+                    want.retain(|fact| keys.admits(fact));
+                    assert_eq!(got, want, "{metric} at level {level} in {view:?}");
+                }
+            }
+        }
     }
 
     fn learn(analyzer: &mut AnalyzerAgent, text: &str) {

@@ -29,6 +29,65 @@ struct Pacing {
     stretch: u64,
 }
 
+/// The storage areas a poll reads, with the raw and derived metric
+/// names each yields.
+const STORAGE: [(u32, &str, &str); 2] = [
+    (
+        oids::STORAGE_RAM,
+        "storage.ram.used",
+        "storage.ram.used-pct",
+    ),
+    (
+        oids::STORAGE_DISK,
+        "storage.disk.used",
+        "storage.disk.used-pct",
+    ),
+];
+
+/// A collector's per-device state, by position in its device list.
+#[derive(Debug, Default)]
+struct DeviceState {
+    /// Next poll time.
+    next_ms: u64,
+    /// Consecutive failed polls.
+    failures: u32,
+    names: MetricNames,
+}
+
+/// One device's indexed metric names, keyed by the index its MIB walk
+/// returns: each name is formatted the first time its index is walked,
+/// not on every poll.
+#[derive(Debug, Default)]
+struct MetricNames {
+    /// `cpu.load.<index>` by processor index.
+    cpu: BTreeMap<u32, String>,
+    /// `if.<index>.<column>` by (interface-table column, interface index).
+    interfaces: BTreeMap<(u32, u32), String>,
+}
+
+impl MetricNames {
+    fn cpu(&mut self, index: u32) -> &str {
+        self.cpu
+            .entry(index)
+            .or_insert_with(|| format!("cpu.load.{index}"))
+    }
+
+    /// The name of an interface-table cell, for the columns a poll keeps.
+    fn interface(&mut self, column: u32, index: u32) -> Option<&str> {
+        let suffix = match column {
+            8 => "oper-status",
+            10 => "in-octets",
+            16 => "out-octets",
+            _ => return None,
+        };
+        Some(
+            self.interfaces
+                .entry((column, index))
+                .or_insert_with(|| format!("if.{index}.{suffix}")),
+        )
+    }
+}
+
 /// Which management-protocol *interface* a collector uses (paper §3.1:
 /// "a collecting agent can have an SNMP interface or use a command line
 /// utility").
@@ -51,6 +110,9 @@ pub enum CollectorInterface {
 pub struct CollectorAgent {
     network: Arc<Mutex<Network>>,
     devices: Vec<String>,
+    /// Poll schedule, failure count and metric names of each device, by
+    /// position in `devices`.
+    state: Vec<DeviceState>,
     interface: CollectorInterface,
     period_ms: u64,
     classifier: AgentId,
@@ -62,10 +124,6 @@ pub struct CollectorAgent {
     pub retries: u64,
     /// Retry schedule of a device whose poll failed.
     backoff: BackoffPolicy,
-    /// Consecutive failed polls per device.
-    device_failures: BTreeMap<String, u32>,
-    /// Per-device next poll time.
-    device_next_ms: BTreeMap<String, u64>,
     /// `agentgrid_retries_total{component="collector"}` when telemetry
     /// is wired up.
     retry_metric: Option<Counter>,
@@ -97,6 +155,7 @@ impl CollectorAgent {
     ) -> Self {
         CollectorAgent {
             network,
+            state: devices.iter().map(|_| DeviceState::default()).collect(),
             devices,
             interface,
             period_ms,
@@ -106,8 +165,6 @@ impl CollectorAgent {
             collected: 0,
             retries: 0,
             backoff: BackoffPolicy::default(),
-            device_failures: BTreeMap::new(),
-            device_next_ms: BTreeMap::new(),
             retry_metric: None,
             pacing: None,
         }
@@ -153,7 +210,11 @@ impl CollectorAgent {
         p.stretch
     }
 
-    fn poll_device_snmp(device: &mut agentgrid_net::Device, now: u64) -> Vec<Observation> {
+    fn poll_device_snmp(
+        device: &mut agentgrid_net::Device,
+        names: &mut MetricNames,
+        now: u64,
+    ) -> Vec<Observation> {
         let name = device.name().to_owned();
         let mut out = Vec::new();
         // CPU load per processor.
@@ -161,7 +222,7 @@ impl CollectorAgent {
         if let Ok(rows) = snmp::walk(device, &cpu_root) {
             for (oid, value) in rows {
                 if let (Some(index), Some(v)) = (oid.last(), value.as_f64()) {
-                    out.push(Observation::new(&name, format!("cpu.load.{index}"), v, now));
+                    out.push(Observation::new(&name, names.cpu(index), v, now));
                 }
             }
         } else {
@@ -177,20 +238,14 @@ impl CollectorAgent {
                 }
                 let column = parts[parts.len() - 2];
                 let index = parts[parts.len() - 1];
-                let metric = match column {
-                    8 => format!("if.{index}.oper-status"),
-                    10 => format!("if.{index}.in-octets"),
-                    16 => format!("if.{index}.out-octets"),
-                    _ => continue,
-                };
-                if let Some(v) = value.as_f64() {
+                if let (Some(metric), Some(v)) = (names.interface(column, index), value.as_f64()) {
                     out.push(Observation::new(&name, metric, v, now));
                 }
             }
         }
         // Storage: raw values plus the derived used-pct (local
         // pre-analysis, §3.1).
-        for (index, label) in [(oids::STORAGE_RAM, "ram"), (oids::STORAGE_DISK, "disk")] {
+        for (index, used_name, pct_name) in STORAGE {
             let size = snmp::get(device, &oids::hr_storage_size(index))
                 .ok()
                 .and_then(|v| v.as_f64());
@@ -198,19 +253,9 @@ impl CollectorAgent {
                 .ok()
                 .and_then(|v| v.as_f64());
             if let (Some(size), Some(used)) = (size, used) {
-                out.push(Observation::new(
-                    &name,
-                    format!("storage.{label}.used"),
-                    used,
-                    now,
-                ));
+                out.push(Observation::new(&name, used_name, used, now));
                 if size > 0.0 {
-                    out.push(Observation::new(
-                        &name,
-                        format!("storage.{label}.used-pct"),
-                        used / size * 100.0,
-                        now,
-                    ));
+                    out.push(Observation::new(&name, pct_name, used / size * 100.0, now));
                 }
             }
         }
@@ -248,11 +293,8 @@ impl CollectorAgent {
 impl Agent for CollectorAgent {
     fn on_tick(&mut self, ctx: &mut AgentCtx<'_>) {
         let now = ctx.now_ms();
-        let due: Vec<String> = self
-            .devices
-            .iter()
-            .filter(|d| now >= self.device_next_ms.get(*d).copied().unwrap_or(0))
-            .cloned()
+        let due: Vec<usize> = (0..self.devices.len())
+            .filter(|&i| now >= self.state[i].next_ms)
             .collect();
         if due.is_empty() {
             return;
@@ -264,17 +306,21 @@ impl Agent for CollectorAgent {
         let mut observations = Vec::new();
         {
             let mut network = self.network.lock();
-            for device_name in &due {
+            for i in due {
+                let device_name = &self.devices[i];
                 let Some(device) = network.device_mut(device_name) else {
                     continue;
                 };
+                let state = &mut self.state[i];
                 let obs = match self.interface {
-                    CollectorInterface::Snmp => Self::poll_device_snmp(device, now),
+                    CollectorInterface::Snmp => {
+                        Self::poll_device_snmp(device, &mut state.names, now)
+                    }
                     CollectorInterface::Cli => Self::poll_device_cli(device, now),
                 };
                 let failed =
                     obs.len() == 1 && obs[0].metric == "agent.reachable" && obs[0].value == 0.0;
-                let failures = self.device_failures.entry(device_name.clone()).or_insert(0);
+                let failures = &mut state.failures;
                 if *failures > 0 {
                     // Any poll after a failure is a retry, whether or
                     // not the device recovered in the meantime.
@@ -283,7 +329,7 @@ impl Agent for CollectorAgent {
                         c.inc();
                     }
                 }
-                let next = if failed {
+                state.next_ms = if failed {
                     let delay = self
                         .backoff
                         .delay_ms(*failures, jitter_key(device_name))
@@ -294,7 +340,6 @@ impl Agent for CollectorAgent {
                     *failures = 0;
                     now + self.period_ms.saturating_mul(stretch)
                 };
-                self.device_next_ms.insert(device_name.clone(), next);
                 observations.extend(obs);
             }
         }
@@ -342,7 +387,7 @@ mod tests {
         let net = network();
         let mut guard = net.lock();
         let device = guard.device_mut("srv-1").unwrap();
-        let obs = CollectorAgent::poll_device_snmp(device, 60_000);
+        let obs = CollectorAgent::poll_device_snmp(device, &mut MetricNames::default(), 60_000);
         let metrics: Vec<&str> = obs.iter().map(|o| o.metric.as_str()).collect();
         assert!(metrics.contains(&"cpu.load.1"));
         assert!(metrics.contains(&"if.1.in-octets"));
@@ -368,7 +413,7 @@ mod tests {
         let mut guard = net.lock();
         let device = guard.device_mut("srv-1").unwrap();
         device.inject(FaultKind::Unreachable);
-        let snmp_obs = CollectorAgent::poll_device_snmp(device, 0);
+        let snmp_obs = CollectorAgent::poll_device_snmp(device, &mut MetricNames::default(), 0);
         assert_eq!(snmp_obs.len(), 1);
         assert_eq!(snmp_obs[0].metric, "agent.reachable");
         assert_eq!(snmp_obs[0].value, 0.0);

@@ -27,7 +27,7 @@ mod interface;
 mod root;
 mod system;
 
-pub use analyzer::{analyze_task, facts_for, AnalyzerAgent};
+pub use analyzer::{analyze_task, analyze_task_with, facts_for, AnalyzerAgent};
 pub use classifier::ClassifierAgent;
 pub use collector::{CollectorAgent, CollectorInterface};
 pub use interface::{AlertSink, InterfaceAgent};

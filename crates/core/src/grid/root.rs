@@ -66,7 +66,6 @@ pub struct FederationLink {
 #[derive(Debug)]
 struct BrokerMetrics {
     assigned: Counter,
-    reassigned: Counter,
     completed: Counter,
     /// `agentgrid_retries_total{component="broker"}` — deadline-driven
     /// request retries.
@@ -92,7 +91,6 @@ impl BrokerMetrics {
         };
         BrokerMetrics {
             assigned: counter("assigned"),
-            reassigned: counter("reassigned"),
             completed: counter("completed"),
             retries: telemetry
                 .registry()
@@ -147,9 +145,6 @@ pub struct RootStats {
     /// `assignments` holds `1 + (times the id appears in rebrokered)`
     /// entries.
     pub assignments: Vec<(String, String)>,
-    /// Tasks re-awarded after their container died or left, or after
-    /// their retries ran out.
-    pub reassigned: u64,
     /// `done` reports received (deduplicated: one per in-flight award).
     pub completed: u64,
     /// Ids of completed tasks, in completion order.
@@ -515,11 +510,9 @@ impl ProcessorRootAgent {
     fn reaward(&mut self, task: AnalysisTask, ctx: &mut AgentCtx<'_>) {
         if let Some(container) = self.try_award(&task, ctx) {
             let mut stats = self.stats.lock();
-            stats.reassigned += 1;
             stats.rebrokered.push(task.task_id.clone());
             drop(stats);
             if let Some(m) = &self.metrics {
-                m.reassigned.inc();
                 m.rebrokered.inc();
                 let now = ctx.now_ms();
                 m.telemetry
@@ -1527,7 +1520,7 @@ mod tests {
             [("t1".into(), "pg-1".into()), ("t1".into(), "pg-2".into())]
         );
         assert_eq!(stats.rebrokered, ["t1"]);
-        assert_eq!(stats.reassigned, 1);
+        assert_eq!(stats.rebrokered.len(), 1);
         assert_eq!(stats.escalations, 1);
         let alert = outbox
             .iter()
@@ -1989,7 +1982,7 @@ mod tests {
         // The first tick reclaims and re-brokers its task, silently.
         beat_and_tick(&mut root, 60_000, &mut outbox, &mut df);
         let stats = stats.lock();
-        assert_eq!(stats.reassigned, 1);
+        assert_eq!(stats.rebrokered.len(), 1);
         assert_eq!(stats.assignments.last().unwrap().1, "pg-2");
         assert_eq!(stats.rebrokered, ["t1"]);
         assert_eq!(stats.escalations, 0, "an orderly removal raises no alert");

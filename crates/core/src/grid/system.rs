@@ -637,9 +637,6 @@ pub struct GridReport {
     pub dead_letters: usize,
     /// `(task, container)` assignment log.
     pub assignments: Vec<(String, String)>,
-    /// Tasks re-brokered after their container died or left, or after
-    /// their retries ran out.
-    pub reassigned: u64,
     /// Tasks completed.
     pub tasks_completed: u64,
     /// Ids of completed tasks, in completion order.
@@ -825,7 +822,7 @@ impl GridReport {
             self.messages_delivered,
             self.assignments.len(),
             self.tasks_completed,
-            self.reassigned,
+            self.rebrokered.len(),
             self.alerts.len(),
         ));
         for (container, tasks) in self.tasks_per_container() {
@@ -1201,7 +1198,6 @@ impl<R: Runtime> ManagementGrid<R> {
     fn report(&self, duration_ms: u64) -> GridReport {
         // Aggregate the shard roots in shard order.
         let mut assignments = Vec::new();
-        let mut reassigned = 0;
         let mut completed = 0;
         let mut completed_ids = Vec::new();
         let mut rebrokered = Vec::new();
@@ -1216,7 +1212,6 @@ impl<R: Runtime> ManagementGrid<R> {
             let stats = shard.root_stats.lock();
             shard_created.push(stats.created);
             assignments.extend(stats.assignments.iter().cloned());
-            reassigned += stats.reassigned;
             completed += stats.completed;
             completed_ids.extend(stats.completed_ids.iter().cloned());
             rebrokered.extend(stats.rebrokered.iter().cloned());
@@ -1240,7 +1235,6 @@ impl<R: Runtime> ManagementGrid<R> {
             messages_delivered: self.platform.delivered_count(),
             dead_letters: self.platform.dead_letter_count(),
             assignments,
-            reassigned,
             tasks_completed: completed,
             completed_ids,
             rebrokered,

@@ -378,7 +378,7 @@ fn parse_pattern(s: &mut TokenStream) -> Result<Pattern, ParseRuleError> {
             Some(Token::Var(v)) => FieldPattern::Var(v),
             Some(Token::Punct('_')) => FieldPattern::Any,
             Some(Token::Num(x)) => FieldPattern::Const(Term::Num(x)),
-            Some(Token::Str(text)) => FieldPattern::Const(Term::Str(text)),
+            Some(Token::Str(text)) => FieldPattern::Const(Term::from(text)),
             Some(Token::Ident(word)) if word == "true" => FieldPattern::Const(Term::Bool(true)),
             Some(Token::Ident(word)) if word == "false" => FieldPattern::Const(Term::Bool(false)),
             other => {
@@ -404,7 +404,7 @@ fn parse_operand(s: &mut TokenStream) -> Result<Operand, ParseRuleError> {
     match s.next() {
         Some(Token::Var(v)) => Ok(Operand::Var(v)),
         Some(Token::Num(x)) => Ok(Operand::Const(Term::Num(x))),
-        Some(Token::Str(text)) => Ok(Operand::Const(Term::Str(text))),
+        Some(Token::Str(text)) => Ok(Operand::Const(Term::from(text))),
         Some(Token::Ident(word)) if word == "true" => Ok(Operand::Const(Term::Bool(true))),
         Some(Token::Ident(word)) if word == "false" => Ok(Operand::Const(Term::Bool(false))),
         other => Err(err(line, format!("expected operand, found {other:?}"))),

@@ -621,6 +621,58 @@ mod tests {
     }
 
     #[test]
+    fn a_reset_engine_reruns_the_same_inserts_identically() {
+        let kb = KnowledgeBase::from_rules(
+            crate::parse_rules(
+                r#"
+                rule "mark-hot" salience 3 { when cpu(device: ?d, value: ?v) if ?v > 90 then assert hot(device: ?d) }
+                rule "hot-and-full" salience 2 {
+                    when hot(device: ?d)
+                    when disk(device: ?d, value: ?x)
+                    if ?x > 50
+                    then emit warning ?d "hot and full on ?d"
+                }
+                rule "pair" {
+                    when cpu(device: ?a, value: ?x)
+                    when cpu(device: ?b, value: ?y)
+                    if ?a < ?b
+                    then emit info ?a "?a and ?b"
+                }
+                rule "drop-cold" salience 1 { when cpu(device: ?d, value: 10) then retract 0 }
+                "#,
+            )
+            .unwrap(),
+        );
+        let facts: Vec<Fact> = (0..12)
+            .flat_map(|i| {
+                let device = format!("d{}", i % 5);
+                [
+                    Fact::new("cpu")
+                        .with("device", device.as_str())
+                        .with("value", [95.0, 10.0, 40.0][i % 3]),
+                    Fact::new("disk").with("device", device).with("value", 60.0),
+                ]
+            })
+            .collect();
+        let mut engine = Engine::new(kb.clone());
+        let mut runs = Vec::new();
+        for _ in 0..3 {
+            engine.reset();
+            engine.insert_all(facts.iter().cloned());
+            let out = engine.run();
+            runs.push((out.findings, out.stats, engine.memory().len()));
+        }
+        let mut fresh = Engine::new(kb);
+        fresh.insert_all(facts);
+        let out = fresh.run();
+        assert!(!out.findings.is_empty() && out.stats.retracted > 0);
+        let expected = (out.findings, out.stats, fresh.memory().len());
+        for run in runs {
+            assert_eq!(run, expected);
+        }
+    }
+
+    #[test]
     fn recency_breaks_salience_ties() {
         let kb = KnowledgeBase::from_rules([
             emit_rule("first", 0, "obs"),

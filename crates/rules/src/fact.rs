@@ -1,9 +1,15 @@
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 /// A field value inside a [`Fact`].
+///
+/// A string is shared, not copied: cloning a `Str` term (into a second
+/// fact, a binding or the working memory's index) bumps a reference
+/// count.
 ///
 /// # Examples
 ///
@@ -17,7 +23,7 @@ pub enum Term {
     /// A numeric value (all numbers are `f64`).
     Num(f64),
     /// A string value.
-    Str(String),
+    Str(Arc<str>),
     /// A boolean value.
     Bool(bool),
 }
@@ -85,12 +91,18 @@ impl From<i64> for Term {
 
 impl From<&str> for Term {
     fn from(s: &str) -> Self {
-        Term::Str(s.to_owned())
+        Term::Str(s.into())
     }
 }
 
 impl From<String> for Term {
     fn from(s: String) -> Self {
+        Term::Str(s.into())
+    }
+}
+
+impl From<Arc<str>> for Term {
+    fn from(s: Arc<str>) -> Self {
         Term::Str(s)
     }
 }
@@ -123,6 +135,10 @@ impl fmt::Display for FactId {
 
 /// A typed tuple in working memory: a *kind* plus named fields.
 ///
+/// The kind and the field names are `Cow<'static, str>`, so the literal
+/// names facts are usually built with cost no allocation, and the fields
+/// live in one name-sorted vector rather than a map.
+///
 /// # Examples
 ///
 /// ```
@@ -135,22 +151,33 @@ impl fmt::Display for FactId {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fact {
-    kind: String,
-    fields: BTreeMap<String, Term>,
+    kind: Cow<'static, str>,
+    /// Fields in ascending name order, names unique.
+    fields: Vec<(Cow<'static, str>, Term)>,
 }
 
 impl Fact {
     /// Creates an empty fact of the given kind.
-    pub fn new(kind: impl Into<String>) -> Self {
+    pub fn new(kind: impl Into<Cow<'static, str>>) -> Self {
         Fact {
             kind: kind.into(),
-            fields: BTreeMap::new(),
+            fields: Vec::new(),
         }
     }
 
     /// Adds or replaces a field (builder style).
-    pub fn with(mut self, name: impl Into<String>, value: impl Into<Term>) -> Self {
-        self.fields.insert(name.into(), value.into());
+    pub fn with(mut self, name: impl Into<Cow<'static, str>>, value: impl Into<Term>) -> Self {
+        let (name, value) = (name.into(), value.into());
+        // Facts are usually built in name order: appending is the fast path.
+        match self.fields.last() {
+            Some((last, _)) if *last >= name => {
+                match self.fields.binary_search_by(|(n, _)| n.as_ref().cmp(&name)) {
+                    Ok(at) => self.fields[at].1 = value,
+                    Err(at) => self.fields.insert(at, (name, value)),
+                }
+            }
+            _ => self.fields.push((name, value)),
+        }
         self
     }
 
@@ -161,12 +188,15 @@ impl Fact {
 
     /// Looks up a field.
     pub fn field(&self, name: &str) -> Option<&Term> {
-        self.fields.get(name)
+        self.fields
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, value)| value)
     }
 
     /// Iterates over `(name, value)` pairs in name order.
     pub fn fields(&self) -> impl Iterator<Item = (&str, &Term)> {
-        self.fields.iter().map(|(k, v)| (k.as_str(), v))
+        self.fields.iter().map(|(k, v)| (k.as_ref(), v))
     }
 
     /// Number of fields.
@@ -204,7 +234,7 @@ impl fmt::Display for Fact {
 pub(crate) enum TermKey {
     Bool(bool),
     Num(u64),
-    Str(String),
+    Str(Arc<str>),
 }
 
 impl From<&Term> for TermKey {
@@ -220,7 +250,7 @@ impl From<&Term> for TermKey {
                 };
                 TermKey::Num(ordered)
             }
-            Term::Str(s) => TermKey::Str(s.clone()),
+            Term::Str(s) => TermKey::Str(Arc::clone(s)),
             Term::Bool(b) => TermKey::Bool(*b),
         }
     }
@@ -231,10 +261,12 @@ impl From<&Term> for TermKey {
 /// Facts are never mutated in place: rules assert new facts and retract
 /// old ones, which keeps activation bookkeeping sound.
 ///
-/// Two alpha indexes are maintained alongside the id-ordered map: a
-/// per-kind id set (so `of_kind` never scans unrelated facts) and a
-/// `(kind, field, value)` index that `Pattern::match_all` probes for
-/// literal and already-bound fields.
+/// Facts sit in a slot vector indexed by id (ids are assigned in
+/// insertion order and never reused). Two alpha indexes are maintained
+/// alongside: a per-kind id list (so `of_kind` never scans unrelated
+/// facts) and a `(kind, field, value)` index that `Pattern::match_all`
+/// probes for literal and already-bound fields. Every id list is in
+/// ascending id order.
 ///
 /// # Examples
 ///
@@ -248,10 +280,18 @@ impl From<&Term> for TermKey {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WorkingMemory {
-    facts: BTreeMap<FactId, Fact>,
-    next_id: u64,
-    by_kind: BTreeMap<String, BTreeSet<FactId>>,
-    by_field: BTreeMap<String, BTreeMap<String, BTreeMap<TermKey, BTreeSet<FactId>>>>,
+    /// Slot `i` holds the fact with id `i` until it is retracted.
+    facts: Vec<Option<Fact>>,
+    len: usize,
+    by_kind: BTreeMap<String, Vec<FactId>>,
+    by_field: BTreeMap<String, BTreeMap<String, BTreeMap<TermKey, Vec<FactId>>>>,
+}
+
+/// Removes `id` from an ascending id list.
+fn remove_id(ids: &mut Vec<FactId>, id: FactId) {
+    if let Ok(at) = ids.binary_search(&id) {
+        ids.remove(at);
+    }
 }
 
 impl WorkingMemory {
@@ -261,38 +301,48 @@ impl WorkingMemory {
     }
 
     /// Inserts a fact, returning its id.
+    ///
+    /// Index keys are looked up before they are copied: only the first
+    /// fact of a kind, or of a field name within a kind, allocates its
+    /// key, and a string value's key shares the fact's string.
     pub fn insert(&mut self, fact: Fact) -> FactId {
-        let id = FactId(self.next_id);
-        self.next_id += 1;
-        self.by_kind
-            .entry(fact.kind.clone())
-            .or_default()
-            .insert(id);
-        let kind_index = self.by_field.entry(fact.kind.clone()).or_default();
-        for (name, value) in &fact.fields {
-            kind_index
-                .entry(name.clone())
-                .or_default()
-                .entry(TermKey::from(value))
-                .or_default()
-                .insert(id);
+        let id = FactId(self.facts.len() as u64);
+        let kind: &str = &fact.kind;
+        match self.by_kind.get_mut(kind) {
+            Some(ids) => ids.push(id),
+            None => {
+                self.by_kind.insert(kind.to_owned(), vec![id]);
+            }
         }
-        self.facts.insert(id, fact);
+        let kind_index = match self.by_field.get_mut(kind) {
+            Some(index) => index,
+            None => self.by_field.entry(kind.to_owned()).or_default(),
+        };
+        for (name, value) in &fact.fields {
+            let values = match kind_index.get_mut(name.as_ref()) {
+                Some(values) => values,
+                None => kind_index.entry(name.to_string()).or_default(),
+            };
+            values.entry(TermKey::from(value)).or_default().push(id);
+        }
+        self.facts.push(Some(fact));
+        self.len += 1;
         id
     }
 
     /// Removes a fact. Returns the fact if it was present.
     pub fn retract(&mut self, id: FactId) -> Option<Fact> {
-        let fact = self.facts.remove(&id)?;
-        if let Some(ids) = self.by_kind.get_mut(&fact.kind) {
-            ids.remove(&id);
+        let fact = self.facts.get_mut(id.0 as usize)?.take()?;
+        self.len -= 1;
+        if let Some(ids) = self.by_kind.get_mut(fact.kind()) {
+            remove_id(ids, id);
         }
-        if let Some(kind_index) = self.by_field.get_mut(&fact.kind) {
-            for (name, value) in &fact.fields {
+        if let Some(kind_index) = self.by_field.get_mut(fact.kind()) {
+            for (name, value) in fact.fields() {
                 if let Some(values) = kind_index.get_mut(name) {
                     let key = TermKey::from(value);
                     if let Some(ids) = values.get_mut(&key) {
-                        ids.remove(&id);
+                        remove_id(ids, id);
                         if ids.is_empty() {
                             values.remove(&key);
                         }
@@ -305,12 +355,15 @@ impl WorkingMemory {
 
     /// Looks up a fact by id.
     pub fn get(&self, id: FactId) -> Option<&Fact> {
-        self.facts.get(&id)
+        self.facts.get(id.0 as usize)?.as_ref()
     }
 
     /// Iterates over `(id, fact)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (FactId, &Fact)> {
-        self.facts.iter().map(|(id, f)| (*id, f))
+        self.facts
+            .iter()
+            .enumerate()
+            .filter_map(|(i, fact)| Some((FactId(i as u64), fact.as_ref()?)))
     }
 
     /// Iterates over the facts of one kind, in insertion order.
@@ -318,37 +371,33 @@ impl WorkingMemory {
         self.ids_of_kind(kind)
             .into_iter()
             .flatten()
-            .map(|id| (*id, self.facts.get(id).expect("indexed fact exists")))
+            .map(|id| (*id, self.get(*id).expect("indexed fact exists")))
     }
 
-    /// Id set for a kind (alpha index, level 0).
-    pub(crate) fn ids_of_kind(&self, kind: &str) -> Option<&BTreeSet<FactId>> {
-        self.by_kind.get(kind)
+    /// Id list for a kind (alpha index, level 0).
+    pub(crate) fn ids_of_kind(&self, kind: &str) -> Option<&[FactId]> {
+        self.by_kind.get(kind).map(Vec::as_slice)
     }
 
-    /// Id set for facts of `kind` whose field `name` indexes equal to
+    /// Id list for facts of `kind` whose field `name` indexes equal to
     /// `value` (alpha index, level 1). `None` means no candidate exists;
     /// callers must still confirm with [`Fact::field`] equality.
-    pub(crate) fn ids_by_field(
-        &self,
-        kind: &str,
-        name: &str,
-        value: &Term,
-    ) -> Option<&BTreeSet<FactId>> {
+    pub(crate) fn ids_by_field(&self, kind: &str, name: &str, value: &Term) -> Option<&[FactId]> {
         self.by_field
             .get(kind)?
             .get(name)?
             .get(&TermKey::from(value))
+            .map(Vec::as_slice)
     }
 
     /// Number of facts.
     pub fn len(&self) -> usize {
-        self.facts.len()
+        self.len
     }
 
     /// Whether the memory is empty.
     pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
+        self.len == 0
     }
 }
 
@@ -426,9 +475,9 @@ mod tests {
         let hit = wm
             .ids_by_field("obs", "device", &Term::from("sw-1"))
             .unwrap();
-        assert_eq!(hit.iter().copied().collect::<Vec<_>>(), vec![a]);
+        assert_eq!(hit.to_vec(), vec![a]);
         let tens = wm.ids_by_field("obs", "value", &Term::from(10.0)).unwrap();
-        assert_eq!(tens.iter().copied().collect::<Vec<_>>(), vec![a, b]);
+        assert_eq!(tens.to_vec(), vec![a, b]);
         assert!(wm
             .ids_by_field("obs", "device", &Term::from("sw-9"))
             .is_none());
@@ -454,7 +503,7 @@ mod tests {
         let a = wm.insert(Fact::new("obs").with("value", 0.0));
         let b = wm.insert(Fact::new("obs").with("value", -0.0));
         let zeros = wm.ids_by_field("obs", "value", &Term::from(-0.0)).unwrap();
-        assert_eq!(zeros.iter().copied().collect::<Vec<_>>(), vec![a, b]);
+        assert_eq!(zeros.to_vec(), vec![a, b]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 fn term_strategy() -> impl Strategy<Value = Term> {
     prop_oneof![
         prop::num::f64::NORMAL.prop_map(Term::Num),
-        "[a-z]{0,8}".prop_map(Term::Str),
+        "[a-z]{0,8}".prop_map(Term::from),
         any::<bool>().prop_map(Term::Bool),
     ]
 }

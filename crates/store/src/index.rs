@@ -3,11 +3,11 @@
 //! Every series carries four labels: `device` (the managed element),
 //! `oid` (the metric identifier, SNMP-style), `class` (the partition
 //! assigned by the [`Classifier`](crate::Classifier)) and `site` (where
-//! its device was collected). [`LabelIndex`] maintains the inverted maps
-//! for the first three plus the site roster, and [`LabelFilter`] selects
-//! series with AND/OR matcher expressions such as
-//! `device=r1 & (class=cpu | class=disk)` — evaluated as set algebra
-//! over the inverted maps, never by scanning points.
+//! its device was collected). [`LabelIndex`] files each series once, by
+//! partition, device and metric, next to the site roster, and
+//! [`LabelFilter`] selects series with AND/OR matcher expressions such as
+//! `device=r1 & (class=cpu | class=disk)` — evaluated over the index,
+//! never by scanning points.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -193,80 +193,85 @@ impl Parser<'_> {
     }
 }
 
-/// Inverted label maps over the series population, plus the site roster.
+/// The series population filed by label, each series entered once, plus
+/// the site roster.
 ///
-/// Both store backends embed one of these, so index-derived enumeration
-/// (`devices`, `partitions`, `by_partition`, `select`) is identical by
-/// construction across backends.
+/// A series is filed under its partition (the `class` label), then its
+/// device, then its metric, so the selections the analyzer makes are
+/// walks rather than set algebra:
+///
+/// * `class=p` walks one partition in `(device, metric)` order;
+/// * `class=p & site=s` walks only the partition's series of the devices
+///   seen at `s`;
+/// * a metric filter is tested once per distinct metric name of the
+///   partition, and only the series of admitted metrics are visited — a
+///   partition none of whose metrics is admitted is skipped whole.
+///
+/// Selections on the other labels (`device=`, `oid=`, `site=` alone, `*`)
+/// gather across the partitions; they serve tests and windowed queries,
+/// not the analysis hot path.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LabelIndex {
-    /// device → metrics observed on it.
-    device_index: BTreeMap<String, BTreeSet<String>>,
-    /// partition → (device, metric) keys in it.
-    partition_index: BTreeMap<String, BTreeSet<SeriesKey>>,
-    /// metric → (device, metric) keys carrying it.
-    oid_index: BTreeMap<String, BTreeSet<SeriesKey>>,
+    /// partition → its series.
+    classes: BTreeMap<String, Class>,
     /// site → devices seen at it.
-    site_index: BTreeMap<String, BTreeSet<String>>,
-    /// Every series key (the `*` universe).
-    all: BTreeSet<SeriesKey>,
+    sites: BTreeMap<String, BTreeSet<String>>,
+}
+
+/// One partition's series.
+#[derive(Debug, Clone, Default)]
+struct Class {
+    /// device → its metrics in this partition.
+    devices: BTreeMap<String, BTreeSet<String>>,
+    /// The partition's distinct metric names (one entry per name, not per
+    /// series): a metric filter is decided here once per name.
+    metrics: BTreeSet<String>,
+}
+
+impl Class {
+    /// The partition's series in `(device, metric)` order.
+    fn series(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.devices
+            .iter()
+            .flat_map(|(d, metrics)| metrics.iter().map(move |m| (d.as_str(), m.as_str())))
+    }
 }
 
 impl LabelIndex {
-    /// Records one point's labels: its series and its device's site.
-    pub(crate) fn observe(&mut self, device: &str, metric: &str, partition: &str, site: &str) {
-        self.observe_series(device, metric, partition);
-        self.observe_site(device, site);
-    }
-
-    /// Enters a series under its device, partition and metric.
+    /// Enters a new series under its partition, device and metric.
     pub(crate) fn observe_series(&mut self, device: &str, metric: &str, partition: &str) {
-        let key = (device.to_owned(), metric.to_owned());
-        self.device_index
+        let class = match self.classes.get_mut(partition) {
+            Some(class) => class,
+            None => self.classes.entry(partition.to_owned()).or_default(),
+        };
+        class
+            .devices
             .entry(device.to_owned())
             .or_default()
             .insert(metric.to_owned());
-        self.partition_index
-            .entry(partition.to_owned())
-            .or_default()
-            .insert(key.clone());
-        self.oid_index
-            .entry(metric.to_owned())
-            .or_default()
-            .insert(key.clone());
-        self.all.insert(key);
+        if !class.metrics.contains(metric) {
+            class.metrics.insert(metric.to_owned());
+        }
     }
 
     /// Enters `device` in `site`'s roster; allocates only when the device
     /// is new there.
     pub(crate) fn observe_site(&mut self, device: &str, site: &str) {
         if self
-            .site_index
+            .sites
             .get(site)
             .is_some_and(|devices| devices.contains(device))
         {
             return;
         }
-        self.site_index
+        self.sites
             .entry(site.to_owned())
             .or_default()
             .insert(device.to_owned());
     }
 
-    pub(crate) fn devices(&self) -> impl Iterator<Item = &str> {
-        self.device_index.keys().map(String::as_str)
-    }
-
-    pub(crate) fn metrics_of(&self, device: &str) -> impl Iterator<Item = &str> {
-        self.device_index
-            .get(device)
-            .into_iter()
-            .flatten()
-            .map(String::as_str)
-    }
-
     pub(crate) fn devices_at(&self, site: &str) -> impl Iterator<Item = &str> {
-        self.site_index
+        self.sites
             .get(site)
             .into_iter()
             .flatten()
@@ -274,55 +279,118 @@ impl LabelIndex {
     }
 
     pub(crate) fn partitions(&self) -> Vec<&str> {
-        self.partition_index
-            .iter()
-            .filter(|(_, keys)| !keys.is_empty())
-            .map(|(p, _)| p.as_str())
-            .collect()
+        self.classes.keys().map(String::as_str).collect()
     }
 
     pub(crate) fn by_partition<'a>(
         &'a self,
         partition: &str,
     ) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
-        self.partition_index
+        self.classes
             .get(partition)
             .into_iter()
-            .flatten()
-            .map(|(d, m)| (d.as_str(), m.as_str()))
+            .flat_map(Class::series)
+    }
+
+    /// The series of `partition` whose metric `admit` accepts — of the
+    /// devices seen at `site` only, when a site is given — in
+    /// `(device, metric)` order.
+    ///
+    /// `admit` runs once per distinct metric name of the partition, and
+    /// only admitted series of in-scope devices are visited.
+    pub(crate) fn scoped<'a>(
+        &'a self,
+        partition: &str,
+        site: Option<&str>,
+        mut admit: impl FnMut(&str) -> bool,
+    ) -> Vec<(&'a str, &'a str)> {
+        let mut out = Vec::new();
+        let Some(class) = self.classes.get(partition) else {
+            return out;
+        };
+        let admitted: Vec<&str> = class
+            .metrics
+            .iter()
+            .map(String::as_str)
+            .filter(|m| admit(m))
+            .collect();
+        if admitted.is_empty() {
+            return out;
+        }
+        let every_metric = admitted.len() == class.metrics.len();
+        let mut walk = |device: &'a str, metrics: &'a BTreeSet<String>| {
+            if every_metric {
+                out.extend(metrics.iter().map(|m| (device, m.as_str())));
+            } else {
+                out.extend(
+                    admitted
+                        .iter()
+                        .filter_map(|m| metrics.get(*m))
+                        .map(|m| (device, m.as_str())),
+                );
+            }
+        };
+        match site {
+            Some(site) => {
+                for device in self.sites.get(site).into_iter().flatten() {
+                    if let Some((device, metrics)) = class.devices.get_key_value(device) {
+                        walk(device, metrics);
+                    }
+                }
+            }
+            None => {
+                for (device, metrics) in &class.devices {
+                    walk(device, metrics);
+                }
+            }
+        }
+        out
+    }
+
+    /// A device's series across the partitions.
+    fn series_of<'a, 'd>(
+        &'a self,
+        device: &'d str,
+    ) -> impl Iterator<Item = (&'a str, &'a str)> + use<'a, 'd> {
+        self.classes
+            .values()
+            .filter_map(move |class| class.devices.get_key_value(device))
+            .flat_map(|(d, metrics)| metrics.iter().map(move |m| (d.as_str(), m.as_str())))
     }
 
     /// Evaluates a filter to the sorted set of matching series keys.
-    pub(crate) fn select(&self, filter: &LabelFilter) -> BTreeSet<SeriesKey> {
+    pub(crate) fn select(&self, filter: &LabelFilter) -> BTreeSet<(&str, &str)> {
         match filter {
-            LabelFilter::Any => self.all.clone(),
-            LabelFilter::Eq(Label::Device, value) => self
-                .device_index
-                .get(value)
-                .into_iter()
-                .flatten()
-                .map(|m| (value.clone(), m.clone()))
-                .collect(),
+            LabelFilter::Any => self.classes.values().flat_map(Class::series).collect(),
+            LabelFilter::Eq(Label::Device, value) => self.series_of(value).collect(),
             LabelFilter::Eq(Label::Oid, value) => {
-                self.oid_index.get(value).cloned().unwrap_or_default()
+                self.classes
+                    .values()
+                    .filter(|class| class.metrics.contains(value))
+                    .flat_map(|class| {
+                        class.devices.iter().filter_map(|(d, metrics)| {
+                            Some((d.as_str(), metrics.get(value)?.as_str()))
+                        })
+                    })
+                    .collect()
             }
-            LabelFilter::Eq(Label::Class, value) => {
-                self.partition_index.get(value).cloned().unwrap_or_default()
-            }
+            LabelFilter::Eq(Label::Class, value) => self.by_partition(value).collect(),
             LabelFilter::Eq(Label::Site, value) => self
                 .devices_at(value)
-                .flat_map(|d| self.metrics_of(d).map(|m| (d.to_owned(), m.to_owned())))
+                .flat_map(|device| self.series_of(device))
                 .collect(),
-            // A site side filters the other side by device membership
-            // instead of materialising every series of the site: the
-            // analyzer runs `class=p & site=s` for each level-1/2 task.
-            LabelFilter::And(a, b) => match (site_of(a), site_of(b)) {
-                (_, Some(site)) => self.narrow_to_site(self.select(a), site),
-                (Some(site), None) => self.narrow_to_site(self.select(b), site),
-                (None, None) => {
-                    let left = self.select(a);
+            // `class=p & site=s` is the analyzer's site-scoped read: a walk
+            // of the partition's series at the site's devices.
+            LabelFilter::And(a, b) => match class_and_site(a, b).or_else(|| class_and_site(b, a)) {
+                Some((class, site)) => self
+                    .scoped(class, Some(site), |_| true)
+                    .into_iter()
+                    .collect(),
+                None => {
                     let right = self.select(b);
-                    left.intersection(&right).cloned().collect()
+                    let mut left = self.select(a);
+                    left.retain(|key| right.contains(key));
+                    left
                 }
             },
             LabelFilter::Or(a, b) => {
@@ -332,19 +400,14 @@ impl LabelIndex {
             }
         }
     }
-
-    /// Keeps the keys whose device was seen at `site`.
-    fn narrow_to_site(&self, mut keys: BTreeSet<SeriesKey>, site: &str) -> BTreeSet<SeriesKey> {
-        let devices = self.site_index.get(site);
-        keys.retain(|(d, _)| devices.is_some_and(|at| at.contains(d)));
-        keys
-    }
 }
 
-/// The site a filter names, when it is a bare `site=` matcher.
-fn site_of(filter: &LabelFilter) -> Option<&str> {
-    match filter {
-        LabelFilter::Eq(Label::Site, site) => Some(site),
+/// The `(partition, site)` of a `class=p & site=s` pair of matchers.
+fn class_and_site<'f>(class: &'f LabelFilter, site: &'f LabelFilter) -> Option<(&'f str, &'f str)> {
+    match (class, site) {
+        (LabelFilter::Eq(Label::Class, class), LabelFilter::Eq(Label::Site, site)) => {
+            Some((class, site))
+        }
         _ => None,
     }
 }
@@ -355,15 +418,20 @@ mod tests {
 
     fn sample_index() -> LabelIndex {
         let mut ix = LabelIndex::default();
-        ix.observe("r1", "cpu.load.1", "cpu", "hq");
-        ix.observe("r1", "if.1.in-octets", "interface", "hq");
-        ix.observe("r2", "cpu.load.1", "cpu", "branch");
-        ix.observe("s1", "storage.disk.used-pct", "disk", "branch");
+        for (device, metric, partition, site) in [
+            ("r1", "cpu.load.1", "cpu", "hq"),
+            ("r1", "if.1.in-octets", "interface", "hq"),
+            ("r2", "cpu.load.1", "cpu", "branch"),
+            ("s1", "storage.disk.used-pct", "disk", "branch"),
+        ] {
+            ix.observe_series(device, metric, partition);
+            ix.observe_site(device, site);
+        }
         ix
     }
 
-    fn keys(set: &BTreeSet<SeriesKey>) -> Vec<(&str, &str)> {
-        set.iter().map(|(d, m)| (d.as_str(), m.as_str())).collect()
+    fn keys<'a>(set: &BTreeSet<(&'a str, &'a str)>) -> Vec<(&'a str, &'a str)> {
+        set.iter().copied().collect()
     }
 
     #[test]
@@ -414,10 +482,10 @@ mod tests {
         // intersection of the two sides.
         let flipped = LabelFilter::site("branch").and(LabelFilter::class("cpu"));
         assert_eq!(ix.select(&flipped), ix.select(&cpu_at_branch));
-        let generic: BTreeSet<SeriesKey> = ix
+        let generic: BTreeSet<(&str, &str)> = ix
             .select(&LabelFilter::class("cpu"))
             .intersection(&ix.select(&LabelFilter::site("branch")))
-            .cloned()
+            .copied()
             .collect();
         assert_eq!(ix.select(&cpu_at_branch), generic);
         assert!(ix
@@ -427,6 +495,43 @@ mod tests {
             LabelFilter::parse("class=cpu & site=branch").unwrap(),
             cpu_at_branch
         );
+    }
+
+    #[test]
+    fn scoped_walks_admitted_metrics_of_the_sites_devices() {
+        let mut ix = sample_index();
+        ix.observe_series("r2", "cpu.load.5", "cpu");
+        ix.observe_series("r3", "cpu.load.1", "cpu");
+        ix.observe_site("r3", "hq");
+        assert_eq!(
+            ix.scoped("cpu", None, |_| true),
+            [
+                ("r1", "cpu.load.1"),
+                ("r2", "cpu.load.1"),
+                ("r2", "cpu.load.5"),
+                ("r3", "cpu.load.1")
+            ]
+        );
+        assert_eq!(
+            ix.scoped("cpu", Some("hq"), |_| true),
+            [("r1", "cpu.load.1"), ("r3", "cpu.load.1")]
+        );
+        assert_eq!(
+            ix.scoped("cpu", Some("branch"), |m| m == "cpu.load.5"),
+            [("r2", "cpu.load.5")]
+        );
+        // The filter sees each distinct metric name once, and a partition
+        // with nothing admitted is not walked.
+        let mut asked = Vec::new();
+        assert!(ix
+            .scoped("cpu", None, |m| {
+                asked.push(m.to_owned());
+                false
+            })
+            .is_empty());
+        assert_eq!(asked, ["cpu.load.1", "cpu.load.5"]);
+        assert!(ix.scoped("ghost", None, |_| true).is_empty());
+        assert!(ix.scoped("cpu", Some("ghost"), |_| true).is_empty());
     }
 
     #[test]

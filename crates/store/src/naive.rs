@@ -9,10 +9,14 @@
 //! engines with identical operation
 //! sequences and require bit-identical observables
 //! (`stats`/`latest`/`trend_per_min`/`range`/windowed queries).
+//!
+//! It keeps no label index: selections test every series key against
+//! the filter, so they are the specification the chunked engine's
+//! indexed walks are checked against.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::index::{LabelFilter, LabelIndex, SeriesKey};
+use crate::index::{Label, LabelFilter, SeriesKey};
 use crate::query::{self, AggKind, SeriesStats, SeriesWindows};
 use crate::{Classifier, Record};
 
@@ -87,7 +91,8 @@ pub struct NaiveStore {
     classifier: Classifier,
     /// (device, metric) → series points + rolling aggregates.
     series: BTreeMap<SeriesKey, Series>,
-    index: LabelIndex,
+    /// site → devices seen at it.
+    sites: BTreeMap<String, BTreeSet<String>>,
     len: usize,
 }
 
@@ -97,7 +102,7 @@ impl NaiveStore {
         NaiveStore {
             classifier,
             series: BTreeMap::new(),
-            index: LabelIndex::default(),
+            sites: BTreeMap::new(),
             len: 0,
         }
     }
@@ -115,7 +120,6 @@ impl NaiveStore {
         if record.value.is_nan() {
             return;
         }
-        let partition = self.classifier.classify(&record).to_owned();
         let key = (record.device.clone(), record.metric.clone());
         let series = self.series.entry(key).or_insert_with(Series::new);
         let appended = series
@@ -136,8 +140,10 @@ impl NaiveStore {
             // so the accumulation order stays a forward scan.
             series.agg = SeriesAgg::rescan(&series.points);
         }
-        self.index
-            .observe(&record.device, &record.metric, &partition, &record.site);
+        self.sites
+            .entry(record.site)
+            .or_default()
+            .insert(record.device);
     }
 
     /// Total number of stored points.
@@ -152,35 +158,77 @@ impl NaiveStore {
 
     /// All devices seen, in name order.
     pub fn devices(&self) -> impl Iterator<Item = &str> {
-        self.index.devices()
+        let devices: BTreeSet<&str> = self.series.keys().map(|(d, _)| d.as_str()).collect();
+        devices.into_iter()
     }
 
     /// Metrics observed on one device.
-    pub fn metrics_of(&self, device: &str) -> impl Iterator<Item = &str> {
-        self.index.metrics_of(device)
+    pub fn metrics_of<'a>(&'a self, device: &'a str) -> impl Iterator<Item = &'a str> {
+        self.series
+            .keys()
+            .filter(move |(d, _)| d == device)
+            .map(|(_, m)| m.as_str())
     }
 
     /// Devices seen at a site.
     pub fn devices_at(&self, site: &str) -> impl Iterator<Item = &str> {
-        self.index.devices_at(site)
+        self.sites
+            .get(site)
+            .into_iter()
+            .flatten()
+            .map(String::as_str)
     }
 
     /// Non-empty partitions, in name order.
     pub fn partitions(&self) -> Vec<&str> {
-        self.index.partitions()
+        let partitions: BTreeSet<&str> = self
+            .series
+            .keys()
+            .map(|(_, metric)| self.classifier.partition_of(metric))
+            .collect();
+        partitions.into_iter().collect()
     }
 
     /// Series keys `(device, metric)` in a partition.
     pub fn by_partition<'a>(
         &'a self,
-        partition: &str,
+        partition: &'a str,
     ) -> impl Iterator<Item = (&'a str, &'a str)> + 'a {
-        self.index.by_partition(partition)
+        self.series
+            .keys()
+            .filter(move |(_, metric)| self.classifier.partition_of(metric) == partition)
+            .map(|(d, m)| (d.as_str(), m.as_str()))
     }
 
-    /// Sorted series keys matching a label filter.
+    /// Sorted series keys matching a label filter: every key is tested
+    /// against the filter.
     pub fn select(&self, filter: &LabelFilter) -> Vec<SeriesKey> {
-        self.index.select(filter).into_iter().collect()
+        self.series
+            .keys()
+            .filter(|(device, metric)| self.matches(filter, device, metric))
+            .cloned()
+            .collect()
+    }
+
+    /// Whether the series `(device, metric)` carries the labels `filter`
+    /// asks for.
+    fn matches(&self, filter: &LabelFilter, device: &str, metric: &str) -> bool {
+        match filter {
+            LabelFilter::Any => true,
+            LabelFilter::Eq(Label::Device, value) => device == value,
+            LabelFilter::Eq(Label::Oid, value) => metric == value,
+            LabelFilter::Eq(Label::Class, value) => self.classifier.partition_of(metric) == value,
+            LabelFilter::Eq(Label::Site, value) => self
+                .sites
+                .get(value)
+                .is_some_and(|devices| devices.contains(device)),
+            LabelFilter::And(a, b) => {
+                self.matches(a, device, metric) && self.matches(b, device, metric)
+            }
+            LabelFilter::Or(a, b) => {
+                self.matches(a, device, metric) || self.matches(b, device, metric)
+            }
+        }
     }
 
     /// Points of one series in `[from_ms, to_ms)`, in time order.

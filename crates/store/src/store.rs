@@ -154,12 +154,16 @@ impl ManagementStore {
 
     /// All devices seen, in name order.
     pub fn devices(&self) -> impl Iterator<Item = &str> {
-        self.index.devices()
+        self.series.keys().map(String::as_str)
     }
 
     /// Metrics observed on one device.
     pub fn metrics_of(&self, device: &str) -> impl Iterator<Item = &str> {
-        self.index.metrics_of(device)
+        self.series
+            .get(device)
+            .into_iter()
+            .flat_map(BTreeMap::keys)
+            .map(String::as_str)
     }
 
     /// Devices seen at a site.
@@ -183,7 +187,48 @@ impl ManagementStore {
     /// Sorted series keys matching a label filter (see
     /// [`LabelFilter::parse`] for the matcher syntax).
     pub fn select(&self, filter: &LabelFilter) -> Vec<SeriesKey> {
-        self.index.select(filter).into_iter().collect()
+        self.index
+            .select(filter)
+            .into_iter()
+            .map(|(d, m)| (d.to_owned(), m.to_owned()))
+            .collect()
+    }
+
+    /// The series of `partition` whose metric `admit` accepts — of the
+    /// devices seen at `site` only, when a site is given — as borrowed
+    /// keys in `(device, metric)` order: what an analysis task of that
+    /// scope reads.
+    ///
+    /// `admit` is asked once per distinct metric name of the partition,
+    /// not once per series, and only the admitted series of in-scope
+    /// devices are visited. With every metric admitted this is
+    /// `select(class=p & site=s)`, which runs the same walk.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use agentgrid_store::{ManagementStore, Record};
+    ///
+    /// let mut store = ManagementStore::default();
+    /// store.insert(Record::new("a1", "cpu.load.1", 97.0, 0).with_site("a"));
+    /// store.insert(Record::new("a1", "cpu.load.5", 80.0, 0).with_site("a"));
+    /// store.insert(Record::new("b1", "cpu.load.1", 12.0, 0).with_site("b"));
+    /// assert_eq!(
+    ///     store.select_scoped("cpu", Some("a"), |_| true),
+    ///     [("a1", "cpu.load.1"), ("a1", "cpu.load.5")]
+    /// );
+    /// assert_eq!(
+    ///     store.select_scoped("cpu", None, |metric| metric.ends_with(".1")),
+    ///     [("a1", "cpu.load.1"), ("b1", "cpu.load.1")]
+    /// );
+    /// ```
+    pub fn select_scoped(
+        &self,
+        partition: &str,
+        site: Option<&str>,
+        admit: impl FnMut(&str) -> bool,
+    ) -> Vec<(&str, &str)> {
+        self.index.scoped(partition, site, admit)
     }
 
     /// Points of one series in `[from_ms, to_ms)`, in time order.
@@ -259,15 +304,16 @@ impl ManagementStore {
         step_ms: u64,
         kind: AggKind,
     ) -> Vec<SeriesWindows> {
-        let keys = self.select(filter);
-        keys.into_iter()
-            .map(|key| {
+        self.index
+            .select(filter)
+            .into_iter()
+            .map(|(device, metric)| {
                 let mut fold = query::WindowFold::new(from_ms, step_ms, kind);
-                if let Some(series) = self.series(&key.0, &key.1) {
+                if let Some(series) = self.series(device, metric) {
                     series.for_each_run(from_ms, to_ms, &mut fold);
                 }
                 SeriesWindows {
-                    key,
+                    key: (device.to_owned(), metric.to_owned()),
                     windows: fold.finish(),
                 }
             })

@@ -12,6 +12,9 @@
 //! go through `to_bits`, so `-0.0` vs `0.0` or differently-ordered
 //! summation cannot slip through.
 //!
+//! The borrowed, site- and metric-scoped selection the analyzer reads
+//! through is checked against the naive engine's unindexed `select`.
+//!
 //! The second half round-trips the chunk codec over adversarial floats
 //! (`-0.0`, subnormals, infinities, random bit patterns) and extreme
 //! timestamp deltas, and pins NaN rejection.
@@ -144,6 +147,38 @@ fn assert_equivalent(chunked: &ManagementStore, naive: &NaiveStore) -> Result<()
         }
     }
     Ok(())
+}
+
+/// Metrics spanning every partition of the standard classifier, several
+/// per partition, so a metric filter can admit part of one.
+const SCOPED_METRICS: [&str; 9] = [
+    "cpu.load.1",
+    "cpu.load.5",
+    "if.1.oper-status",
+    "if.2.in-octets",
+    "storage.disk.used-pct",
+    "storage.ram.used-pct",
+    "processes.count",
+    "agent.reachable",
+    "system.uptime",
+];
+
+/// A multi-site store's records: each names a device, a metric and a
+/// site, and a device may be seen at more than one site.
+fn multisite_records() -> impl Strategy<Value = Vec<Record>> {
+    prop::collection::vec(
+        (0u8..6, 0usize..SCOPED_METRICS.len(), 0u8..3, 0u64..5),
+        1..60,
+    )
+    .prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|(dev, metric, site, ts)| {
+                Record::new(format!("d{dev}"), SCOPED_METRICS[metric], 1.0, ts * 60_000)
+                    .with_site(format!("s{site}"))
+            })
+            .collect()
+    })
 }
 
 proptest! {
@@ -352,4 +387,55 @@ fn prune_burst_refolds_lazily_and_matches_eager_spec() {
     // A second stats call is served from the cache.
     let _ = chunked.stats("d0", "cpu.load.1", 0, u64::MAX);
     assert_eq!(chunked.agg_refolds(), refolds_before + 1);
+}
+
+proptest! {
+    /// The analyzer's read path: for every partition, site scope and
+    /// metric filter, `select_scoped` yields exactly the keys, in the
+    /// same order, of the naive engine's `class=p & site=s` selection
+    /// (`class=p` without a site) with the filter applied per key.
+    #[test]
+    fn scoped_selection_matches_the_naive_class_and_site_select(
+        records in multisite_records(),
+        mask in 0u32..(1 << SCOPED_METRICS.len()),
+    ) {
+        let mut chunked = ManagementStore::default();
+        let mut naive = NaiveStore::default();
+        for r in records {
+            chunked.insert(r.clone());
+            naive.insert(r);
+        }
+        let admitted = |metric: &str| {
+            SCOPED_METRICS
+                .iter()
+                .position(|m| *m == metric)
+                .is_some_and(|i| mask & (1 << i) != 0)
+        };
+        let mut partitions = naive.partitions();
+        partitions.push("ghost");
+        for partition in partitions {
+            for site in [None, Some("s0"), Some("s1"), Some("s2"), Some("ghost")] {
+                let filter = match site {
+                    Some(site) => LabelFilter::class(partition).and(LabelFilter::site(site)),
+                    None => LabelFilter::class(partition),
+                };
+                let want = naive.select(&filter);
+                let got: Vec<(String, String)> = chunked
+                    .select_scoped(partition, site, |_| true)
+                    .into_iter()
+                    .map(|(d, m)| (d.to_owned(), m.to_owned()))
+                    .collect();
+                prop_assert_eq!(&got, &want, "{} at {:?}", partition, site);
+                prop_assert_eq!(&chunked.select(&filter), &want, "{:?}", filter);
+                let want_filtered: Vec<(String, String)> =
+                    want.into_iter().filter(|(_, m)| admitted(m)).collect();
+                let got_filtered: Vec<(String, String)> = chunked
+                    .select_scoped(partition, site, admitted)
+                    .into_iter()
+                    .map(|(d, m)| (d.to_owned(), m.to_owned()))
+                    .collect();
+                prop_assert_eq!(got_filtered, want_filtered, "{} at {:?}, mask {:b}", partition, site, mask);
+            }
+        }
+    }
 }
