@@ -12,6 +12,7 @@
 //! contents without an external serialization format.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -78,6 +79,16 @@ fn req_str(v: &Value, key: &str, concept: &'static str) -> Result<String, Ontolo
         .ok_or_else(|| OntologyError::new(concept, format!(":{key} is not a string")))
 }
 
+/// Like [`req_str`], but shares a `Str`'s text instead of copying it.
+fn req_arc(v: &Value, key: &str, concept: &'static str) -> Result<Arc<str>, OntologyError> {
+    let value = require(v, key, concept)?;
+    value
+        .as_arc_str()
+        .cloned()
+        .or_else(|| value.as_str().map(Arc::from))
+        .ok_or_else(|| OntologyError::new(concept, format!(":{key} is not a string")))
+}
+
 fn req_f64(v: &Value, key: &str, concept: &'static str) -> Result<f64, OntologyError> {
     require(v, key, concept)?
         .as_float()
@@ -95,7 +106,10 @@ fn req_u64(v: &Value, key: &str, concept: &'static str) -> Result<u64, OntologyE
 ///
 /// This is the normalized form every collector emits regardless of the
 /// management-protocol *interface* (SNMP, CLI, …) it used — the paper's
-/// "common representation" (§3.1).
+/// "common representation" (§3.1). Its strings are shared: a collector
+/// that keeps one `Arc<str>` per device and metric name, the content it
+/// encodes and the observation the classifier decodes all point at the
+/// same text.
 ///
 /// # Examples
 ///
@@ -109,9 +123,9 @@ fn req_u64(v: &Value, key: &str, concept: &'static str) -> Result<u64, OntologyE
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Observation {
     /// Device the value was read from.
-    pub device: String,
+    pub device: Arc<str>,
     /// Metric name, dot-separated (e.g. `if.eth0.in-octets`).
-    pub metric: String,
+    pub metric: Arc<str>,
     /// Observed numeric value.
     pub value: f64,
     /// Collection timestamp (milliseconds since scenario start).
@@ -121,8 +135,8 @@ pub struct Observation {
 impl Observation {
     /// Creates an observation.
     pub fn new(
-        device: impl Into<String>,
-        metric: impl Into<String>,
+        device: impl Into<Arc<str>>,
+        metric: impl Into<Arc<str>>,
         value: f64,
         timestamp_ms: u64,
     ) -> Self {
@@ -139,8 +153,8 @@ impl ToContent for Observation {
     fn to_content(&self) -> Value {
         Value::map([
             ("concept", Value::symbol("observation")),
-            ("device", Value::from(self.device.clone())),
-            ("metric", Value::from(self.metric.clone())),
+            ("device", Value::from(&self.device)),
+            ("metric", Value::from(&self.metric)),
             ("value", Value::from(self.value)),
             ("ts", Value::Int(self.timestamp_ms as i64)),
         ])
@@ -152,8 +166,8 @@ impl FromContent for Observation {
         const C: &str = "observation";
         check_concept(value, C)?;
         Ok(Observation {
-            device: req_str(value, "device", C)?,
-            metric: req_str(value, "metric", C)?,
+            device: req_arc(value, "device", C)?,
+            metric: req_arc(value, "metric", C)?,
             value: req_f64(value, "value", C)?,
             timestamp_ms: req_u64(value, "ts", C)?,
         })
@@ -208,9 +222,9 @@ impl ToContent for CollectedBatch {
     fn to_content(&self) -> Value {
         Value::map([
             ("concept", Value::symbol("collected-batch")),
-            ("batch-id", Value::from(self.batch_id.clone())),
-            ("collector", Value::from(self.collector.clone())),
-            ("site", Value::from(self.site.clone())),
+            ("batch-id", Value::from(self.batch_id.as_str())),
+            ("collector", Value::from(self.collector.as_str())),
+            ("site", Value::from(self.site.as_str())),
             (
                 "observations",
                 Value::list(self.observations.iter().map(ToContent::to_content)),
@@ -295,13 +309,13 @@ impl ToContent for ResourceProfile {
     fn to_content(&self) -> Value {
         Value::map([
             ("concept", Value::symbol("resource-profile")),
-            ("container", Value::from(self.container.clone())),
+            ("container", Value::from(self.container.as_str())),
             ("cpu", Value::from(self.cpu_capacity)),
             ("disk", Value::from(self.disk_capacity)),
             ("memory-mb", Value::Int(self.memory_mb as i64)),
             (
                 "skills",
-                Value::list(self.skills.iter().map(|s| Value::from(s.clone()))),
+                Value::list(self.skills.iter().map(|s| Value::from(s.as_str()))),
             ),
             ("load", Value::from(self.load)),
         ])
@@ -405,10 +419,10 @@ impl ToContent for Alert {
     fn to_content(&self) -> Value {
         Value::map([
             ("concept", Value::symbol("alert")),
-            ("rule", Value::from(self.rule.clone())),
-            ("device", Value::from(self.device.clone())),
+            ("rule", Value::from(self.rule.as_str())),
+            ("device", Value::from(self.device.as_str())),
             ("severity", Value::symbol(self.severity.as_str())),
-            ("message", Value::from(self.message.clone())),
+            ("message", Value::from(self.message.as_str())),
             ("ts", Value::Int(self.timestamp_ms as i64)),
         ])
     }
@@ -489,9 +503,9 @@ impl ToContent for AnalysisTask {
     fn to_content(&self) -> Value {
         let mut pairs = vec![
             ("concept", Value::symbol("analysis-task")),
-            ("task-id", Value::from(self.task_id.clone())),
-            ("skill", Value::from(self.skill.clone())),
-            ("partition", Value::from(self.partition.clone())),
+            ("task-id", Value::from(self.task_id.as_str())),
+            ("skill", Value::from(self.skill.as_str())),
+            ("partition", Value::from(self.partition.as_str())),
             ("level", Value::Int(self.level.into())),
             ("size", Value::Int(self.size as i64)),
         ];
@@ -499,7 +513,7 @@ impl ToContent for AnalysisTask {
         // correlation sweep, a spill) encodes without `site`, and a task
         // not yet awarded (a spill) without `round`.
         if let Some(site) = &self.site {
-            pairs.push(("site", Value::from(site.clone())));
+            pairs.push(("site", Value::from(site.as_str())));
         }
         if let Some(round_ms) = self.round_ms {
             pairs.push(("round", Value::Int(round_ms as i64)));
@@ -558,6 +572,76 @@ mod tests {
             CollectedBatch::from_content(&batch.to_content()).unwrap(),
             batch
         );
+    }
+
+    /// The exact text of a batch: the layout every reader of the wire
+    /// (the classifier, gridbench's batch counts) relies on.
+    #[test]
+    fn batch_wire_text_is_pinned() {
+        let batch = CollectedBatch::new(
+            "b-1",
+            "cg-1@site-1",
+            "site-1",
+            vec![
+                Observation::new("r1", "cpu.load", 10.0, 1),
+                Observation::new("r\"2\"", "agent.reachable", 0.5, 2),
+            ],
+        );
+        let text = batch.to_content().to_string();
+        assert_eq!(
+            text,
+            concat!(
+                r#"(map :batch-id "b-1" :collector "cg-1@site-1" :concept collected-batch"#,
+                r#" :observations ("#,
+                r#"(map :concept observation :device "r1" :metric "cpu.load" :ts 1 :value 10.0)"#,
+                r#" (map :concept observation :device "r\"2\"" :metric "agent.reachable""#,
+                r#" :ts 2 :value 0.5)"#,
+                r#") :site "site-1")"#,
+            )
+        );
+        let parsed: Value = text.parse().unwrap();
+        assert_eq!(CollectedBatch::from_content(&parsed).unwrap(), batch);
+    }
+
+    #[test]
+    fn decoding_shares_the_contents_strings() {
+        let batch = CollectedBatch::new(
+            "b-1",
+            "cg-1",
+            "site-1",
+            vec![Observation::new("r1", "cpu.load.1", 10.0, 1)],
+        );
+        let content = batch.to_content();
+        let encoded = &content
+            .get("observations")
+            .and_then(Value::as_list)
+            .unwrap()[0];
+        let shared = |key| encoded.get(key).and_then(Value::as_arc_str).unwrap();
+        // Encoding shares the observation's strings ...
+        assert!(Arc::ptr_eq(shared("device"), &batch.observations[0].device));
+        // ... and decoding shares the content's.
+        let decoded = CollectedBatch::from_content(&content).unwrap();
+        assert!(Arc::ptr_eq(
+            &decoded.observations[0].device,
+            shared("device")
+        ));
+        assert!(Arc::ptr_eq(
+            &decoded.observations[0].metric,
+            shared("metric")
+        ));
+    }
+
+    #[test]
+    fn a_symbol_device_still_decodes() {
+        let v = Value::map([
+            ("concept", Value::symbol("observation")),
+            ("device", Value::symbol("r1")),
+            ("metric", Value::from("m")),
+            ("value", Value::from(1.0)),
+            ("ts", Value::Int(1)),
+        ]);
+        let obs = Observation::from_content(&v).unwrap();
+        assert_eq!(&*obs.device, "r1");
     }
 
     #[test]
@@ -624,7 +708,7 @@ mod tests {
     fn task_with_a_non_string_site_is_rejected() {
         let mut content = AnalysisTask::new("t-1", "cpu", "cpu", 1, 10).to_content();
         if let Value::Map(map) = &mut content {
-            map.insert("site".to_owned(), Value::Int(3));
+            map.insert("site".into(), Value::Int(3));
         }
         assert!(AnalysisTask::from_content(&content).is_err());
     }

@@ -1,5 +1,6 @@
 //! Property-based tests for the content codec, envelope and protocols.
 
+use agentgrid_acl::ontology::{CollectedBatch, FromContent, Observation, ToContent};
 use agentgrid_acl::protocol::{ContractNetInitiator, ContractNetOutcome};
 use agentgrid_acl::{AclMessage, AgentId, ConversationId, Envelope, Performative, Value};
 use proptest::prelude::*;
@@ -12,18 +13,50 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         any::<i64>().prop_map(Value::Int),
         // Finite floats only: NaN breaks PartialEq-based round-trip checks.
         prop::num::f64::NORMAL.prop_map(Value::Float),
-        "[a-z][a-z0-9-]{0,12}".prop_map(Value::Symbol),
-        ".{0,20}".prop_map(Value::Str),
+        "[a-z][a-z0-9-]{0,12}".prop_map(Value::symbol),
+        ".{0,20}".prop_map(Value::from),
     ];
     leaf.prop_recursive(3, 64, 8, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..6).prop_map(Value::List),
-            prop::collection::btree_map("[a-z][a-z0-9-]{0,8}", inner, 0..5).prop_map(Value::Map),
+            prop::collection::btree_map("[a-z][a-z0-9-]{0,8}", inner, 0..5).prop_map(Value::map),
         ]
     })
 }
 
+/// Text a device or metric name may carry, including the characters the
+/// printer escapes: quotes, backslashes and newlines.
+const AWKWARD_TEXT: &str = "[a-z0-9.\"\\\n -]{0,12}";
+
+/// Strategy producing collected batches with awkward strings, finite
+/// values and any timestamp the content's `i64` can carry.
+fn batch_strategy() -> impl Strategy<Value = CollectedBatch> {
+    let value = prop_oneof![prop::num::f64::NORMAL, Just(0.0), -1e6f64..1e6];
+    let observation = (AWKWARD_TEXT, AWKWARD_TEXT, value, any::<u64>())
+        .prop_map(|(device, metric, value, ts)| Observation::new(device, metric, value, ts >> 1));
+    (
+        AWKWARD_TEXT,
+        AWKWARD_TEXT,
+        AWKWARD_TEXT,
+        prop::collection::vec(observation, 0..8),
+    )
+        .prop_map(|(id, collector, site, observations)| {
+            CollectedBatch::new(id, collector, site, observations)
+        })
+}
+
 proptest! {
+    /// A batch survives its in-memory codec (the path the grid runs) and
+    /// the text it prints.
+    #[test]
+    fn collected_batch_round_trips_in_memory_and_through_text(batch in batch_strategy()) {
+        let content = batch.to_content();
+        prop_assert_eq!(&CollectedBatch::from_content(&content).expect("decodes"), &batch);
+        let parsed: Value = content.to_string().parse().expect("printed batch must parse");
+        prop_assert_eq!(&parsed, &content);
+        prop_assert_eq!(CollectedBatch::from_content(&parsed).expect("decodes"), batch);
+    }
+
     /// Printing then parsing any value yields the same value.
     #[test]
     fn value_display_parse_round_trip(v in value_strategy()) {

@@ -1,8 +1,19 @@
 //! Substrate micro-benchmarks: the building blocks whose costs the
 //! architecture-level numbers decompose into — SNMP walks, CLI polls,
 //! content-codec round-trips, store inserts and rule-engine runs.
+//!
+//! `collected_batch_codec` times the in-memory batch codec the grid runs
+//! between collector and classifier (`to_content` then `from_content`)
+//! on one `multisite` poll round: a site's 8 devices, about 21
+//! observations each. The text benches print and parse instead, which
+//! only a wire between processes would.
 
+use std::sync::Arc;
+
+use agentgrid::grid::ManagementGrid;
+use agentgrid_acl::ontology::{CollectedBatch, FromContent, Observation, ToContent};
 use agentgrid_acl::{Envelope, Value};
+use agentgrid_bench::{standard_network, ALL_SKILLS};
 use agentgrid_net::{cli, snmp, Device, DeviceKind, Oid};
 use agentgrid_rules::{parse_rules, Engine, Fact, KnowledgeBase};
 use agentgrid_store::{ManagementStore, Record};
@@ -72,6 +83,41 @@ fn bench_content_codec(c: &mut Criterion) {
     });
 }
 
+/// One site's poll round of a 4-site x 8-device grid, as its collector
+/// ships it: one shared `Arc<str>` per device and per (device, metric)
+/// name. The series and values are those the grid's store holds after
+/// one round.
+fn multisite_poll_round() -> CollectedBatch {
+    let mut grid = ManagementGrid::builder()
+        .network(standard_network(4, 8, 101))
+        .analyzer("pg-1", 1.0, ALL_SKILLS)
+        .build();
+    grid.run(60_000, 60_000);
+    let store = grid.store();
+    let store = store.lock();
+    let mut observations = Vec::new();
+    for device in store.devices_at("site-0") {
+        let name: Arc<str> = Arc::from(device);
+        for metric in store.metrics_of(device) {
+            let (ts, value) = store.latest(device, metric).expect("a polled series");
+            observations.push(Observation::new(Arc::clone(&name), metric, value, ts));
+        }
+    }
+    CollectedBatch::new("cg-site-0-b1", "cg-site-0@grid", "site-0", observations)
+}
+
+fn bench_collected_batch_codec(c: &mut Criterion) {
+    let batch = multisite_poll_round();
+    assert!(batch.observations.len() >= 8 * 15, "a full poll round");
+    c.bench_function("collected_batch_codec", |b| {
+        b.iter(|| {
+            let content = black_box(&batch).to_content();
+            let decoded = CollectedBatch::from_content(&content).expect("batch decodes");
+            black_box(decoded.observations.len())
+        })
+    });
+}
+
 fn bench_store_insert(c: &mut Criterion) {
     let mut group = c.benchmark_group("store_insert");
     for n in [100usize, 1000] {
@@ -123,6 +169,7 @@ criterion_group!(
     bench_snmp_walk,
     bench_cli_poll,
     bench_content_codec,
+    bench_collected_batch_codec,
     bench_store_insert,
     bench_rule_engine
 );

@@ -183,7 +183,7 @@ impl LoadBalancer for ContractNet {
         let mut auction = ContractNetInitiator::new(
             root,
             skilled.iter().map(|p| AgentId::new(p.container.clone())),
-            Value::from(task.task_id.clone()),
+            Value::from(task.task_id.as_str()),
         );
         auction.call_for_proposals();
         for profile in &skilled {

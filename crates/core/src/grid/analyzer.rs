@@ -440,9 +440,9 @@ impl Agent for AnalyzerAgent {
         // Report completion to the root.
         let done = Value::map([
             ("concept", Value::symbol("done")),
-            ("task-id", Value::from(task.task_id.clone())),
+            ("task-id", Value::from(task.task_id.as_str())),
             ("findings", Value::Int(alerts.len() as i64)),
-            ("container", Value::from(ctx.container().to_owned())),
+            ("container", Value::from(ctx.container())),
         ]);
         ctx.send(message.reply(Performative::Inform, done));
     }

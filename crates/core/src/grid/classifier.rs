@@ -53,7 +53,7 @@ impl ClassifierAgent {
 pub(crate) fn data_ready_content(site: &str, partitions: &BTreeMap<&str, u64>, now: u64) -> Value {
     Value::map([
         ("concept", Value::symbol("data-ready")),
-        ("site", Value::from(site.to_owned())),
+        ("site", Value::from(site)),
         ("ts", Value::Int(now as i64)),
         (
             "partitions",
@@ -230,7 +230,8 @@ mod tests {
         let mut reference = NaiveStore::default();
         for obs in &observations {
             reference.insert(
-                Record::new(&obs.device, &obs.metric, obs.value, obs.timestamp_ms).with_site("hq"),
+                Record::new(&*obs.device, &*obs.metric, obs.value, obs.timestamp_ms)
+                    .with_site("hq"),
             );
         }
         let store = store.lock();

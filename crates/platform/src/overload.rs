@@ -449,7 +449,7 @@ mod tests {
             .sender(AgentId::new("s@t"))
             .receiver(AgentId::new("r@t"));
         if let Some(concept) = concept {
-            builder = builder.content(Value::map([("concept", Value::symbol(concept))]));
+            builder = builder.content(Value::map([("concept", Value::symbol(concept.to_owned()))]));
         }
         builder.build().unwrap().into_shared()
     }

@@ -612,7 +612,7 @@ mod tests {
         impl Agent for Recorder {
             fn on_message(&mut self, message: &AclMessage, _ctx: &mut AgentCtx<'_>) {
                 if let Value::Symbol(s) = message.content() {
-                    self.seen.lock().push(s.clone());
+                    self.seen.lock().push(s.to_string());
                 }
             }
         }
