@@ -271,7 +271,7 @@ pub struct ResourceProfile {
     pub memory_mb: u64,
     /// Analysis capabilities ("knowledge") this container offers.
     pub skills: Vec<String>,
-    /// Current load in [0, 1] (updated via directory refresh).
+    /// Current load in [0, 1] (written by the directory's load account).
     pub load: f64,
 }
 

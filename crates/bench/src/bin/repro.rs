@@ -579,10 +579,11 @@ fn scaling() {
 /// Extension: mobility — migrating an analyzer to a spare container.
 fn mobility(telemetry: Option<&TelemetryHandle>) {
     banner("Extension — mobility: analyzer migration to spare capacity");
+    // A small host whose load account the site's records outrun.
     let mut builder = ManagementGrid::builder()
         .network(standard_network(1, 6, 23))
         .collectors_per_site(2)
-        .analyzer("pg-1", 1.0, ALL_SKILLS);
+        .analyzer("pg-1", 0.15, ALL_SKILLS);
     if let Some(t) = telemetry {
         builder = builder.telemetry(t.clone());
     }
@@ -608,10 +609,11 @@ fn mobility(telemetry: Option<&TelemetryHandle>) {
             .copied()
             .unwrap_or(0)
     );
-    let rebalancer = Rebalancer {
-        high_watermark: load_before.clamp(0.01, 0.9),
-        low_watermark: 0.25,
-    };
+    let rebalancer = Rebalancer::default();
+    println!(
+        "watermarks: migrate at load >= {:.2} to a spare at <= {:.2}",
+        rebalancer.high_watermark, rebalancer.low_watermark
+    );
     let migrations = rebalancer.rebalance(grid.platform_mut());
     for m in &migrations {
         println!("migrated {} : {} -> {}", m.agent, m.from, m.to);

@@ -11,6 +11,7 @@
 use std::fmt;
 
 use agentgrid_acl::ontology::{AnalysisTask, ResourceProfile};
+use agentgrid_platform::window_load;
 
 use crate::balance::LoadBalancer;
 
@@ -83,11 +84,14 @@ impl fmt::Display for Division {
 
 /// The broker: binds a balancing policy to the division procedure.
 ///
-/// Between assignments the broker *projects* the load its own decisions
-/// add (each task adds `size / (capacity × 1000)` to the chosen
-/// container's load), so a burst of tasks does not all land on the host
-/// that was idle at the start — mirroring the root "requesting the
-/// current profile" mid-negotiation (§3.5).
+/// Between assignments the broker charges each task's records to the
+/// chosen container with the directory's load-account arithmetic
+/// ([`window_load`]: `size / (capacity × RECORDS_PER_WINDOW)`), so a
+/// burst of tasks does not all land on the host that was idle at the
+/// start — mirroring the root "requesting the current profile"
+/// mid-negotiation (§3.5).
+///
+/// [`window_load`]: agentgrid_platform::window_load
 ///
 /// # Examples
 ///
@@ -106,7 +110,7 @@ impl fmt::Display for Division {
 ///     AnalysisTask::new("t2", "cpu-analysis", "cpu", 1, 500),
 /// ];
 /// let division = broker.divide(tasks, profiles);
-/// // Projected load pushes the second task to the other container.
+/// // The first award's charged records push the second to the other container.
 /// assert_eq!(division.load_of("pg-1"), 1);
 /// assert_eq!(division.load_of("pg-2"), 1);
 /// ```
@@ -133,7 +137,7 @@ impl<P: LoadBalancer> Broker<P> {
         self.policy.name()
     }
 
-    /// Divides `tasks` over `profiles`, projecting load as it assigns.
+    /// Divides `tasks` over `profiles`, charging load as it assigns.
     pub fn divide(
         &mut self,
         tasks: impl IntoIterator<Item = AnalysisTask>,
@@ -144,7 +148,7 @@ impl<P: LoadBalancer> Broker<P> {
             let container = self.policy.select(&task, &profiles);
             if let Some(name) = &container {
                 if let Some(profile) = profiles.iter_mut().find(|p| &p.container == name) {
-                    let added = task.size as f64 / (profile.cpu_capacity * 1000.0);
+                    let added = window_load(task.size, profile.cpu_capacity);
                     profile.load = (profile.load + added).min(1.0);
                 }
             }

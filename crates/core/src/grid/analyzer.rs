@@ -13,12 +13,6 @@ use agentgrid_rules::{
 use agentgrid_store::ManagementStore;
 use parking_lot::Mutex;
 
-/// How much projected load one analysis task adds to a container, per
-/// 100 records, before capacity scaling.
-const LOAD_PER_100_RECORDS: f64 = 0.05;
-/// Load decay per tick while idle.
-const LOAD_DECAY: f64 = 0.02;
-
 /// A processor-grid analysis agent (paper §3.3).
 ///
 /// Lives in an analyzer container, advertises its skills in the
@@ -110,16 +104,6 @@ impl AnalyzerAgent {
             counter.fetch_add(match_attempts, Ordering::Relaxed);
         }
         alerts
-    }
-
-    fn bump_load(&self, ctx: &mut AgentCtx<'_>, records: u64) {
-        let container = ctx.container().to_owned();
-        let df = ctx.df();
-        if let Some(profile) = df.container_profile(&container) {
-            let added = LOAD_PER_100_RECORDS * (records as f64 / 100.0) / profile.cpu_capacity;
-            let load = (profile.load + added).min(1.0);
-            df.update_load(&container, load);
-        }
     }
 }
 
@@ -426,7 +410,6 @@ impl Agent for AnalyzerAgent {
         let alerts = self.run_task(&task, now);
         self.completed += 1;
         self.findings += alerts.len() as u64;
-        self.bump_load(ctx, task.size);
         for alert in &alerts {
             let msg = AclMessage::builder(Performative::Inform)
                 .sender(ctx.self_id().clone())
@@ -448,16 +431,11 @@ impl Agent for AnalyzerAgent {
     }
 
     fn on_tick(&mut self, ctx: &mut AgentCtx<'_>) {
-        // Idle decay of the advertised load, plus the container's
-        // liveness heartbeat (the grid root reads its staleness).
+        // The container's liveness heartbeat (the grid root reads its
+        // staleness).
         let container = ctx.container().to_owned();
         let now = ctx.now_ms();
-        let df = ctx.df();
-        df.record_heartbeat(&container, now);
-        if let Some(profile) = df.container_profile(&container) {
-            let load = (profile.load - LOAD_DECAY).max(0.0);
-            df.update_load(&container, load);
-        }
+        ctx.df().record_heartbeat(&container, now);
     }
 }
 
@@ -735,8 +713,10 @@ mod tests {
         let done = &outbox[1];
         assert_eq!(done.receivers()[0].name(), "pg-root@g");
         assert_eq!(done.content().get("findings").unwrap().as_int(), Some(1));
-        // Load was bumped in the directory.
-        assert!(df.container_profile("pg-1").unwrap().load > 0.0);
+        // The root charges awards to the load account; running the task
+        // leaves it alone.
+        assert_eq!(df.charged("pg-1"), 0);
+        assert_eq!(df.container_profile("pg-1").unwrap().load, 0.0);
     }
 
     /// Property tests over random multi-site stores: site scoping and

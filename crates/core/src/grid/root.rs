@@ -404,11 +404,9 @@ impl ProcessorRootAgent {
             round_ms: task.round_ms.or(Some(now)),
             ..task.clone()
         };
-        // Project the added load so the next selection sees it.
-        if let Some(profile) = ctx.df().container_profile(&container) {
-            let load = (profile.load + task.size as f64 / 2000.0 / profile.cpu_capacity).min(1.0);
-            ctx.df().update_load(&container, load);
-        }
+        // Charge the awarded records to the container's load account,
+        // so the next selection in this burst sees them.
+        ctx.df().charge(&container, task.size);
         let request = AclMessage::builder(Performative::Request)
             .sender(ctx.self_id().clone())
             .receiver(analyzer)
@@ -442,7 +440,7 @@ impl ProcessorRootAgent {
     /// tick until a capable container appears.
     fn assign_and_send(&mut self, task: AnalysisTask, ctx: &mut AgentCtx<'_>) {
         // Admission gate (overload mode): a first award only flows when
-        // the token bucket has budget and the mean measured load across
+        // the token bucket has budget and the mean advertised load across
         // the root's analyzer containers is under the threshold.
         // Re-awards of reclaimed tasks bypass the gate — they were
         // admitted once.
@@ -1293,6 +1291,36 @@ mod tests {
         assert!(containers.contains(&"pg-1") && containers.contains(&"pg-2"));
     }
 
+    /// One `data-ready`'s equal tasks over equal idle containers spread
+    /// across them: each award is charged to the load account before the
+    /// next selection reads it.
+    #[test]
+    fn charged_awards_spread_a_burst() {
+        let mut root = ProcessorRootAgent::new(Box::new(KnowledgeCapacityIdle));
+        let stats = root.stats_handle();
+        let id = AgentId::new("pg-root@g");
+        let mut outbox = Vec::new();
+        let mut df = df_with_containers(&["pg-1", "pg-2", "pg-3"]);
+        let mut ctx = AgentCtx::new(&id, "root-ct", 0, &mut outbox, &mut df);
+        let burst = [("correlation", 500), ("cpu", 500), ("disk", 500)];
+        root.on_message(&data_ready_msg(&burst), &mut ctx);
+        drop(ctx);
+        let awarded: BTreeSet<String> = stats
+            .lock()
+            .assignments
+            .iter()
+            .map(|(_, c)| c.clone())
+            .collect();
+        assert_eq!(
+            awarded,
+            BTreeSet::from(["pg-1".into(), "pg-2".into(), "pg-3".into()])
+        );
+        for container in ["pg-1", "pg-2", "pg-3"] {
+            assert_eq!(df.charged(container), 500);
+            assert_eq!(df.container_profile(container).unwrap().load, 0.5);
+        }
+    }
+
     /// Ticks the root at `at` right after every registered container
     /// heartbeats, as the live analyzers do on each tick.
     fn beat_and_tick(
@@ -1496,14 +1524,14 @@ mod tests {
         let mut outbox = Vec::new();
         let mut df = df_with_containers(&["pg-1", "pg-2"]);
         // Force assignment to pg-1 by overloading pg-2.
-        df.update_load("pg-2", 0.99);
+        df.charge("pg-2", 990);
         let mut ctx = AgentCtx::new(&id, "root-ct", 0, &mut outbox, &mut df);
         root.on_message(&data_ready_msg(&[("cpu", 1)]), &mut ctx);
         drop(ctx);
         assert_eq!(stats.lock().assignments, [("t1".into(), "pg-1".into())]);
 
         // pg-1 silently stops heartbeating; pg-2 stays alive.
-        df.update_load("pg-2", 0.0);
+        df.close_window();
         let dead_at = RecoveryConfig::default().liveness.dead_after_ms;
         df.record_heartbeat("pg-2", dead_at);
         let mut ctx = AgentCtx::new(&id, "root-ct", dead_at, &mut outbox, &mut df);
@@ -1672,7 +1700,7 @@ mod tests {
         let id = AgentId::new("pg-root@g");
         let mut outbox = Vec::new();
         let mut df = df_with_containers(&["pg-1", "pg-2"]);
-        df.update_load("pg-2", 0.99);
+        df.charge("pg-2", 990);
         let mut ctx = AgentCtx::new(&id, "root-ct", 0, &mut outbox, &mut df);
         root.on_message(&data_ready_msg(&[("cpu", 1)]), &mut ctx);
         drop(ctx);
@@ -1682,7 +1710,7 @@ mod tests {
         // quarantined (partitioned): it must stay Suspect — directory
         // entry intact, ledger intact, no death escalation.
         quarantine.lock().insert("pg-1".to_owned(), u64::MAX);
-        df.update_load("pg-2", 0.0);
+        df.close_window();
         let dead_at = RecoveryConfig::default().liveness.dead_after_ms;
         df.record_heartbeat("pg-2", dead_at);
         let mut ctx = AgentCtx::new(&id, "root-ct", dead_at, &mut outbox, &mut df);
@@ -1944,7 +1972,7 @@ mod tests {
         let id = AgentId::new("pg-root-s2@g");
         let mut outbox = Vec::new();
         let mut df = df_with_shard_containers(2, &["pg-1"]);
-        df.update_load("pg-1", 0.25);
+        df.charge("pg-1", 250);
         let mut ctx = AgentCtx::new(&id, "root-ct", 0, &mut outbox, &mut df);
         root.on_tick(&mut ctx);
         drop(ctx);
@@ -1971,14 +1999,14 @@ mod tests {
         let mut outbox = Vec::new();
         let mut df = df_with_containers(&["pg-1", "pg-2"]);
         // Force assignment to pg-1 by overloading pg-2.
-        df.update_load("pg-2", 0.99);
+        df.charge("pg-2", 990);
         let mut ctx = AgentCtx::new(&id, "root-ct", 0, &mut outbox, &mut df);
         root.on_message(&data_ready_msg(&[("cpu", 1)]), &mut ctx);
         drop(ctx);
         assert_eq!(stats.lock().assignments[0].1, "pg-1");
         // pg-1 leaves the directory before reporting done.
         df.deregister_container("pg-1");
-        df.update_load("pg-2", 0.0);
+        df.close_window();
         // The first tick reclaims and re-brokers its task, silently.
         beat_and_tick(&mut root, 60_000, &mut outbox, &mut df);
         let stats = stats.lock();

@@ -12,7 +12,7 @@ use agentgrid_platform::{
 };
 use agentgrid_rules::{parse_rules, KnowledgeBase};
 use agentgrid_store::{Classifier, ManagementStore};
-use agentgrid_telemetry::{measured_load, EventKind, TaskLatencySummary};
+use agentgrid_telemetry::{EventKind, TaskLatencySummary};
 use parking_lot::Mutex;
 
 use crate::balance::{KnowledgeCapacityIdle, LoadBalancer};
@@ -131,14 +131,13 @@ fn spawn_analyzer<R: Runtime>(
     let analyzer_id = platform
         .spawn_agent(&spec.name, &format!("analyzer-{}", spec.name), analyzer)
         .expect("container just added");
-    let mut profile = ResourceProfile::new(
+    let profile = ResourceProfile::new(
         &spec.name,
         spec.cpu_capacity,
         1.0,
         4096,
         spec.skills.iter().cloned(),
     );
-    profile.load = 0.0;
     platform.with_df(|df| {
         df.register_container(profile);
         df.register_service(analyzer_id.clone(), "analysis", [spec.name.clone()]);
@@ -158,7 +157,6 @@ pub struct GridBuilder {
     rules: String,
     faults: FaultInjector,
     telemetry: Option<TelemetryHandle>,
-    live_profiles: bool,
     recovery: RecoveryConfig,
     chaos: Option<ChaosPlan>,
     overload: Option<OverloadConfig>,
@@ -324,17 +322,6 @@ impl GridBuilder {
     pub fn shards(mut self, shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
         self.shards = shards;
-        self
-    }
-
-    /// Feeds **measured** load (mailbox depth + handler busy time, the
-    /// paper's Fig. 4 resource profile as observed rather than declared)
-    /// into the directory each tick, so [`KnowledgeCapacityIdle`] ranks
-    /// containers by real idleness. Requires
-    /// [`telemetry`](Self::telemetry); default off, keeping runs without
-    /// a sink byte-for-byte identical to the uninstrumented grid.
-    pub fn live_profiles(mut self, enabled: bool) -> Self {
-        self.live_profiles = enabled;
         self
     }
 
@@ -602,8 +589,6 @@ impl GridBuilder {
             injector: self.faults,
             interface_id,
             ticks: 0,
-            live_profiles: self.live_profiles,
-            last_busy_ns: BTreeMap::new(),
             kb,
             chaos: self.chaos.unwrap_or_default(),
             chaos_cursor: 0,
@@ -926,9 +911,6 @@ pub struct ManagementGrid<R: Runtime = Platform> {
     injector: FaultInjector,
     interface_id: AgentId,
     ticks: u64,
-    live_profiles: bool,
-    /// Busy-ns counter values at the previous tick, for windowed deltas.
-    last_busy_ns: BTreeMap<String, u64>,
     /// Knowledge base shared by every analyzer, including restarted ones.
     kb: Arc<KnowledgeBase>,
     /// Scheduled chaos events, sorted by due time.
@@ -978,7 +960,6 @@ impl ManagementGrid {
             rules: DEFAULT_RULES.to_owned(),
             faults: FaultInjector::default(),
             telemetry: None,
-            live_profiles: false,
             recovery: RecoveryConfig::default(),
             chaos: None,
             overload: None,
@@ -1015,10 +996,10 @@ impl<R: Runtime> ManagementGrid<R> {
                 self.injector.apply(&mut network, now);
                 network.tick_all(now);
             }
+            // Each tick is one window of the directory's load account:
+            // the records awarded in it are what the loads advertise.
+            self.platform.with_df(|df| df.close_window());
             self.platform.run_until_idle(now);
-            if self.live_profiles {
-                self.refresh_profiles(tick_ms);
-            }
             // Store-footprint gauges, only when a sink is attached —
             // unobserved runs stay byte-identical.
             if let Some(t) = self.platform.telemetry() {
@@ -1168,30 +1149,6 @@ impl<R: Runtime> ManagementGrid<R> {
                     self.platform.net_command(NetCommand::HealPartition(name));
                 }
             }
-        }
-    }
-
-    /// Overwrites each profiled container's directory load with the
-    /// measured figure from telemetry (mailbox depth + handler busy time
-    /// over the tick window), so the next brokering round ranks by
-    /// observed idleness instead of the root's own projections.
-    fn refresh_profiles(&mut self, tick_ms: u64) {
-        let Some(telemetry) = self.platform.telemetry() else {
-            return;
-        };
-        let window_ns = tick_ms.saturating_mul(1_000_000);
-        for stats in telemetry.container_stats() {
-            let prev = self
-                .last_busy_ns
-                .insert(stats.container.clone(), stats.busy_ns)
-                .unwrap_or(0);
-            let busy_delta = stats.busy_ns.saturating_sub(prev);
-            let load = measured_load(stats.mailbox_depth, busy_delta, window_ns);
-            self.platform.with_df(|df| {
-                if df.container_profile(&stats.container).is_some() {
-                    df.update_load(&stats.container, load);
-                }
-            });
         }
     }
 

@@ -6,9 +6,10 @@
 //! container running an analyzer is overloaded and a *spare* container
 //! (one with a registered resource profile but no analysis agent) is
 //! available, it migrates the analyzer — live, with its knowledge base
-//! and counters — to the spare, re-registers its `analysis` service
-//! under the new container, and seeds the directory loads so brokering
-//! immediately follows the move.
+//! and counters — to the spare and re-registers its `analysis` service
+//! under the new container, so brokering immediately follows the move.
+//! The loads it reads are the directory's load account: records awarded
+//! to each container in the window, over its capacity.
 
 use agentgrid_acl::AgentId;
 use agentgrid_platform::Platform;
@@ -80,19 +81,11 @@ impl Rebalancer {
             if platform.migrate(&agent, &to).is_err() {
                 continue;
             }
-            // Re-register the service under the new container and move
-            // the load figure with the agent.
+            // Re-register the service under the new container.
             platform.df_mut().deregister(&agent);
             platform
                 .df_mut()
                 .register_service(agent.clone(), "analysis", [to.clone()]);
-            let old_load = platform
-                .df()
-                .container_profile(&from)
-                .map(|p| p.load)
-                .unwrap_or(0.0);
-            platform.df_mut().update_load(&to, old_load.min(0.5));
-            platform.df_mut().update_load(&from, 0.0);
             // The analyzer's heartbeat moves with it, so the root's
             // liveness sweep does not find the destination silent
             // before the moved analyzer's first tick there.
@@ -114,24 +107,25 @@ mod tests {
     struct Analyzer;
     impl Agent for Analyzer {}
 
-    fn platform_with_loads(busy_load: f64, spare_load: f64) -> (Platform, AgentId) {
+    /// A capacity-1.0 `busy` container hosting an analyzer and a
+    /// capacity-2.0 agentless `spare`, with `busy_records` and
+    /// `spare_records` charged to their load accounts.
+    fn platform_with_loads(busy_records: u64, spare_records: u64) -> (Platform, AgentId) {
         let mut p = Platform::new("g");
         p.add_container("busy").add_container("spare");
         let agent = p.spawn("busy", "analyzer-busy", Analyzer).unwrap();
-        let mut busy = ResourceProfile::new("busy", 1.0, 1.0, 1024, ["cpu"]);
-        busy.load = busy_load;
-        let mut spare = ResourceProfile::new("spare", 2.0, 1.0, 4096, ["cpu"]);
-        spare.load = spare_load;
-        p.df_mut().register_container(busy);
-        p.df_mut().register_container(spare);
-        p.df_mut()
-            .register_service(agent.clone(), "analysis", ["busy"]);
+        let df = p.df_mut();
+        df.register_container(ResourceProfile::new("busy", 1.0, 1.0, 1024, ["cpu"]));
+        df.register_container(ResourceProfile::new("spare", 2.0, 1.0, 4096, ["cpu"]));
+        df.charge("busy", busy_records);
+        df.charge("spare", spare_records);
+        df.register_service(agent.clone(), "analysis", ["busy"]);
         (p, agent)
     }
 
     #[test]
     fn overloaded_analyzer_migrates_to_spare() {
-        let (mut p, agent) = platform_with_loads(0.9, 0.0);
+        let (mut p, agent) = platform_with_loads(900, 0);
         let migrations = Rebalancer::default().rebalance(&mut p);
         assert_eq!(migrations.len(), 1);
         assert_eq!(
@@ -149,26 +143,28 @@ mod tests {
             Some(&agent)
         );
         assert!(p.df().providers_with("analysis", "busy").next().is_none());
-        // The old container's load was reset.
-        assert_eq!(p.df().container_profile("busy").unwrap().load, 0.0);
+        // The load account stays with the containers: the move itself
+        // charges and clears nothing.
+        assert_eq!(p.df().charged("busy"), 900);
+        assert_eq!(p.df().charged("spare"), 0);
     }
 
     #[test]
     fn no_migration_below_watermark() {
-        let (mut p, agent) = platform_with_loads(0.5, 0.0);
+        let (mut p, agent) = platform_with_loads(500, 0);
         assert!(Rebalancer::default().rebalance(&mut p).is_empty());
         assert_eq!(p.find_agent(&agent), Some("busy"));
     }
 
     #[test]
     fn no_migration_without_idle_spare() {
-        let (mut p, _) = platform_with_loads(0.9, 0.6);
+        let (mut p, _) = platform_with_loads(900, 1200);
         assert!(Rebalancer::default().rebalance(&mut p).is_empty());
     }
 
     #[test]
     fn spare_without_platform_container_is_ignored() {
-        let (mut p, _) = platform_with_loads(0.9, 0.0);
+        let (mut p, _) = platform_with_loads(900, 0);
         // Register a phantom container profile with no real container.
         p.df_mut()
             .register_container(ResourceProfile::new("ghost", 9.0, 1.0, 1, ["cpu"]));
@@ -179,7 +175,7 @@ mod tests {
 
     #[test]
     fn custom_watermarks_are_honoured() {
-        let (mut p, _) = platform_with_loads(0.6, 0.0);
+        let (mut p, _) = platform_with_loads(600, 0);
         let aggressive = Rebalancer {
             high_watermark: 0.5,
             low_watermark: 0.3,

@@ -12,7 +12,7 @@
 //!    [`MessageClass`] lattice.
 //! 2. **Admission control** ([`AdmissionConfig`]): a token bucket at
 //!    the grid root, refilled once per clock window and gated on the
-//!    aggregate measured load of the root's analyzer containers.
+//!    aggregate advertised load of the root's analyzer containers.
 //!    Non-admitted task awards count `rejected` and park for a later
 //!    window (or spill to a peer shard when federated).
 //! 3. **Circuit breakers** ([`BreakerConfig`]): per-container
@@ -47,7 +47,7 @@ pub struct AdmissionConfig {
     /// Tokens restored at each new clock window (distinct simulated
     /// timestamp), capped at `bucket_capacity`.
     pub refill_per_window: u32,
-    /// Aggregate measured-load ceiling in `[0, 1]`: when the mean load
+    /// Aggregate advertised-load ceiling in `[0, 1]`: when the mean load
     /// across the root's analyzer containers exceeds this, awards
     /// are not admitted regardless of tokens. `1.0` disables the gate.
     pub load_threshold: f64,
@@ -156,7 +156,7 @@ impl AdmissionGate {
         }
     }
 
-    /// Admits one award at `now` given the aggregate measured load of
+    /// Admits one award at `now` given the aggregate advertised load of
     /// the root's analyzer containers. A rejected award consumes no token.
     pub(crate) fn admit(&mut self, now_ms: u64, aggregate_load: f64) -> bool {
         if self.last_refill_ms != Some(now_ms) {

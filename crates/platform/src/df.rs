@@ -3,6 +3,33 @@ use std::collections::BTreeMap;
 use agentgrid_acl::ontology::ResourceProfile;
 use agentgrid_acl::AgentId;
 
+/// Records a container of `cpu_capacity` 1.0 handles per window: the
+/// one constant of the load account.
+pub const RECORDS_PER_WINDOW: u64 = 1000;
+
+/// The load account's arithmetic: the advertised load of a container of
+/// `cpu_capacity` that was charged `records` in one window, saturating
+/// at 1.0.
+pub fn window_load(records: u64, cpu_capacity: f64) -> f64 {
+    (records as f64 / (cpu_capacity * RECORDS_PER_WINDOW as f64)).min(1.0)
+}
+
+/// A registered container: its profile and the records charged to it in
+/// the open window.
+#[derive(Debug, Clone)]
+struct Account {
+    profile: ResourceProfile,
+    charged: u64,
+}
+
+impl Account {
+    /// The one place a registered container's advertised load is
+    /// written.
+    fn fold(&mut self) {
+        self.profile.load = window_load(self.charged, self.profile.cpu_capacity);
+    }
+}
+
 /// One service registration in the directory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceEntry {
@@ -22,8 +49,17 @@ pub struct ServiceEntry {
 /// * **services** — agents advertising capabilities, searchable by
 ///   service type and property;
 /// * **container profiles** — one [`ResourceProfile`] per container,
-///   registered when the container joins the grid and refreshed as its
-///   load changes. Load balancing reads these.
+///   registered when the container joins the grid. Load balancing reads
+///   these.
+///
+/// A profile's advertised `load` is written in one place only: the
+/// **load account**. Work is [`charge`](Self::charge)d to a container in
+/// whole records; the account folds the records charged in the open
+/// window into `load = records ÷ (cpu_capacity × RECORDS_PER_WINDOW)`,
+/// saturating at 1.0 ([`window_load`]), and
+/// [`close_window`](Self::close_window) starts every account from zero
+/// again. Integer sums keep the figure independent of the order in which
+/// concurrent chargers reach the directory.
 ///
 /// # Examples
 ///
@@ -39,11 +75,16 @@ pub struct ServiceEntry {
 ///
 /// df.register_container(ResourceProfile::new("pg-1", 2.0, 1.0, 4096, ["cpu"]));
 /// assert_eq!(df.container_profiles().count(), 1);
+///
+/// df.charge("pg-1", 500);
+/// assert_eq!(df.container_profile("pg-1").unwrap().load, 0.25);
+/// df.close_window();
+/// assert_eq!(df.container_profile("pg-1").unwrap().load, 0.0);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DirectoryFacilitator {
     services: Vec<ServiceEntry>,
-    containers: BTreeMap<String, ResourceProfile>,
+    containers: BTreeMap<String, Account>,
     /// Last-seen simulated time per container (heartbeat extension of
     /// the resource profiles; liveness detection reads staleness).
     heartbeats: BTreeMap<String, u64>,
@@ -110,17 +151,26 @@ impl DirectoryFacilitator {
     /// Registers (or refreshes) a container's resource profile — the
     /// Fig. 4 interaction: "when a container is added to the grid, it
     /// will inform the profile of the resource on which it is running".
+    /// The profile's declared `load` is replaced by the account's
+    /// figure; a refresh keeps the records already charged this window.
     pub fn register_container(&mut self, profile: ResourceProfile) {
         self.heartbeats
             .entry(profile.container.clone())
             .or_insert(0);
-        self.containers.insert(profile.container.clone(), profile);
+        let charged = self
+            .containers
+            .get(&profile.container)
+            .map_or(0, |a| a.charged);
+        let mut account = Account { profile, charged };
+        account.fold();
+        self.containers
+            .insert(account.profile.container.clone(), account);
     }
 
     /// Removes a container's profile (container left or died).
     pub fn deregister_container(&mut self, container: &str) -> Option<ResourceProfile> {
         self.heartbeats.remove(container);
-        self.containers.remove(container)
+        self.containers.remove(container).map(|a| a.profile)
     }
 
     /// Records a liveness heartbeat for a container at simulated time
@@ -137,26 +187,38 @@ impl DirectoryFacilitator {
         self.heartbeats.get(container).copied()
     }
 
-    /// Updates only the load figure of a registered container. Returns
-    /// `false` if the container is unknown.
-    pub fn update_load(&mut self, container: &str, load: f64) -> bool {
-        match self.containers.get_mut(container) {
-            Some(profile) => {
-                profile.load = load;
-                true
-            }
-            None => false,
+    /// Charges `records` of work to a registered container's account
+    /// for the open window and refreshes its advertised load, so the
+    /// next selection sees it. An unknown container is ignored.
+    pub fn charge(&mut self, container: &str, records: u64) {
+        if let Some(account) = self.containers.get_mut(container) {
+            account.charged = account.charged.saturating_add(records);
+            account.fold();
+        }
+    }
+
+    /// Records charged to a container in the open window (0 if unknown).
+    pub fn charged(&self, container: &str) -> u64 {
+        self.containers.get(container).map_or(0, |a| a.charged)
+    }
+
+    /// Closes the window: every account starts again from zero records,
+    /// and every advertised load with it.
+    pub fn close_window(&mut self) {
+        for account in self.containers.values_mut() {
+            account.charged = 0;
+            account.fold();
         }
     }
 
     /// A container's profile.
     pub fn container_profile(&self, container: &str) -> Option<&ResourceProfile> {
-        self.containers.get(container)
+        self.containers.get(container).map(|a| &a.profile)
     }
 
     /// All container profiles, in container-name order.
     pub fn container_profiles(&self) -> impl Iterator<Item = &ResourceProfile> {
-        self.containers.values()
+        self.containers.values().map(|a| &a.profile)
     }
 
     /// Containers declaring a skill, in name order.
@@ -164,7 +226,8 @@ impl DirectoryFacilitator {
         &'a self,
         skill: &'a str,
     ) -> impl Iterator<Item = &'a ResourceProfile> + 'a {
-        self.containers.values().filter(move |p| p.has_skill(skill))
+        self.container_profiles()
+            .filter(move |p| p.has_skill(skill))
     }
 
     /// Number of service registrations.
@@ -222,12 +285,58 @@ mod tests {
         let mut df = DirectoryFacilitator::new();
         df.register_container(ResourceProfile::new("c1", 1.0, 1.0, 1024, ["cpu"]));
         df.register_container(ResourceProfile::new("c2", 2.0, 1.0, 2048, ["disk"]));
-        assert!(df.update_load("c1", 0.8));
-        assert!(!df.update_load("ghost", 0.1));
+        df.charge("c1", 800);
+        df.charge("ghost", 100);
         assert_eq!(df.container_profile("c1").unwrap().load, 0.8);
+        assert_eq!(df.charged("ghost"), 0);
+        assert!(df.container_profile("ghost").is_none());
         let with_disk: Vec<_> = df.containers_with_skill("disk").collect();
         assert_eq!(with_disk.len(), 1);
         assert_eq!(with_disk[0].container, "c2");
+    }
+
+    #[test]
+    fn the_account_folds_records_by_capacity_and_saturates() {
+        let mut df = DirectoryFacilitator::new();
+        df.register_container(ResourceProfile::new("slow", 1.0, 1.0, 1, ["x"]));
+        df.register_container(ResourceProfile::new("fast", 4.0, 1.0, 1, ["x"]));
+        let load = |df: &DirectoryFacilitator, c| df.container_profile(c).unwrap().load;
+        // Charges add as integers; the figure scales with capacity.
+        df.charge("slow", 300);
+        df.charge("slow", 200);
+        df.charge("fast", 500);
+        assert_eq!(df.charged("slow"), 500);
+        assert_eq!(load(&df, "slow"), 0.5);
+        assert_eq!(load(&df, "fast"), 0.125);
+        // Saturates at the ceiling.
+        df.charge("slow", 5 * RECORDS_PER_WINDOW);
+        assert_eq!(load(&df, "slow"), 1.0);
+        // A declared load is not believed; a refresh keeps the charge.
+        let mut declared = ResourceProfile::new("fast", 4.0, 1.0, 1, ["x"]);
+        declared.load = 0.9;
+        df.register_container(declared);
+        assert_eq!(load(&df, "fast"), 0.125);
+        // Closing the window idles every account.
+        df.close_window();
+        assert_eq!((load(&df, "slow"), load(&df, "fast")), (0.0, 0.0));
+        assert_eq!(df.charged("slow"), 0);
+    }
+
+    #[test]
+    fn charge_order_does_not_change_the_figure() {
+        let charges = [("a", 7u64), ("b", 333), ("a", 1), ("b", 90), ("a", 499)];
+        let run = |order: &mut dyn Iterator<Item = &(&str, u64)>| {
+            let mut df = DirectoryFacilitator::new();
+            df.register_container(ResourceProfile::new("a", 0.3, 1.0, 1, ["x"]));
+            df.register_container(ResourceProfile::new("b", 0.7, 1.0, 1, ["x"]));
+            for (c, records) in order {
+                df.charge(c, *records);
+            }
+            df.container_profiles()
+                .map(|p| p.load.to_bits())
+                .collect::<Vec<u64>>()
+        };
+        assert_eq!(run(&mut charges.iter()), run(&mut charges.iter().rev()));
     }
 
     #[test]

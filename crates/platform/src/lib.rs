@@ -77,7 +77,7 @@ pub mod runtime;
 pub use agent::{Agent, AgentCtx, AgentState};
 pub use agentgrid_acl::ontology::ResourceProfile;
 pub use container::Container;
-pub use df::{DirectoryFacilitator, ServiceEntry};
+pub use df::{window_load, DirectoryFacilitator, ServiceEntry, RECORDS_PER_WINDOW};
 pub use net::{LinkFaults, LinkSelector, NetCommand, NetStats, ReliabilityConfig};
 pub use overload::{MailboxConfig, MessageClass, OverflowPolicy, OverloadStats, PressureSignal};
 pub use platform::{FaultSet, Platform, PlatformError, TransportFault};

@@ -25,8 +25,7 @@
 //!   `ui.perfetto.dev`;
 //! * [`Telemetry`] — the facade both runtimes call, aggregating
 //!   per-container [`ContainerScope`]s (mailbox depth, deliveries,
-//!   handler busy time) that [`measured_load`] turns into the load
-//!   figure `ResourceProfile` consumers read.
+//!   handler busy time).
 //!
 //! Everything is opt-in: a runtime without a [`TelemetryHandle`]
 //! attached pays nothing.
@@ -155,25 +154,6 @@ pub struct ContainerStats {
     pub mailbox_depth: i64,
     /// Cumulative wall-clock handler time, nanoseconds.
     pub busy_ns: u64,
-}
-
-/// Converts a measurement window into a load figure for a
-/// `ResourceProfile`: the fraction of the window the handlers were busy,
-/// plus queue pressure from the mailbox depth (a deep queue pushes load
-/// towards 1 even if handling is fast).
-///
-/// The result **saturates at 1.0** — admission control and
-/// load-balancing policies may rely on that ceiling. Each term is
-/// defensively clamped on its own so malformed inputs cannot leak
-/// through intermediate arithmetic: a busy delta exceeding the window
-/// (overlapping handlers, clock skew) reads as a fully busy window, a
-/// zero window is treated as 1 ns, and a negative mailbox depth
-/// (counter underflow) contributes no queue pressure.
-pub fn measured_load(mailbox_depth: i64, busy_delta_ns: u64, window_ns: u64) -> f64 {
-    let busy = (busy_delta_ns as f64 / window_ns.max(1) as f64).clamp(0.0, 1.0);
-    let depth = mailbox_depth.max(0) as f64;
-    let queue = depth / (depth + 4.0);
-    (busy + queue).clamp(0.0, 1.0)
 }
 
 /// The facade both runtimes instrument against: a metrics registry, a
@@ -537,35 +517,6 @@ mod tests {
         telemetry.message_dead_lettered(&m, &AgentId::new("ghost@x"), 3);
         assert_eq!(telemetry.dead_letter_total(), 1);
         assert!(telemetry.tracer().spans()[0].dead_lettered);
-    }
-
-    #[test]
-    fn measured_load_is_bounded_and_monotone_in_pressure() {
-        assert_eq!(measured_load(0, 0, 1_000), 0.0);
-        let light = measured_load(1, 0, 1_000);
-        let heavy = measured_load(50, 0, 1_000);
-        assert!(light > 0.0 && light < heavy && heavy < 1.0);
-        // Saturated busy window clamps at 1.
-        assert_eq!(measured_load(100, 10_000, 1_000), 1.0);
-        // Degenerate window is safe.
-        assert!(measured_load(0, 5, 0).is_finite());
-    }
-
-    #[test]
-    fn measured_load_saturates_on_malformed_inputs() {
-        // Zero window: treated as 1 ns, still within the ceiling.
-        assert_eq!(measured_load(0, u64::MAX, 0), 1.0);
-        assert_eq!(measured_load(0, 0, 0), 0.0);
-        // Negative mailbox depth (counter underflow) adds no queue
-        // pressure.
-        assert_eq!(measured_load(-5, 0, 1_000), 0.0);
-        assert_eq!(measured_load(-5, 500, 1_000), measured_load(0, 500, 1_000));
-        // Busy delta beyond the window reads as a fully busy window,
-        // never more: the busy term alone is capped at 1.
-        assert_eq!(measured_load(0, 2_000, 1_000), 1.0);
-        assert_eq!(measured_load(0, u64::MAX, 1), 1.0);
-        // Ceiling holds when both terms are extreme.
-        assert_eq!(measured_load(i64::MAX, u64::MAX, 1), 1.0);
     }
 
     #[test]

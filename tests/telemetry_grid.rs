@@ -1,10 +1,9 @@
 //! Integration tests for the telemetry subsystem on the live grid:
 //! conversation tracing across the four grid stages, metrics export,
-//! and telemetry-driven ("live") resource profiles.
+//! and the load account behind the directory's resource profiles.
 
 use agentgrid_suite::net::{Device, DeviceKind, FaultKind, Network, ScheduledFault};
-use agentgrid_suite::platform::{Runtime, Telemetry};
-use agentgrid_suite::telemetry::measured_load;
+use agentgrid_suite::platform::{window_load, Runtime, Telemetry};
 use agentgrid_suite::{GridReport, ManagementGrid};
 
 const ALL_SKILLS: [&str; 8] = [
@@ -244,10 +243,10 @@ fn telemetry_attachment_preserves_determinism() {
     );
 }
 
-/// With live profiles on, the directory's load figures are the measured
-/// ones — [`measured_load`] over each container's telemetry — so
-/// `KnowledgeCapacityIdle` ranks by observed idleness, and the pipeline
-/// still completes all its work.
+/// The directory's load figures are the load account's: after one tick
+/// a container advertises the records awarded to it in that window over
+/// its capacity — Fig. 4's resource profile as observed, not declared —
+/// and brokering over those figures still completes all its work.
 #[test]
 fn live_profiles_feed_measured_load_into_the_directory() {
     let telemetry = Telemetry::new();
@@ -255,32 +254,25 @@ fn live_profiles_feed_measured_load_into_the_directory() {
         .network(small_network())
         .analyzer("pg-1", 1.0, ALL_SKILLS)
         .telemetry(telemetry.clone())
-        .live_profiles(true)
         .build();
     let tick_ms = 60_000u64;
     let report = grid.run(tick_ms, tick_ms); // exactly one tick
 
-    // After a single tick the refresh window started from zero, so the
-    // directory load must equal measured_load over the cumulative stats.
-    let window_ns = tick_ms * 1_000_000;
-    let stats: Vec<_> = telemetry
-        .container_stats()
-        .into_iter()
-        .filter(|s| s.container.starts_with("pg-1"))
-        .collect();
-    assert_eq!(stats.len(), 1);
-    let expected = measured_load(stats[0].mailbox_depth, stats[0].busy_ns, window_ns);
-    let actual = grid.platform_mut().with_df(|df| {
-        df.container_profile("pg-1")
-            .expect("analyzer registered")
-            .load
+    // The only analyzer was awarded every record stored in the tick.
+    let (charged, actual) = grid.platform_mut().with_df(|df| {
+        let profile = df.container_profile("pg-1").expect("analyzer registered");
+        (df.charged("pg-1"), profile.load)
     });
-    assert!(
-        (actual - expected).abs() < 1e-9,
-        "directory load {actual} must be the measured value {expected}"
+    assert!(charged > 0);
+    assert_eq!(charged, report.records_stored as u64);
+    let expected = window_load(charged, 1.0);
+    assert_eq!(
+        actual, expected,
+        "directory load {actual} must be the account's figure {expected}"
     );
+    assert!(actual < 1.0, "one small site does not saturate an analyzer");
 
-    // Brokering keeps working off measured profiles.
+    // Brokering keeps working off the account.
     let report2 = grid.run(5 * 60_000, tick_ms);
     assert!(report.records_stored <= report2.records_stored);
     assert!(!report2.assignments.is_empty());
