@@ -1,26 +1,27 @@
-//! Load-balancing ablation benchmark (extension Ext-2): brokering 1 000
-//! analysis tasks over a heterogeneous container pool under each policy.
+//! Load-balancing ablation benchmark (extension Ext-2): awarding 1 000
+//! analysis tasks over a heterogeneous container pool under each policy,
+//! through the select-and-charge the live grid root uses.
 
 use agentgrid::balance::{
-    ContractNet, KnowledgeCapacityIdle, LeastLoaded, LoadBalancer, Random, RoundRobin,
+    award, ContractNet, KnowledgeCapacityIdle, LeastLoaded, LoadBalancer, Random, RoundRobin,
 };
-use agentgrid::broker::Broker;
 use agentgrid::ontology::{AnalysisTask, ResourceProfile};
+use agentgrid_platform::DirectoryFacilitator;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-fn profiles() -> Vec<ResourceProfile> {
-    (0..8)
-        .map(|i| {
-            ResourceProfile::new(
-                format!("pg-{i}"),
-                1.0 + (i % 4) as f64,
-                1.0,
-                4096,
-                ["cpu", "disk", "memory", "interface"],
-            )
-        })
-        .collect()
+fn directory() -> DirectoryFacilitator {
+    let mut df = DirectoryFacilitator::new();
+    for i in 0..8 {
+        df.register_container(ResourceProfile::new(
+            format!("pg-{i}"),
+            1.0 + (i % 4) as f64,
+            1.0,
+            4096,
+            ["cpu", "disk", "memory", "interface"],
+        ));
+    }
+    df
 }
 
 fn tasks() -> Vec<AnalysisTask> {
@@ -32,37 +33,31 @@ fn tasks() -> Vec<AnalysisTask> {
         .collect()
 }
 
-fn bench_policy<P: LoadBalancer + Clone + 'static>(c: &mut Criterion, name: &str, policy: P) {
-    let profiles = profiles();
-    let tasks = tasks();
-    c.bench_function(&format!("lb_divide_1000/{name}"), |b| {
-        b.iter(|| {
-            let mut broker = Broker::new(policy.clone());
-            let division = broker.divide(tasks.iter().cloned(), profiles.clone());
-            black_box(division.assignments.len())
-        })
-    });
-}
-
 fn bench_policies(c: &mut Criterion) {
-    bench_policy(c, "knowledge-capacity-idle", KnowledgeCapacityIdle);
-    bench_policy(c, "round-robin", RoundRobin::default());
-    bench_policy(c, "least-loaded", LeastLoaded);
-    bench_policy(c, "contract-net", ContractNet);
-    // Random owns an RNG and is not Clone; construct per iteration.
-    let profiles = profiles();
+    let directory = directory();
     let tasks = tasks();
-    c.bench_function("lb_divide_1000/random", |b| {
-        b.iter(|| {
-            let mut broker = Broker::new(Random::new(42));
-            black_box(
-                broker
-                    .divide(tasks.iter().cloned(), profiles.clone())
-                    .assignments
-                    .len(),
-            )
-        })
-    });
+    let policies: [Box<dyn LoadBalancer>; 5] = [
+        Box::new(KnowledgeCapacityIdle),
+        Box::new(RoundRobin::default()),
+        Box::new(LeastLoaded),
+        Box::new(ContractNet),
+        Box::new(Random::new(42)),
+    ];
+    for policy in &policies {
+        c.bench_function(&format!("lb_divide_1000/{}", policy.name()), |b| {
+            b.iter(|| {
+                // Every iteration starts from the same policy state and
+                // idle accounts.
+                let mut policy = policy.boxed_clone();
+                let mut df = directory.clone();
+                let awarded = tasks
+                    .iter()
+                    .filter(|task| award(policy.as_mut(), &mut df, task, |_, _| true).is_some())
+                    .count();
+                black_box(awarded)
+            })
+        });
+    }
 }
 
 criterion_group!(benches, bench_policies);

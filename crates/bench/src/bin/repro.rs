@@ -27,7 +27,7 @@
 //! and exits 1.
 //!
 //! `--chaos <seed>` runs the seeded chaos-recovery experiment: a grid
-//! with a [`ChaosPlan`](agentgrid::chaos::ChaosPlan) derived from the
+//! with a [`ChaosPlan`] derived from the
 //! seed (container crash + restart, possibly a transport-fault window),
 //! executed twice to check the run is bit-identical, with an empty
 //! audit. With no explicit experiment list, `--chaos` runs only the
@@ -93,9 +93,8 @@
 //! exits with status 2.
 
 use agentgrid::balance::{
-    ContractNet, KnowledgeCapacityIdle, LeastLoaded, LoadBalancer, Random, RoundRobin,
+    award, ContractNet, KnowledgeCapacityIdle, LeastLoaded, LoadBalancer, Random, RoundRobin,
 };
-use agentgrid::broker::Broker;
 use agentgrid::chaos::ChaosPlan;
 use agentgrid::grid::{GridBuilder, GridReport, ManagementGrid, Violation, DEFAULT_RULES};
 use agentgrid::mobility::Rebalancer;
@@ -414,25 +413,38 @@ fn fig2(telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoice) {
     print!("{}", report.render());
 }
 
-/// Figure 3: division of analysis tasks by knowledge/capacity/idleness.
+/// Figure 3: division of analysis tasks by knowledge/capacity/idleness,
+/// awarded through the live root's select-and-charge.
 fn fig3() {
     banner("Figure 3 — division of analysis tasks in the grid");
-    let profiles = vec![
+    let mut df = agentgrid_platform::DirectoryFacilitator::new();
+    for profile in [
         // "Container A has computational capacity to analyze X"
         ResourceProfile::new("container-a", 4.0, 1.0, 8192, ["x-analysis"]),
         // "Container B has knowledge to analyze W"
         ResourceProfile::new("container-b", 1.0, 1.0, 2048, ["w-analysis"]),
         // "C replies, as it is idle, has capacity to process ... Y"
         ResourceProfile::new("container-c", 1.0, 1.0, 2048, ["y-analysis", "x-analysis"]),
-    ];
-    let tasks = vec![
+    ] {
+        df.register_container(profile);
+    }
+    let tasks = [
         AnalysisTask::new("info-x", "x-analysis", "x", 1, 400),
         AnalysisTask::new("info-y", "y-analysis", "y", 1, 200),
         AnalysisTask::new("info-w", "w-analysis", "w", 1, 300),
     ];
-    let mut broker = Broker::new(KnowledgeCapacityIdle);
-    let division = broker.divide(tasks, profiles);
-    print!("{}", division.trace());
+    for task in &tasks {
+        match award(&mut KnowledgeCapacityIdle, &mut df, task, |_, _| true) {
+            Some(container) => println!(
+                "task {} ({}, level {}, {} records) -> container {container}",
+                task.task_id, task.skill, task.level, task.size
+            ),
+            None => println!(
+                "task {} ({}) -> UNASSIGNED (no capable container)",
+                task.task_id, task.skill
+            ),
+        }
+    }
 }
 
 /// Figure 4: container registration with the grid root's directory.

@@ -6,10 +6,17 @@
 //! exactly that ranking; [`RoundRobin`], [`Random`] and [`LeastLoaded`]
 //! exist as ablation baselines, and [`ContractNet`] runs a full FIPA
 //! auction where each candidate bids its headroom.
+//!
+//! Every award goes through [`award`]: the policy selects among the
+//! directory's eligible container profiles and the chosen container's
+//! load account is charged before the next selection reads it. The
+//! live grid root brokers with it, and so do the Fig. 3 trace and the
+//! policy benchmark.
 
 use agentgrid_acl::ontology::{AnalysisTask, ResourceProfile};
 use agentgrid_acl::protocol::{ContractNetInitiator, ContractNetOutcome};
 use agentgrid_acl::{AgentId, Value};
+use agentgrid_platform::DirectoryFacilitator;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -30,6 +37,51 @@ pub trait LoadBalancer: Send {
     /// gives every shard root its own instance). Stateful policies
     /// (e.g. the seeded [`Random`]) duplicate their current state.
     fn boxed_clone(&self) -> Box<dyn LoadBalancer>;
+}
+
+/// Awards `task` to a container (paper Fig. 3, §3.5): `policy` selects
+/// among the directory's container profiles that pass `eligible`, and
+/// the task's records are [`charge`](DirectoryFacilitator::charge)d to
+/// the chosen container's load account, so the next selection of a
+/// burst reads the fresh profile — the root "requesting the current
+/// profile" mid-negotiation. Returns the chosen container, or `None`
+/// with nothing charged when no eligible container qualifies.
+///
+/// # Examples
+///
+/// ```
+/// use agentgrid::balance::{award, KnowledgeCapacityIdle};
+/// use agentgrid::ontology::{AnalysisTask, ResourceProfile};
+/// use agentgrid_platform::DirectoryFacilitator;
+///
+/// let mut df = DirectoryFacilitator::new();
+/// df.register_container(ResourceProfile::new("pg-1", 1.0, 1.0, 2048, ["cpu-analysis"]));
+/// df.register_container(ResourceProfile::new("pg-2", 1.0, 1.0, 2048, ["cpu-analysis"]));
+/// let mut policy = KnowledgeCapacityIdle;
+/// let mut awarded = Vec::new();
+/// for id in ["t1", "t2"] {
+///     let task = AnalysisTask::new(id, "cpu-analysis", "cpu", 1, 500);
+///     awarded.push(award(&mut policy, &mut df, &task, |_, _| true));
+/// }
+/// // The first award's charged records push the second to the other container.
+/// assert_eq!(awarded, [Some("pg-1".to_owned()), Some("pg-2".to_owned())]);
+/// assert_eq!(df.charged("pg-1"), 500);
+/// ```
+pub fn award(
+    policy: &mut dyn LoadBalancer,
+    df: &mut DirectoryFacilitator,
+    task: &AnalysisTask,
+    mut eligible: impl FnMut(&DirectoryFacilitator, &ResourceProfile) -> bool,
+) -> Option<String> {
+    let directory: &DirectoryFacilitator = df;
+    let candidates: Vec<ResourceProfile> = directory
+        .container_profiles()
+        .filter(|p| eligible(directory, p))
+        .cloned()
+        .collect();
+    let container = policy.select(task, &candidates)?;
+    df.charge(&container, task.size);
+    Some(container)
 }
 
 /// The paper's policy: knowledge match first, then capacity, then
@@ -216,6 +268,7 @@ impl LoadBalancer for ContractNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agentgrid_platform::window_load;
 
     fn task(skill: &str) -> AnalysisTask {
         AnalysisTask::new("t1", skill, "p", 1, 10)
@@ -323,6 +376,58 @@ mod tests {
         // Everyone overloaded → no award.
         let all_busy = [profile("x", 1.0, 1.0, &["cpu"])];
         assert_eq!(policy.select(&task("cpu"), &all_busy), None);
+    }
+
+    fn directory() -> DirectoryFacilitator {
+        let mut df = DirectoryFacilitator::new();
+        for (name, skills) in [
+            ("pg-1", &["cpu", "disk"][..]),
+            ("pg-2", &["cpu"]),
+            ("pg-3", &["interface"]),
+        ] {
+            df.register_container(profile(name, 1.0, 0.0, skills));
+        }
+        df
+    }
+
+    #[test]
+    fn knowledge_gates_the_award() {
+        let mut df = directory();
+        let mut policy = KnowledgeCapacityIdle;
+        assert_eq!(
+            award(&mut policy, &mut df, &task("disk"), |_, _| true),
+            Some("pg-1".to_owned())
+        );
+        assert_eq!(
+            award(&mut policy, &mut df, &task("memory"), |_, _| true),
+            None
+        );
+        let charged = ["pg-1", "pg-2", "pg-3"].map(|c| df.charged(c));
+        assert_eq!(charged, [10, 0, 0], "a skill gap charges nothing");
+    }
+
+    #[test]
+    fn an_empty_directory_awards_nothing() {
+        let (mut policy, mut df) = (KnowledgeCapacityIdle, DirectoryFacilitator::new());
+        assert_eq!(award(&mut policy, &mut df, &task("cpu"), |_, _| true), None);
+    }
+
+    #[test]
+    fn awards_to_eligible_containers_charge_one_window() {
+        let mut df = directory();
+        let mut policy = KnowledgeCapacityIdle;
+        // With pg-1 ineligible both awards land on pg-2, whose account
+        // folds their sum.
+        for size in [300, 450] {
+            let task = AnalysisTask::new("t", "cpu", "cpu", 1, size);
+            let container = award(&mut policy, &mut df, &task, |_, p| p.container != "pg-1");
+            assert_eq!(container.as_deref(), Some("pg-2"));
+        }
+        assert_eq!((df.charged("pg-1"), df.charged("pg-2")), (0, 750));
+        assert_eq!(
+            df.container_profile("pg-2").unwrap().load,
+            window_load(750, 1.0)
+        );
     }
 
     #[test]

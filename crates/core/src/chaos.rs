@@ -40,8 +40,7 @@ use crate::recovery::splitmix64;
 /// Fault windows are **composable**: `SetFault` adds to the active
 /// fault set (union semantics — any matching fault drops the leg), and
 /// a window closes with [`ClearFaultScoped`](Self::ClearFaultScoped)
-/// without healing the others. The blanket
-/// [`ClearFault`](Self::ClearFault) still heals everything at once.
+/// without healing the others.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChaosAction {
     /// Silent crash: the container vanishes, the directory keeps its
@@ -51,8 +50,6 @@ pub enum ChaosAction {
     Restart(String),
     /// A transport fault window opens (joins the composable set).
     SetFault(TransportFault),
-    /// The transport heals completely: every open fault window closes.
-    ClearFault,
     /// Exactly this fault clears; other open windows stay in force.
     ClearFaultScoped(TransportFault),
     /// A per-link fault window (probabilistic drop, delay, duplication,
@@ -98,23 +95,9 @@ impl ChaosPlan {
     }
 
     /// Schedules a window `[from_ms, until_ms)` during which messages
-    /// **to** `agent` are dropped silently. The close is the blanket
-    /// [`ChaosAction::ClearFault`] (legacy behaviour, kept so existing
-    /// seeded schedules replay identically); overlapping windows should
-    /// use [`drop_to_between_scoped`](Self::drop_to_between_scoped).
+    /// **to** `agent` are dropped silently. The close removes exactly
+    /// this fault, leaving other open windows in force.
     pub fn drop_to_between(self, from_ms: u64, until_ms: u64, agent: AgentId) -> Self {
-        self.push(
-            from_ms,
-            ChaosAction::SetFault(TransportFault::DropTo(agent)),
-        )
-        .push(until_ms, ChaosAction::ClearFault)
-    }
-
-    /// Schedules a drop-to window `[from_ms, until_ms)` whose close
-    /// removes exactly this fault, leaving other open windows in force
-    /// — the composable form of
-    /// [`drop_to_between`](Self::drop_to_between).
-    pub fn drop_to_between_scoped(self, from_ms: u64, until_ms: u64, agent: AgentId) -> Self {
         self.push(
             from_ms,
             ChaosAction::SetFault(TransportFault::DropTo(agent.clone())),
@@ -328,29 +311,22 @@ mod tests {
     }
 
     #[test]
-    fn drop_window_opens_and_closes() {
-        let plan = ChaosPlan::new().drop_to_between(100, 200, AgentId::new("x"));
-        assert!(matches!(plan.events()[0], (100, ChaosAction::SetFault(_))));
-        assert!(matches!(plan.events()[1], (200, ChaosAction::ClearFault)));
-    }
-
-    #[test]
-    fn scoped_windows_close_only_their_own_fault() {
+    fn drop_windows_open_and_close_only_their_own_fault() {
         let plan = ChaosPlan::new()
-            .drop_to_between_scoped(100, 300, AgentId::new("x"))
-            .drop_to_between_scoped(200, 400, AgentId::new("y"));
-        // The close at 300 names exactly x's fault, so y's window
-        // (200–400) survives it — the replace-semantics bug this fixes.
-        let (t, close) = &plan.events()[2];
-        assert_eq!(*t, 300);
+            .drop_to_between(100, 300, AgentId::new("x"))
+            .drop_to_between(200, 400, AgentId::new("y"));
+        let drop_to = |agent: &str| TransportFault::DropTo(AgentId::new(agent));
         assert_eq!(
-            close,
-            &ChaosAction::ClearFaultScoped(TransportFault::DropTo(AgentId::new("x")))
+            plan.events(),
+            [
+                (100, ChaosAction::SetFault(drop_to("x"))),
+                (200, ChaosAction::SetFault(drop_to("y"))),
+                // The close at 300 names exactly x's fault, so y's
+                // window (200–400) survives it.
+                (300, ChaosAction::ClearFaultScoped(drop_to("x"))),
+                (400, ChaosAction::ClearFaultScoped(drop_to("y"))),
+            ]
         );
-        assert!(matches!(
-            plan.events()[3],
-            (400, ChaosAction::ClearFaultScoped(_))
-        ));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! delivery, reliability and adversary machinery as every other message:
 //!
 //! * **`load-digest`** — each root gossips its shard's aggregate load
-//!   and in-flight depth to every peer once per tick, so spill-over can
+//!   and in-flight depth to every peer with each round's level-3 sweep,
+//!   after the round's awards were charged, so spill-over can
 //!   pick the least-loaded peer without a global directory;
 //! * **`spill`** / **`spill-done`** — when a shard's admission gate or
 //!   broker turns a first award away, the task forwards to the

@@ -209,7 +209,7 @@ impl CollectorAgent {
     }
 
     /// Enables pacing: while `signal` reports fresh pressure events the
-    /// poll interval doubles (capped at [`MAX_STRETCH`]×), recovering
+    /// poll interval doubles (capped at `MAX_STRETCH`×), recovering
     /// one step per pressure-free poll. Each stretched scheduling
     /// decision increments `paced`.
     pub fn set_pacing(&mut self, signal: Arc<PressureSignal>, paced: Arc<AtomicU64>) {

@@ -1,14 +1,16 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use agentgrid_acl::ontology::{Alert, AnalysisTask, Severity, ToContent, MANAGEMENT_ONTOLOGY};
+use agentgrid_acl::ontology::{
+    Alert, AnalysisTask, ResourceProfile, Severity, ToContent, MANAGEMENT_ONTOLOGY,
+};
 use agentgrid_acl::{AclMessage, AgentId, Performative, Value};
-use agentgrid_platform::{Agent, AgentCtx};
+use agentgrid_platform::{Agent, AgentCtx, DirectoryFacilitator};
 use agentgrid_store::{ManagementStore, Record};
 use agentgrid_telemetry::{Counter, EventKind, Gauge, TelemetryHandle};
 use parking_lot::Mutex;
 
-use crate::balance::LoadBalancer;
+use crate::balance::{self, LoadBalancer};
 use crate::federation::{self, FederationStats, LoadDigest};
 use crate::grid::classifier::parse_data_ready;
 use crate::overload::{AdmissionConfig, AdmissionGate, BreakerBoard, BreakerConfig};
@@ -29,6 +31,54 @@ struct Pending {
 /// decorrelate.
 fn task_key(task_id: &str) -> u64 {
     jitter_key(task_id)
+}
+
+/// Whether `container` hosts an analyzer registered under `service`:
+/// the analyzer registers with its container name as a property
+/// (Fig. 4). Spare containers (a profile but no analyzer yet) host
+/// none, and a federated root's service leaves out its peers' tiers.
+fn hosts(df: &DirectoryFacilitator, service: &str, container: &str) -> bool {
+    df.providers_with(service, container).next().is_some()
+}
+
+/// The profiles of the containers hosting `service`'s analyzers, in
+/// container-name order.
+fn hosting<'a>(
+    df: &'a DirectoryFacilitator,
+    service: &'a str,
+) -> impl Iterator<Item = &'a ResourceProfile> + 'a {
+    df.container_profiles()
+        .filter(move |p| hosts(df, service, &p.container))
+}
+
+/// The mean advertised load over the containers hosting `service`'s
+/// analyzers (0 when there are none): the admission gate's aggregate
+/// and the gossiped digest's figure.
+fn mean_load(df: &DirectoryFacilitator, service: &str) -> f64 {
+    let (sum, n) = hosting(df, service).fold((0.0_f64, 0u32), |(s, n), p| (s + p.load, n + 1));
+    if n == 0 {
+        0.0
+    } else {
+        sum / f64::from(n)
+    }
+}
+
+/// Sends `task` as a `request` to the analyzer `container` hosts for
+/// `service`. Returns `false`, sending nothing, when it hosts none.
+fn send_task(service: &str, task: &AnalysisTask, container: &str, ctx: &mut AgentCtx<'_>) -> bool {
+    let Some(analyzer) = ctx.df().providers_with(service, container).next().cloned() else {
+        return false;
+    };
+    let request = AclMessage::builder(Performative::Request)
+        .sender(ctx.self_id().clone())
+        .receiver(analyzer)
+        .ontology(MANAGEMENT_ONTOLOGY)
+        .reply_with(format!("task-{}", task.task_id))
+        .content(task.to_content())
+        .build()
+        .expect("sender and receiver are set");
+    ctx.send(request);
+    true
 }
 
 /// Flight-recorder label for a liveness verdict.
@@ -187,6 +237,9 @@ pub struct RootStats {
 /// capable container parks until one appears.
 pub struct ProcessorRootAgent {
     policy: Box<dyn LoadBalancer>,
+    /// The directory service this root brokers over: the shard-scoped
+    /// one when federated, the global `"analysis"` otherwise.
+    service: String,
     task_seq: u64,
     /// The simulated time of the newest `data-ready` no level-3 sweep
     /// covers yet, with the observation time it reported (the sweep's
@@ -254,12 +307,6 @@ pub struct ProcessorRootAgent {
     /// Newest `fed-summary` timestamp accepted per origin shard; older
     /// or equal timestamps are stale duplicates and are dropped.
     summary_seen: BTreeMap<usize, u64>,
-    /// Simulated time of the last gossiped load digest. The stepper
-    /// re-ticks every container at the same timestamp until the
-    /// exchange is quiescent, so an ungated gossip would keep the
-    /// platform busy to its step limit; digests go out once per clock
-    /// advance instead.
-    last_gossip_ms: Option<u64>,
 }
 
 impl std::fmt::Debug for ProcessorRootAgent {
@@ -276,6 +323,7 @@ impl ProcessorRootAgent {
     pub fn new(policy: Box<dyn LoadBalancer>) -> Self {
         ProcessorRootAgent {
             policy,
+            service: "analysis".to_owned(),
             task_seq: 0,
             unswept: None,
             last_sweep_ms: None,
@@ -299,7 +347,6 @@ impl ProcessorRootAgent {
             spilled_in: BTreeMap::new(),
             spill_seen: BTreeSet::new(),
             summary_seen: BTreeMap::new(),
-            last_gossip_ms: None,
         }
     }
 
@@ -349,16 +396,8 @@ impl ProcessorRootAgent {
     /// peer, and finding summaries flow both ways with each round's
     /// level-3 sweep.
     pub fn set_federation(&mut self, link: FederationLink) {
+        self.service = link.service.clone();
         self.federation = Some(link);
-    }
-
-    /// The directory service this root brokers over: the shard-scoped
-    /// one when federated, the global `"analysis"` otherwise.
-    fn service(&self) -> &str {
-        match &self.federation {
-            Some(link) => &link.service,
-            None => "analysis",
-        }
     }
 
     /// A handle onto the root's statistics, valid after the agent is
@@ -367,163 +406,115 @@ impl ProcessorRootAgent {
         Arc::clone(&self.stats)
     }
 
-    /// Selects a container for `task` and sends the award; on success
-    /// the task joins the in-flight ledger and the chosen container is
-    /// returned. A first award fixes the task's round at this instant; a
-    /// re-award keeps the round it was first awarded for.
-    fn try_award(&mut self, task: &AnalysisTask, ctx: &mut AgentCtx<'_>) -> Option<String> {
-        // Only containers that actually host an analysis agent are
-        // candidates; spare containers (profile but no agent yet) are
-        // skipped until mobility moves an analyzer in. Suspect
-        // containers (stale heartbeats) are skipped too.
+    /// Selects a container for `task` through [`balance::award`] and
+    /// sends the award; on success the task joins the in-flight ledger
+    /// and the award is logged (in `rebrokered` too for a `reaward`).
+    /// Returns whether a container took the task. Eligible are the containers hosting
+    /// an analyzer for this root's service that are neither suspect
+    /// (stale heartbeats) nor behind an open circuit breaker. A first
+    /// award fixes the task's round at this instant; a re-award keeps
+    /// the round it was first awarded for.
+    fn try_award(&mut self, task: &AnalysisTask, reaward: bool, ctx: &mut AgentCtx<'_>) -> bool {
         let now = ctx.now_ms();
-        // Federated roots broker only over their own shard's tier.
-        let service = self.service().to_owned();
-        let df = ctx.df();
-        let mut profiles: Vec<_> = df
-            .container_profiles()
-            .filter(|p| df.providers_with(&service, &p.container).next().is_some())
-            .filter(|p| !self.suspect.contains(&p.container))
-            .cloned()
-            .collect();
-        // Open circuit breakers divert awards exactly like Suspect; a
-        // breaker whose probe time arrived half-opens and lets this
+        let (service, suspect, breakers) = (&self.service, &self.suspect, &mut self.breakers);
+        // A breaker whose probe time arrived half-opens and lets this
         // award through as the probe.
-        if let Some(breakers) = &mut self.breakers {
-            profiles.retain(|p| !breakers.blocks(&p.container, now));
-        }
-        let container = self.policy.select(task, &profiles)?;
-        // The analyzer registered itself under the service with its
-        // container name as a property (Fig. 4).
-        let analyzer = ctx
-            .df()
-            .providers_with(&service, &container)
-            .next()
-            .cloned()?;
+        let Some(container) = balance::award(self.policy.as_mut(), ctx.df(), task, |df, p| {
+            hosts(df, service, &p.container)
+                && !suspect.contains(&p.container)
+                && !breakers
+                    .as_mut()
+                    .is_some_and(|b| b.blocks(&p.container, now))
+        }) else {
+            return false;
+        };
         let task = AnalysisTask {
             round_ms: task.round_ms.or(Some(now)),
             ..task.clone()
         };
-        // Charge the awarded records to the container's load account,
-        // so the next selection in this burst sees them.
-        ctx.df().charge(&container, task.size);
-        let request = AclMessage::builder(Performative::Request)
-            .sender(ctx.self_id().clone())
-            .receiver(analyzer)
-            .ontology(MANAGEMENT_ONTOLOGY)
-            .reply_with(format!("task-{}", task.task_id))
-            .content(task.to_content())
-            .build()
-            .expect("sender and receiver are set");
-        ctx.send(request);
-        self.stats
-            .lock()
-            .assignments
-            .push((task.task_id.clone(), container.clone()));
+        // Eligibility guarantees the container hosts an analyzer.
+        send_task(&self.service, &task, &container, ctx);
+        {
+            let mut stats = self.stats.lock();
+            stats
+                .assignments
+                .push((task.task_id.clone(), container.clone()));
+            if reaward {
+                stats.rebrokered.push(task.task_id.clone());
+            }
+        }
         if let Some(m) = &self.metrics {
             m.assigned.inc();
+            m.telemetry
+                .task_awarded(&task.task_id, &container, now, reaward);
+            let (task, container) = (task.task_id.clone(), container.clone());
+            let event = if reaward {
+                m.rebrokered.inc();
+                EventKind::TaskRebrokered { task, container }
+            } else {
+                EventKind::TaskBrokered { task, container }
+            };
+            m.telemetry.record_event(now, event);
         }
         let deadline_ms =
             now.saturating_add(self.recovery.backoff.delay_ms(0, task_key(&task.task_id)));
         self.pending.push(Pending {
             task,
-            container: container.clone(),
+            container,
             attempts: 0,
             deadline_ms,
         });
-        Some(container)
+        true
     }
 
-    /// First-award path. A task the admission gate turns away, or that
+    /// First-award path. With `gated`, the admission gate (overload
+    /// mode) sees the task first. A task the gate turns away, or that
     /// finds no capable container, spills to a peer shard when
     /// federated and otherwise parks; parked tasks are retried every
     /// tick until a capable container appears.
-    fn assign_and_send(&mut self, task: AnalysisTask, ctx: &mut AgentCtx<'_>) {
-        // Admission gate (overload mode): a first award only flows when
-        // the token bucket has budget and the mean advertised load across
-        // the root's analyzer containers is under the threshold.
-        // Re-awards of reclaimed tasks bypass the gate — they were
-        // admitted once.
-        let service = self.service().to_owned();
-        if let Some(gate) = &mut self.admission {
-            let aggregate = {
-                let df = ctx.df();
-                let (sum, n) = df
-                    .container_profiles()
-                    .filter(|p| df.providers_with(&service, &p.container).next().is_some())
-                    .fold((0.0_f64, 0u32), |(s, n), p| (s + p.load, n + 1));
-                if n == 0 {
-                    0.0
-                } else {
-                    sum / f64::from(n)
-                }
-            };
-            if !gate.admit(ctx.now_ms(), aggregate) {
-                self.stats.lock().rejected += 1;
-                if let Some(m) = &self.metrics {
-                    m.admission_rejects.inc();
-                    m.telemetry.record_event(
-                        ctx.now_ms(),
-                        EventKind::AdmissionReject {
-                            task: task.task_id.clone(),
-                        },
-                    );
-                }
-                // Sharded mode: a gate rejection is the spill trigger —
-                // the least-loaded peer shard runs the task instead.
-                if !self.try_spill(&task, ctx) {
-                    // Retried next window.
-                    self.parked.push((task, false));
-                }
-                return;
-            }
-        }
-        if let Some(container) = self.try_award(&task, ctx) {
-            if let Some(m) = &self.metrics {
-                let now = ctx.now_ms();
-                m.telemetry
-                    .task_awarded(&task.task_id, &container, now, false);
-                m.telemetry.record_event(
-                    now,
-                    EventKind::TaskBrokered {
-                        task: task.task_id.clone(),
-                        container,
-                    },
-                );
-            }
+    fn assign_and_send(&mut self, task: AnalysisTask, gated: bool, ctx: &mut AgentCtx<'_>) {
+        if (!gated || self.admit(&task, ctx)) && self.try_award(&task, false, ctx) {
             return;
         }
-        // Sharded mode: no capable local container is the other spill
-        // trigger.
+        // Sharded mode: a gate rejection and a lack of capable local
+        // containers are the two spill triggers.
         if !self.try_spill(&task, ctx) {
             self.parked.push((task, false));
         }
     }
 
+    /// The admission gate (overload mode): a first award only flows
+    /// when the token bucket has budget and the mean advertised load
+    /// across the root's analyzer containers is under the threshold.
+    /// Re-awards of reclaimed tasks bypass the gate — they were
+    /// admitted once. Returns `false` for a rejection, which is counted.
+    fn admit(&mut self, task: &AnalysisTask, ctx: &mut AgentCtx<'_>) -> bool {
+        let Some(gate) = &mut self.admission else {
+            return true;
+        };
+        let now = ctx.now_ms();
+        if gate.admit(now, mean_load(ctx.df(), &self.service)) {
+            return true;
+        }
+        self.stats.lock().rejected += 1;
+        if let Some(m) = &self.metrics {
+            m.admission_rejects.inc();
+            m.telemetry.record_event(
+                now,
+                EventKind::AdmissionReject {
+                    task: task.task_id.clone(),
+                },
+            );
+        }
+        false
+    }
+
     /// Re-award path for tasks reclaimed from a dead container or whose
     /// retries were exhausted. A successful re-award is logged in both
-    /// `assignments` (inside [`try_award`](Self::try_award)) and
-    /// `rebrokered`, preserving the exactly-once accounting
-    /// `assignments(id) == 1 + rebrokered(id)`.
+    /// `assignments` and `rebrokered`, preserving the exactly-once
+    /// accounting `assignments(id) == 1 + rebrokered(id)`.
     fn reaward(&mut self, task: AnalysisTask, ctx: &mut AgentCtx<'_>) {
-        if let Some(container) = self.try_award(&task, ctx) {
-            let mut stats = self.stats.lock();
-            stats.rebrokered.push(task.task_id.clone());
-            drop(stats);
-            if let Some(m) = &self.metrics {
-                m.rebrokered.inc();
-                let now = ctx.now_ms();
-                m.telemetry
-                    .task_awarded(&task.task_id, &container, now, true);
-                m.telemetry.record_event(
-                    now,
-                    EventKind::TaskRebrokered {
-                        task: task.task_id.clone(),
-                        container,
-                    },
-                );
-            }
-        } else {
+        if !self.try_award(&task, true, ctx) {
             self.parked.push((task, true));
         }
     }
@@ -604,48 +595,22 @@ impl ProcessorRootAgent {
         if let Some(m) = &self.metrics {
             m.spill_counter("in", origin_shard).inc();
         }
-        if let Some(container) = self.try_award(&task, ctx) {
-            if let Some(m) = &self.metrics {
-                let now = ctx.now_ms();
-                m.telemetry
-                    .task_awarded(&task.task_id, &container, now, false);
-                m.telemetry.record_event(
-                    now,
-                    EventKind::TaskBrokered {
-                        task: task.task_id.clone(),
-                        container,
-                    },
-                );
-            }
-            return;
-        }
-        self.parked.push((task, false));
+        // Ungated; a task that arrived as a spill never spills again.
+        self.assign_and_send(task, false, ctx);
     }
 
-    /// Publishes this shard's load digest to every peer — once per
-    /// tick, federated mode — so peers base this tick's spill
-    /// decisions on fresh data.
-    fn gossip_digest(&mut self, ctx: &mut AgentCtx<'_>) {
+    /// Publishes this shard's load digest to every peer (once per round
+    /// with the level-3 sweep, federated mode), after the round's
+    /// awards were charged, so peers rank spill targets by this round's
+    /// load.
+    fn gossip_digest(&self, ctx: &mut AgentCtx<'_>) {
         let Some(link) = &self.federation else {
             return;
         };
-        let now = ctx.now_ms();
-        if self.last_gossip_ms == Some(now) {
-            return;
-        }
-        self.last_gossip_ms = Some(now);
-        let service = link.service.clone();
         let shard = link.shard;
-        let (sum, n) = {
-            let df = ctx.df();
-            df.container_profiles()
-                .filter(|p| df.providers_with(&service, &p.container).next().is_some())
-                .fold((0.0_f64, 0u32), |(s, n), p| (s + p.load, n + 1))
-        };
-        let load = if n == 0 { 0.0 } else { sum / f64::from(n) };
         let digest = LoadDigest {
             shard,
-            load_milli: (load * 1000.0).round() as i64,
+            load_milli: (mean_load(ctx.df(), &self.service) * 1000.0).round() as i64,
             outstanding: (self.pending.len() + self.parked.len() + self.spilled_out.len()) as u64,
         };
         if let Some(m) = &self.metrics {
@@ -833,10 +798,11 @@ impl ProcessorRootAgent {
 
     /// Issues the level-3 correlation sweep of the round whose
     /// `data-ready`s arrived at this instant, and publishes the round's
-    /// summary to the peer shards. Runs at the end of every tick: the
-    /// stepper delivers a step's messages before it ticks the agent, so
-    /// the sweep's join sees every site's fresh data of the round, and a
-    /// tick at a later instant finds the round's sweep already issued.
+    /// load digest and summary to the peer shards. Runs at the end of
+    /// every tick: the stepper delivers a step's messages before it
+    /// ticks the agent, so the sweep's join sees every site's fresh data
+    /// of the round, and a tick at a later instant finds the round's
+    /// sweep already issued.
     fn sweep_round(&mut self, ctx: &mut AgentCtx<'_>) {
         let now = ctx.now_ms();
         let Some((ready_ms, observed_ms)) = self.unswept.take() else {
@@ -850,7 +816,8 @@ impl ProcessorRootAgent {
         if let Some(m) = &self.metrics {
             m.telemetry.task_created(&task.task_id, observed_ms, now);
         }
-        self.assign_and_send(task, ctx);
+        self.assign_and_send(task, true, ctx);
+        self.gossip_digest(ctx);
         self.publish_summary(ctx);
         self.drain_breaker_transitions(now);
     }
@@ -861,19 +828,14 @@ impl ProcessorRootAgent {
     fn recovery_tick(&mut self, ctx: &mut AgentCtx<'_>) {
         let cfg = self.recovery;
         let now = ctx.now_ms();
-        let service = self.service().to_owned();
 
         // 1. Liveness sweep over the containers hosting this root's
         //    analyzers. Spare containers (a profile but no analyzer)
         //    never heartbeat and are not swept; a federated root leaves
         //    a peer's tier to the peer.
-        let containers: Vec<String> = {
-            let df = ctx.df();
-            df.container_profiles()
-                .filter(|p| df.providers_with(&service, &p.container).next().is_some())
-                .map(|p| p.container.clone())
-                .collect()
-        };
+        let containers: Vec<String> = hosting(ctx.df(), &self.service)
+            .map(|p| p.container.clone())
+            .collect();
         self.suspect.clear();
         // Containers under partition quarantine are pinned to Suspect:
         // the network cut them off, their process is still running.
@@ -937,7 +899,7 @@ impl ProcessorRootAgent {
         for container in dead {
             let providers: Vec<AgentId> = ctx
                 .df()
-                .providers_with(&service, &container)
+                .providers_with(&self.service, &container)
                 .cloned()
                 .collect();
             for provider in providers {
@@ -997,27 +959,13 @@ impl ProcessorRootAgent {
             }
         }
         for (task, container) in retries {
-            let Some(analyzer) = ctx
-                .df()
-                .providers_with(&service, &container)
-                .next()
-                .cloned()
-            else {
-                // The container is still registered but no longer hosts
-                // an analyzer (it migrated away): nothing to resend to.
-                // The deadline keeps running, and exhaustion re-brokers
-                // the task.
+            // A container still registered but no longer hosting an
+            // analyzer (it migrated away) has nothing to resend to: the
+            // deadline keeps running, and exhaustion re-brokers the
+            // task.
+            if !send_task(&self.service, &task, &container, ctx) {
                 continue;
-            };
-            let request = AclMessage::builder(Performative::Request)
-                .sender(ctx.self_id().clone())
-                .receiver(analyzer)
-                .ontology(MANAGEMENT_ONTOLOGY)
-                .reply_with(format!("task-{}", task.task_id))
-                .content(task.to_content())
-                .build()
-                .expect("sender and receiver are set");
-            ctx.send(request);
+            }
             self.stats.lock().retries += 1;
             if let Some(m) = &self.metrics {
                 m.retries.inc();
@@ -1047,7 +995,7 @@ impl ProcessorRootAgent {
             if is_reaward {
                 self.reaward(task, ctx);
             } else {
-                self.assign_and_send(task, ctx);
+                self.assign_and_send(task, true, ctx);
             }
         }
         self.drain_breaker_transitions(now);
@@ -1212,18 +1160,13 @@ impl Agent for ProcessorRootAgent {
                 m.telemetry
                     .task_created(&task.task_id, observed_ms, ctx.now_ms());
             }
-            self.assign_and_send(task, ctx);
+            self.assign_and_send(task, true, ctx);
         }
         self.drain_breaker_transitions(now);
         self.sync_outstanding();
     }
 
     fn on_tick(&mut self, ctx: &mut AgentCtx<'_>) {
-        // Federated roots gossip their load digest first, so peers
-        // base this tick's spill decisions on fresh data.
-        if self.federation.is_some() {
-            self.gossip_digest(ctx);
-        }
         self.recovery_tick(ctx);
         self.sweep_round(ctx);
         self.sync_outstanding();
@@ -1965,6 +1908,8 @@ mod tests {
         );
     }
 
+    /// The digest goes out with the round's sweep, once per round and
+    /// after the round's awards were charged, so it carries their load.
     #[test]
     fn tick_gossips_a_load_digest_to_every_peer() {
         let mut root = ProcessorRootAgent::new(Box::new(KnowledgeCapacityIdle));
@@ -1972,22 +1917,31 @@ mod tests {
         let id = AgentId::new("pg-root-s2@g");
         let mut outbox = Vec::new();
         let mut df = df_with_shard_containers(2, &["pg-1"]);
-        df.charge("pg-1", 250);
-        let mut ctx = AgentCtx::new(&id, "root-ct", 0, &mut outbox, &mut df);
-        root.on_tick(&mut ctx);
+        let digests = |outbox: &[SharedMessage]| -> Vec<LoadDigest> {
+            outbox
+                .iter()
+                .filter_map(|m| LoadDigest::parse(m.content()))
+                .collect()
+        };
+        // A tick without a round gossips nothing.
+        beat_and_tick(&mut root, 0, &mut outbox, &mut df);
+        assert!(digests(&outbox).is_empty());
+        let mut ctx = AgentCtx::new(&id, "root-ct", 60_000, &mut outbox, &mut df);
+        root.on_message(&data_ready_msg(&[("cpu", 250)]), &mut ctx);
         drop(ctx);
-        let digests: Vec<LoadDigest> = outbox
-            .iter()
-            .filter_map(|m| LoadDigest::parse(m.content()))
-            .collect();
-        assert_eq!(digests.len(), 2, "one digest per peer");
+        for _ in 0..2 {
+            beat_and_tick(&mut root, 60_000, &mut outbox, &mut df);
+        }
+        let sent = digests(&outbox);
+        assert_eq!(sent.len(), 2, "one digest per peer, once per round");
         assert_eq!(
-            digests[0],
+            sent[0],
             LoadDigest {
                 shard: 2,
                 load_milli: 250,
-                outstanding: 0
-            }
+                outstanding: 2
+            },
+            "the site task's 250 records and the sweep are in the digest"
         );
     }
 

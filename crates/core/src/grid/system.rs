@@ -8,7 +8,6 @@ use agentgrid_acl::{AclMessage, AgentId, Performative, Value};
 use agentgrid_net::{FaultInjector, Network, ScheduledFault};
 use agentgrid_platform::{
     NetCommand, NetStats, Platform, PoolRuntime, ReliabilityConfig, Runtime, TelemetryHandle,
-    TransportFault,
 };
 use agentgrid_rules::{parse_rules, KnowledgeBase};
 use agentgrid_store::{Classifier, ManagementStore};
@@ -1084,8 +1083,9 @@ impl<R: Runtime> ManagementGrid<R> {
                         t.record_event(now, EventKind::Restart { container: name });
                     }
                 }
-                ChaosAction::SetFault(fault) => self.platform.set_transport_fault(fault),
-                ChaosAction::ClearFault => self.platform.set_transport_fault(TransportFault::None),
+                ChaosAction::SetFault(fault) => {
+                    self.platform.net_command(NetCommand::AddFault(fault));
+                }
                 ChaosAction::ClearFaultScoped(fault) => {
                     self.platform.net_command(NetCommand::RemoveFault(fault));
                 }

@@ -16,8 +16,8 @@
 //! * [`scenario`] — the three architectures of Figure 6 as
 //!   discrete-event simulations (centralized / multi-agent / agent grid);
 //! * [`balance`] — the load-balancing policies of §3.5 plus ablation
-//!   baselines and a contract-net variant;
-//! * [`broker`] — the Fig. 3 task-division broker;
+//!   baselines and a contract-net variant, and [`balance::award`], the
+//!   Fig. 3 select-and-charge every award goes through;
 //! * [`mobility`] — agent migration driven rebalancing (the paper's
 //!   future-work item);
 //! * [`workflow`] — the traditional management workflow of Fig. 1 as an
@@ -56,7 +56,6 @@
 #![warn(missing_docs)]
 
 pub mod balance;
-pub mod broker;
 pub mod chaos;
 pub mod costmodel;
 pub mod federation;

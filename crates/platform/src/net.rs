@@ -40,7 +40,7 @@
 //! accept via
 //! [`Runtime::net_command`](crate::runtime::Runtime::net_command) — the
 //! adversary sits in the one shared routing path
-//! ([`crate::delivery`]), so the deterministic stepper and the pool
+//! (the crate's `delivery` module), so the deterministic stepper and the pool
 //! misbehave identically.
 
 use std::collections::{BTreeMap, BTreeSet};

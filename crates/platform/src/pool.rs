@@ -2,7 +2,7 @@
 //!
 //! [`PoolRuntime`] wraps the deterministic [`Platform`] and replaces only
 //! its **tick phase**. Routing (batch grouping, overload admission,
-//! dead-lettering, requeue — see [`crate::delivery`]) still runs on the
+//! dead-lettering, requeue — the crate's `delivery` module) still runs on the
 //! driving thread exactly as on the stepper; what changes is who executes
 //! `on_message`/`on_tick`:
 //!
@@ -155,7 +155,8 @@ impl PoolRuntime {
     /// the shared-state cluster ticks in name order on this thread.
     /// Returns the number of messages routed.
     ///
-    /// When the attached telemetry's [`PoolProfiler`] is enabled
+    /// When the attached telemetry's
+    /// [`PoolProfiler`](agentgrid_telemetry::PoolProfiler) is enabled
     /// (`agentgrid_telemetry::PoolProfiler::enable`), the step records
     /// wall-clock route/tick/merge phase slices and one slice per
     /// executed job (with its worker lane and whether it was stolen);

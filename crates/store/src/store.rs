@@ -17,7 +17,7 @@ use crate::{Classifier, Record};
 /// paper's "easy-to-retrieve form".
 ///
 /// Each series is one [`ChunkSeries`] — sealed Gorilla chunks plus an
-/// uncompressed head buffer. All aggregate folds go through [`query`],
+/// uncompressed head buffer. All aggregate folds go through the `query` module,
 /// so observables are bit-identical to the record-per-point
 /// [`NaiveStore`](crate::NaiveStore) reference (pinned by the
 /// equivalence proptests).
@@ -294,7 +294,7 @@ impl ManagementStore {
 
     /// Windowed aggregates for every series matching `filter`, in
     /// series-key order. Each series' decoded points stream straight into
-    /// the shared [`query::WindowFold`], so the output is bit-identical to
+    /// the shared `query::WindowFold`, so the output is bit-identical to
     /// folding the `NaiveStore` iterator.
     pub fn query_windows(
         &self,

@@ -20,7 +20,7 @@ use agentgrid_suite::core::grid::GridBuilder;
 use agentgrid_suite::core::overload::{AdmissionConfig, OverloadConfig};
 use agentgrid_suite::core::recovery::RecoveryConfig;
 use agentgrid_suite::net::{Device, DeviceKind, FaultKind, Network, ScheduledFault};
-use agentgrid_suite::platform::ReliabilityConfig;
+use agentgrid_suite::platform::{ReliabilityConfig, Telemetry};
 use agentgrid_suite::{GridReport, ManagementGrid};
 use std::collections::BTreeSet;
 
@@ -237,4 +237,25 @@ fn single_shard_grid_reports_no_federation() {
     assert_eq!(report.federation.summaries_sent, 0);
     assert!(!report.render().contains("federation:"));
     assert!(!report.render().contains("shards:"));
+}
+
+/// Each shard gossips its load digest after the round's awards were
+/// charged to its containers' load accounts, so a round that awarded
+/// work never reads as an idle shard.
+#[test]
+fn gossiped_shard_load_carries_the_rounds_awards() {
+    let telemetry = Telemetry::new();
+    let mut grid = sharded_builder(2, 4, 4, 11)
+        .telemetry(telemetry.clone())
+        .build();
+    let report = grid.run(60_000, 60_000);
+    assert!(!report.assignments.is_empty(), "the round awarded work");
+    let snapshot = telemetry.snapshot();
+    for shard in ["0", "1"] {
+        let load = snapshot.gauge("agentgrid_shard_load_milli", &[("shard", shard)]);
+        assert!(
+            load.is_some_and(|milli| milli > 0),
+            "shard {shard} gossiped load {load:?}"
+        );
+    }
 }
