@@ -28,7 +28,7 @@
 //!
 //! `--chaos <seed>` runs the seeded chaos-recovery experiment: a grid
 //! with a [`ChaosPlan`] derived from the
-//! seed (container crash + restart, possibly a transport-fault window),
+//! seed (container crash + restart, possibly a drop window),
 //! executed twice to check the run is bit-identical, with an empty
 //! audit. With no explicit experiment list, `--chaos` runs only the
 //! chaos experiment.
@@ -100,7 +100,7 @@ use agentgrid::grid::{GridBuilder, GridReport, ManagementGrid, Violation, DEFAUL
 use agentgrid::mobility::Rebalancer;
 use agentgrid::ontology::{AnalysisTask, ResourceProfile};
 use agentgrid::overload::{
-    AdmissionConfig, BreakerConfig, MessageClass, OverflowPolicy, OverloadConfig, OverloadStats,
+    AdmissionConfig, BreakerConfig, MessageClass, OverloadConfig, OverloadStats,
 };
 use agentgrid::recovery::RecoveryConfig;
 use agentgrid::workflow;
@@ -1003,7 +1003,7 @@ fn overload(seed: u64, telemetry: Option<&TelemetryHandle>, runtime: RuntimeChoi
     );
     let run_once = |telemetry: Option<&TelemetryHandle>| {
         let protection = OverloadConfig::new()
-            .mailbox(CAP, OverflowPolicy::ShedByPriority)
+            .mailbox(CAP)
             .admission(AdmissionConfig {
                 bucket_capacity: 4,
                 refill_per_window: 2,

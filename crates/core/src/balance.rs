@@ -27,7 +27,7 @@ use rand::{RngExt, SeedableRng};
 pub trait LoadBalancer: Send {
     /// Chooses a container from `candidates` for `task`, or `None` when
     /// no candidate is acceptable (e.g. nobody has the skill).
-    fn select(&mut self, task: &AnalysisTask, candidates: &[ResourceProfile]) -> Option<String>;
+    fn select(&mut self, task: &AnalysisTask, candidates: &[&ResourceProfile]) -> Option<String>;
 
     /// Policy name for reports.
     fn name(&self) -> &'static str;
@@ -74,10 +74,9 @@ pub fn award(
     mut eligible: impl FnMut(&DirectoryFacilitator, &ResourceProfile) -> bool,
 ) -> Option<String> {
     let directory: &DirectoryFacilitator = df;
-    let candidates: Vec<ResourceProfile> = directory
+    let candidates: Vec<&ResourceProfile> = directory
         .container_profiles()
         .filter(|p| eligible(directory, p))
-        .cloned()
         .collect();
     let container = policy.select(task, &candidates)?;
     df.charge(&container, task.size);
@@ -92,7 +91,7 @@ pub fn award(
 pub struct KnowledgeCapacityIdle;
 
 impl LoadBalancer for KnowledgeCapacityIdle {
-    fn select(&mut self, task: &AnalysisTask, candidates: &[ResourceProfile]) -> Option<String> {
+    fn select(&mut self, task: &AnalysisTask, candidates: &[&ResourceProfile]) -> Option<String> {
         candidates
             .iter()
             .filter(|p| p.has_skill(&task.skill))
@@ -127,9 +126,10 @@ pub struct RoundRobin {
 }
 
 impl LoadBalancer for RoundRobin {
-    fn select(&mut self, task: &AnalysisTask, candidates: &[ResourceProfile]) -> Option<String> {
+    fn select(&mut self, task: &AnalysisTask, candidates: &[&ResourceProfile]) -> Option<String> {
         let skilled: Vec<&ResourceProfile> = candidates
             .iter()
+            .copied()
             .filter(|p| p.has_skill(&task.skill))
             .collect();
         if skilled.is_empty() {
@@ -165,9 +165,10 @@ impl Random {
 }
 
 impl LoadBalancer for Random {
-    fn select(&mut self, task: &AnalysisTask, candidates: &[ResourceProfile]) -> Option<String> {
+    fn select(&mut self, task: &AnalysisTask, candidates: &[&ResourceProfile]) -> Option<String> {
         let skilled: Vec<&ResourceProfile> = candidates
             .iter()
+            .copied()
             .filter(|p| p.has_skill(&task.skill))
             .collect();
         if skilled.is_empty() {
@@ -192,7 +193,7 @@ impl LoadBalancer for Random {
 pub struct LeastLoaded;
 
 impl LoadBalancer for LeastLoaded {
-    fn select(&mut self, task: &AnalysisTask, candidates: &[ResourceProfile]) -> Option<String> {
+    fn select(&mut self, task: &AnalysisTask, candidates: &[&ResourceProfile]) -> Option<String> {
         candidates
             .iter()
             .filter(|p| p.has_skill(&task.skill))
@@ -223,9 +224,10 @@ impl LoadBalancer for LeastLoaded {
 pub struct ContractNet;
 
 impl LoadBalancer for ContractNet {
-    fn select(&mut self, task: &AnalysisTask, candidates: &[ResourceProfile]) -> Option<String> {
+    fn select(&mut self, task: &AnalysisTask, candidates: &[&ResourceProfile]) -> Option<String> {
         let skilled: Vec<&ResourceProfile> = candidates
             .iter()
+            .copied()
             .filter(|p| p.has_skill(&task.skill))
             .collect();
         if skilled.is_empty() {
@@ -283,7 +285,7 @@ mod tests {
     #[test]
     fn kci_requires_knowledge() {
         let mut policy = KnowledgeCapacityIdle;
-        let candidates = [profile("c1", 10.0, 0.0, &["disk"])];
+        let candidates = [&profile("c1", 10.0, 0.0, &["disk"])];
         assert_eq!(policy.select(&task("cpu"), &candidates), None);
         assert_eq!(
             policy.select(&task("disk"), &candidates),
@@ -295,8 +297,8 @@ mod tests {
     fn kci_prefers_headroom_over_raw_capacity() {
         let mut policy = KnowledgeCapacityIdle;
         let candidates = [
-            profile("big-busy", 4.0, 0.9, &["cpu"]),   // headroom 0.4
-            profile("small-idle", 1.0, 0.0, &["cpu"]), // headroom 1.0
+            &profile("big-busy", 4.0, 0.9, &["cpu"]),   // headroom 0.4
+            &profile("small-idle", 1.0, 0.0, &["cpu"]), // headroom 1.0
         ];
         assert_eq!(
             policy.select(&task("cpu"), &candidates),
@@ -308,8 +310,8 @@ mod tests {
     fn kci_is_deterministic_on_ties() {
         let mut policy = KnowledgeCapacityIdle;
         let candidates = [
-            profile("b", 1.0, 0.0, &["cpu"]),
-            profile("a", 1.0, 0.0, &["cpu"]),
+            &profile("b", 1.0, 0.0, &["cpu"]),
+            &profile("a", 1.0, 0.0, &["cpu"]),
         ];
         assert_eq!(
             policy.select(&task("cpu"), &candidates),
@@ -321,9 +323,9 @@ mod tests {
     fn round_robin_rotates_over_skilled_only() {
         let mut policy = RoundRobin::default();
         let candidates = [
-            profile("a", 1.0, 0.0, &["cpu"]),
-            profile("b", 1.0, 0.0, &["disk"]),
-            profile("c", 1.0, 0.0, &["cpu"]),
+            &profile("a", 1.0, 0.0, &["cpu"]),
+            &profile("b", 1.0, 0.0, &["disk"]),
+            &profile("c", 1.0, 0.0, &["cpu"]),
         ];
         let picks: Vec<_> = (0..4)
             .map(|_| policy.select(&task("cpu"), &candidates).unwrap())
@@ -334,8 +336,8 @@ mod tests {
     #[test]
     fn random_is_reproducible_and_skill_bound() {
         let candidates = [
-            profile("a", 1.0, 0.0, &["cpu"]),
-            profile("b", 1.0, 0.0, &["cpu"]),
+            &profile("a", 1.0, 0.0, &["cpu"]),
+            &profile("b", 1.0, 0.0, &["cpu"]),
         ];
         let run = |seed| {
             let mut policy = Random::new(seed);
@@ -352,8 +354,8 @@ mod tests {
     fn least_loaded_ignores_capacity() {
         let mut policy = LeastLoaded;
         let candidates = [
-            profile("fast-busy", 8.0, 0.5, &["cpu"]),
-            profile("slow-idle", 1.0, 0.1, &["cpu"]),
+            &profile("fast-busy", 8.0, 0.5, &["cpu"]),
+            &profile("slow-idle", 1.0, 0.1, &["cpu"]),
         ];
         assert_eq!(
             policy.select(&task("cpu"), &candidates),
@@ -365,16 +367,16 @@ mod tests {
     fn contract_net_awards_highest_headroom_and_honours_refusals() {
         let mut policy = ContractNet;
         let candidates = [
-            profile("overloaded", 8.0, 1.0, &["cpu"]), // refuses
-            profile("winner", 2.0, 0.5, &["cpu"]),     // bids 1.0
-            profile("loser", 1.0, 0.5, &["cpu"]),      // bids 0.5
+            &profile("overloaded", 8.0, 1.0, &["cpu"]), // refuses
+            &profile("winner", 2.0, 0.5, &["cpu"]),     // bids 1.0
+            &profile("loser", 1.0, 0.5, &["cpu"]),      // bids 0.5
         ];
         assert_eq!(
             policy.select(&task("cpu"), &candidates),
             Some("winner".to_owned())
         );
         // Everyone overloaded → no award.
-        let all_busy = [profile("x", 1.0, 1.0, &["cpu"])];
+        let all_busy = [&profile("x", 1.0, 1.0, &["cpu"])];
         assert_eq!(policy.select(&task("cpu"), &all_busy), None);
     }
 

@@ -1,7 +1,8 @@
 //! Deterministic chaos schedules for recovery testing.
 //!
 //! A [`ChaosPlan`] is a seeded, simulated-time-driven schedule of
-//! container crashes, restarts and transport-fault windows. The grid
+//! container crashes, restarts and network-adversary windows (link
+//! faults, drop windows among them, and partitions). The grid
 //! applies due actions at the top of each tick, so the same plan
 //! produces the same failure sequence on the deterministic runtime and
 //! the pool runtime — no wall clocks, no global RNG.
@@ -31,16 +32,17 @@
 //! ```
 
 use agentgrid_acl::AgentId;
-use agentgrid_platform::{LinkFaults, LinkSelector, TransportFault};
+use agentgrid_platform::{LinkFaults, LinkSelector};
 
 use crate::recovery::splitmix64;
 
 /// One scheduled failure (or repair) event.
 ///
-/// Fault windows are **composable**: `SetFault` adds to the active
-/// fault set (union semantics — any matching fault drops the leg), and
-/// a window closes with [`ClearFaultScoped`](Self::ClearFaultScoped)
-/// without healing the others.
+/// Fault windows are **composable**: a
+/// [`LinkFaultsOpen`](Self::LinkFaultsOpen) rule joins the active set
+/// (union semantics with other matching rules), and
+/// [`LinkFaultsClear`](Self::LinkFaultsClear) closes only the rules
+/// opened under its selector.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChaosAction {
     /// Silent crash: the container vanishes, the directory keeps its
@@ -48,10 +50,6 @@ pub enum ChaosAction {
     Crash(String),
     /// The container rejoins the grid with fresh analyzer agents.
     Restart(String),
-    /// A transport fault window opens (joins the composable set).
-    SetFault(TransportFault),
-    /// Exactly this fault clears; other open windows stay in force.
-    ClearFaultScoped(TransportFault),
     /// A per-link fault window (probabilistic drop, delay, duplication,
     /// reordering) opens under this selector.
     LinkFaultsOpen(LinkSelector, LinkFaults),
@@ -95,16 +93,15 @@ impl ChaosPlan {
     }
 
     /// Schedules a window `[from_ms, until_ms)` during which messages
-    /// **to** `agent` are dropped silently. The close removes exactly
-    /// this fault, leaving other open windows in force.
+    /// **to** `agent` are dropped silently: a [`LinkFaults::DROP_ALL`]
+    /// rule under [`LinkSelector::To`]. The close clears that selector's
+    /// rules, leaving windows on other selectors in force.
     pub fn drop_to_between(self, from_ms: u64, until_ms: u64, agent: AgentId) -> Self {
-        self.push(
+        self.link_faults_between(
             from_ms,
-            ChaosAction::SetFault(TransportFault::DropTo(agent.clone())),
-        )
-        .push(
             until_ms,
-            ChaosAction::ClearFaultScoped(TransportFault::DropTo(agent)),
+            LinkSelector::To(agent),
+            LinkFaults::DROP_ALL,
         )
     }
 
@@ -141,9 +138,9 @@ impl ChaosPlan {
             .push(until_ms, ChaosAction::PartitionHeal(name))
     }
 
-    /// Generates a crash/restart (and possibly one transport-fault
-    /// window) schedule as a pure function of `seed`, choosing victims
-    /// among `containers` within `[0, horizon_ms)`.
+    /// Generates a crash/restart (and possibly one drop window) schedule
+    /// as a pure function of `seed`, choosing victims among `containers`
+    /// within `[0, horizon_ms)`.
     ///
     /// The generated shape is deliberately simple — one victim container
     /// crashed a few minutes in and restarted a few minutes later,
@@ -315,16 +312,17 @@ mod tests {
         let plan = ChaosPlan::new()
             .drop_to_between(100, 300, AgentId::new("x"))
             .drop_to_between(200, 400, AgentId::new("y"));
-        let drop_to = |agent: &str| TransportFault::DropTo(AgentId::new(agent));
+        let to = |agent: &str| LinkSelector::To(AgentId::new(agent));
+        let open = |agent: &str| ChaosAction::LinkFaultsOpen(to(agent), LinkFaults::DROP_ALL);
         assert_eq!(
             plan.events(),
             [
-                (100, ChaosAction::SetFault(drop_to("x"))),
-                (200, ChaosAction::SetFault(drop_to("y"))),
-                // The close at 300 names exactly x's fault, so y's
+                (100, open("x")),
+                (200, open("y")),
+                // The close at 300 names exactly x's selector, so y's
                 // window (200–400) survives it.
-                (300, ChaosAction::ClearFaultScoped(drop_to("x"))),
-                (400, ChaosAction::ClearFaultScoped(drop_to("y"))),
+                (300, ChaosAction::LinkFaultsClear(to("x"))),
+                (400, ChaosAction::LinkFaultsClear(to("y"))),
             ]
         );
     }

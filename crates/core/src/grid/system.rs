@@ -256,7 +256,7 @@ impl GridBuilder {
     }
 
     /// Attaches a chaos schedule: container crashes/restarts and
-    /// transport-fault windows applied at the top of each tick.
+    /// network-adversary windows applied at the top of each tick.
     pub fn chaos(mut self, plan: ChaosPlan) -> Self {
         self.chaos = Some(plan);
         self
@@ -650,7 +650,8 @@ pub struct GridReport {
     pub task_latency: Option<TaskLatencySummary>,
     /// Network-adversary and reliability counters (drops, delays,
     /// duplicates, retransmits, dedup suppressions); `None` unless a
-    /// net adversary or reliability protocol was configured.
+    /// net adversary, the reliability protocol or a chaos window on the
+    /// network (a drop window included) was configured.
     pub net: Option<NetStats>,
     /// Number of federated domain shards the grid ran as (1 = the
     /// classic single-domain grid).
@@ -1082,12 +1083,6 @@ impl<R: Runtime> ManagementGrid<R> {
                     if let Some(t) = self.platform.telemetry() {
                         t.record_event(now, EventKind::Restart { container: name });
                     }
-                }
-                ChaosAction::SetFault(fault) => {
-                    self.platform.net_command(NetCommand::AddFault(fault));
-                }
-                ChaosAction::ClearFaultScoped(fault) => {
-                    self.platform.net_command(NetCommand::RemoveFault(fault));
                 }
                 ChaosAction::LinkFaultsOpen(selector, faults) => {
                     self.platform

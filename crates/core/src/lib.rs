@@ -70,8 +70,6 @@ pub use agentgrid_acl::ontology;
 pub use chaos::{ChaosAction, ChaosPlan};
 pub use costmodel::{CostModel, RequestType, TaskCost, TaskKind};
 pub use grid::{GridReport, ManagementGrid};
-pub use overload::{
-    AdmissionConfig, BreakerConfig, MailboxConfig, MessageClass, OverflowPolicy, OverloadConfig,
-};
+pub use overload::{AdmissionConfig, BreakerConfig, MailboxConfig, MessageClass, OverloadConfig};
 pub use recovery::{BackoffPolicy, Liveness, LivenessConfig, RecoveryConfig};
 pub use scenario::{Architecture, Workload};

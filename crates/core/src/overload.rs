@@ -7,9 +7,8 @@
 //! [`GridBuilder::overload`](crate::grid::GridBuilder::overload):
 //!
 //! 1. **Bounded mailboxes** ([`MailboxConfig`], enforced by the
-//!    platform layer on both runtimes) with [`OverflowPolicy`] choosing
-//!    between backpressure and priority-aware shedding over the
-//!    [`MessageClass`] lattice.
+//!    platform layer on both runtimes) with priority-aware shedding over
+//!    the [`MessageClass`] lattice.
 //! 2. **Admission control** ([`AdmissionConfig`]): a token bucket at
 //!    the grid root, refilled once per clock window and gated on the
 //!    aggregate advertised load of the root's analyzer containers.
@@ -33,9 +32,7 @@ use std::collections::BTreeMap;
 
 use crate::recovery::{jitter_key, BackoffPolicy};
 
-pub use agentgrid_platform::{
-    MailboxConfig, MessageClass, OverflowPolicy, OverloadStats, PressureSignal,
-};
+pub use agentgrid_platform::{MailboxConfig, MessageClass, OverloadStats, PressureSignal};
 
 /// Admission-control knobs for the grid root (token bucket + aggregate
 /// load gate).
@@ -111,9 +108,9 @@ impl OverloadConfig {
     }
 
     /// Bounds every container's mailbox at `capacity` deliveries per
-    /// clock window, resolving overflow with `policy`.
-    pub fn mailbox(mut self, capacity: usize, policy: OverflowPolicy) -> Self {
-        self.mailbox = Some(MailboxConfig::new(capacity, policy));
+    /// clock window, shedding overflow by [`MessageClass`].
+    pub fn mailbox(mut self, capacity: usize) -> Self {
+        self.mailbox = Some(MailboxConfig::new(capacity));
         self
     }
 

@@ -3,10 +3,12 @@
 //! Routing used to be a per-message affair: each queued
 //! [`SharedMessage`] was resolved, admitted, and delivered leg by leg.
 //! All runtimes now drain their inbox into a batch and group it into
-//! **per-container batches** first; transport-fault checks and receiver
-//! resolution happen here, once per batch, and the runtimes then apply
-//! overload admission ([`MailboxTracker::admit_batch`]) and flush each
-//! container's batch in one go. The grouping preserves posted order
+//! **per-container batches** first; receiver resolution happens here,
+//! once per batch, and the runtimes then hand the batches to the network
+//! adversary (while it has a window open; it is the only drop path, see
+//! [`net`](crate::net)), apply overload admission
+//! ([`MailboxTracker::admit_batch`]) and flush each container's batch in
+//! one go. The grouping preserves posted order
 //! within every container batch, so per-(sender, receiver) FIFO
 //! ordering is untouched; what changes is the locking and delivery
 //! shape — one routing-table acquisition and one channel send (or one
@@ -18,8 +20,6 @@ use std::collections::BTreeMap;
 
 use agentgrid_acl::{AgentId, SharedMessage};
 
-use crate::platform::FaultSet;
-
 /// One container's share of a routed batch: messages in posted order,
 /// each with the exact list of its receivers resident in that container.
 /// Fan-out is refcount bumps on the shared allocation, never a deep
@@ -28,14 +28,9 @@ pub(crate) type ContainerBatch = Vec<(SharedMessage, Vec<AgentId>)>;
 
 /// Groups a drained inbox batch into per-container batches.
 ///
-/// * `faults` is applied first: any active `DropFrom` silently skips
-///   whole messages, any active `DropTo` silently skips single legs
-///   (drops are not dead letters, matching a lossy network). The set is
-///   a union — every active fault applies independently.
-/// * `resolve` maps a receiver to its current container; unresolved
-///   legs go to `fail` (dead-letter or requeue-once, decided by the
-///   caller) in exactly the order a per-message router would have
-///   failed them.
+/// `resolve` maps a receiver to its current container; unresolved legs
+/// go to `fail` (dead-letter or requeue-once, decided by the caller) in
+/// exactly the order a per-message router would have failed them.
 ///
 /// Resolution is memoized for the duration of the call: fan-out batches
 /// name the same handful of receivers hundreds of times per round, and
@@ -48,21 +43,14 @@ pub(crate) type ContainerBatch = Vec<(SharedMessage, Vec<AgentId>)>;
 /// routing stays deterministic on the deterministic runtimes.
 pub(crate) fn group_into_batches(
     batch: &[SharedMessage],
-    faults: &FaultSet,
     mut resolve: impl FnMut(&AgentId) -> Option<String>,
     mut fail: impl FnMut(&SharedMessage, &AgentId),
 ) -> BTreeMap<String, ContainerBatch> {
     let mut per_container: BTreeMap<String, ContainerBatch> = BTreeMap::new();
     let mut resolved: BTreeMap<AgentId, Option<String>> = BTreeMap::new();
     for message in batch {
-        if faults.drops_from(message.sender()) {
-            continue;
-        }
         let mut groups: BTreeMap<String, Vec<AgentId>> = BTreeMap::new();
         for receiver in message.receivers() {
-            if faults.drops_to(receiver) {
-                continue;
-            }
             let home = resolved
                 .entry(receiver.clone())
                 .or_insert_with(|| resolve(receiver));
@@ -116,7 +104,6 @@ mod tests {
         let homes: BTreeMap<&str, &str> = [("a@x", "c1"), ("b@x", "c2")].into();
         let grouped = group_into_batches(
             &batch,
-            &FaultSet::default(),
             |r| homes.get(r.name()).map(|c| (*c).to_owned()),
             |_, _| panic!("everything resolves"),
         );
@@ -132,25 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn faults_drop_silently_and_unresolved_legs_fail_in_order() {
-        let batch = vec![msg("bad", &["a@x"]), msg("s", &["ghost@x", "a@x"])];
-        let mut failed = Vec::new();
-        let grouped = group_into_batches(
-            &batch,
-            &FaultSet::just(crate::platform::TransportFault::DropFrom(AgentId::new(
-                "bad",
-            ))),
-            |r| (r.name() == "a@x").then(|| "c1".to_owned()),
-            |m, r| failed.push((SharedMessage::clone(m), r.clone())),
-        );
-        // The faulted sender's message vanished entirely; the ghost leg
-        // failed; the resolvable leg grouped.
-        assert_eq!(grouped["c1"].len(), 1);
-        assert_eq!(failed.len(), 1);
-        assert_eq!(failed[0].1, AgentId::new("ghost@x"));
-    }
-
-    #[test]
     fn resolution_is_memoized_but_fail_fires_per_leg() {
         let batch = vec![
             msg("s", &["a@x", "ghost@x"]),
@@ -161,7 +129,6 @@ mod tests {
         let mut failed = Vec::new();
         let grouped = group_into_batches(
             &batch,
-            &FaultSet::default(),
             |r| {
                 probes.push(r.clone());
                 (r.name() == "a@x").then(|| "c1".to_owned())
@@ -173,18 +140,5 @@ mod tests {
         // ...but every unresolved leg still dead-letters, in order.
         assert_eq!(failed, vec![AgentId::new("ghost@x"); 2]);
         assert_eq!(grouped["c1"].len(), 3);
-    }
-
-    #[test]
-    fn drop_to_skips_only_the_faulted_leg() {
-        let batch = vec![msg("s", &["a@x", "b@x"])];
-        let homes: BTreeMap<&str, &str> = [("a@x", "c1"), ("b@x", "c1")].into();
-        let grouped = group_into_batches(
-            &batch,
-            &FaultSet::just(crate::platform::TransportFault::DropTo(AgentId::new("a@x"))),
-            |r| homes.get(r.name()).map(|c| (*c).to_owned()),
-            |_, _| panic!("b resolves"),
-        );
-        assert_eq!(grouped["c1"][0].1, vec![AgentId::new("b@x")]);
     }
 }

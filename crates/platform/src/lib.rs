@@ -79,10 +79,10 @@ pub use agentgrid_acl::ontology::ResourceProfile;
 pub use container::Container;
 pub use df::{window_load, DirectoryFacilitator, ServiceEntry, RECORDS_PER_WINDOW};
 pub use net::{LinkFaults, LinkSelector, NetCommand, NetStats, ReliabilityConfig};
-pub use overload::{MailboxConfig, MessageClass, OverflowPolicy, OverloadStats, PressureSignal};
-pub use platform::{FaultSet, Platform, PlatformError, TransportFault};
+pub use overload::{MailboxConfig, MessageClass, OverloadStats, PressureSignal};
+pub use platform::{Platform, PlatformError};
 pub use pool::PoolRuntime;
-pub use runtime::Runtime;
+pub use runtime::{Runtime, TransportFault};
 
 // Telemetry surface, re-exported so runtime users attach sinks without
 // naming the telemetry crate.

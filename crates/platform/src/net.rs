@@ -36,12 +36,20 @@
 //! ([`NetCommand::ClearLinkFaults`]), so overlapping windows no longer
 //! clobber each other.
 //!
+//! This is the platform's only way to lose a message on purpose. A
+//! chaos drop window (`ChaosPlan::drop_to_between` in the core crate)
+//! is a [`LinkFaults::DROP_ALL`] rule under [`LinkSelector::To`], so its
+//! drops count in [`NetStats::dropped`] and, with reliability on, are
+//! retransmitted once the window closes.
+//!
 //! Everything here is wired through [`NetCommand`], which both runtimes
 //! accept via
 //! [`Runtime::net_command`](crate::runtime::Runtime::net_command) — the
-//! adversary sits in the one shared routing path
-//! (the crate's `delivery` module), so the deterministic stepper and the pool
-//! misbehave identically.
+//! adversary sits in the one shared routing path, after receiver
+//! resolution and before overload admission, so the deterministic
+//! stepper and the pool misbehave identically. Routing hands it batches
+//! only while a rule, a partition or reliability is in force: with every
+//! window closed, a batch costs what it did before the first opened.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -49,7 +57,6 @@ use agentgrid_acl::{AgentId, SharedMessage};
 use agentgrid_telemetry::{EventKind, Telemetry};
 
 use crate::delivery::ContainerBatch;
-use crate::platform::TransportFault;
 
 /// Default bound on the retransmit buffer. Legs past the cap give up
 /// (counted by [`NetStats::retransmit_overflow`]) instead of growing
@@ -136,6 +143,16 @@ pub struct LinkFaults {
 }
 
 impl LinkFaults {
+    /// Certain loss: every matching leg is dropped. A chaos drop window
+    /// is this bundle under [`LinkSelector::To`].
+    pub const DROP_ALL: LinkFaults = LinkFaults {
+        drop_ppm: 1_000_000,
+        delay_ms: 0,
+        delay_jitter_ms: 0,
+        duplicate_ppm: 0,
+        reorder_window: 0,
+    };
+
     /// Whether the bundle does nothing.
     pub fn is_benign(&self) -> bool {
         *self == LinkFaults::default()
@@ -221,13 +238,6 @@ impl ReliabilityConfig {
 pub enum NetCommand {
     /// Replaces the adversary's seed (decision stream).
     Seed(u64),
-    /// Adds a legacy agent-scoped fault to the composable fault set
-    /// (drops are total for matching legs).
-    AddFault(TransportFault),
-    /// Removes exactly that fault from the set; other windows stay open.
-    RemoveFault(TransportFault),
-    /// Clears the whole legacy fault set.
-    ClearFaults,
     /// Opens a per-link fault window: the rule joins the active set
     /// (union semantics with other matching rules).
     AddLinkFaults(LinkSelector, LinkFaults),
@@ -347,9 +357,7 @@ impl NetAdversary {
         }
     }
 
-    /// Applies one command. The legacy fault-set commands
-    /// (`AddFault`/`RemoveFault`/`ClearFaults`) are handled by the
-    /// owning platform before the adversary sees anything.
+    /// Applies one command.
     pub(crate) fn command(&mut self, command: NetCommand) {
         match command {
             NetCommand::Seed(seed) => self.seed = seed,
@@ -364,10 +372,15 @@ impl NetAdversary {
                 self.partitions.remove(&name);
             }
             NetCommand::SetReliability(config) => self.reliability = Some(config),
-            NetCommand::AddFault(_) | NetCommand::RemoveFault(_) | NetCommand::ClearFaults => {
-                unreachable!("fault-set commands are handled by the platform")
-            }
         }
+    }
+
+    /// Whether freshly routed batches must pass through
+    /// [`process_batch`](Self::process_batch): some fault rule,
+    /// partition or reliability policy is in force. Delayed and
+    /// retransmit legs drain through [`due`](Self::due) either way.
+    pub(crate) fn is_active(&self) -> bool {
+        !self.rules.is_empty() || !self.partitions.is_empty() || self.reliability.is_some()
     }
 
     pub(crate) fn stats(&self) -> NetStats {
@@ -481,9 +494,6 @@ impl NetAdversary {
         now_ms: u64,
         telemetry: Option<&Telemetry>,
     ) -> ContainerBatch {
-        if self.rules.is_empty() && self.partitions.is_empty() && self.reliability.is_none() {
-            return legs;
-        }
         let mut out: ContainerBatch = Vec::new();
         let mut max_window = 1u32;
         for (message, receivers) in legs {
@@ -712,6 +722,10 @@ mod tests {
     #[test]
     fn benign_adversary_passes_batches_through() {
         let mut net = NetAdversary::new(7);
+        assert!(
+            !net.is_active(),
+            "routing skips an adversary with no window"
+        );
         let batch = vec![leg("a@x", "b@x")];
         let out = net.process_batch("ct", batch, resolve_all, 0, None);
         assert_eq!(out.len(), 1);
@@ -723,10 +737,7 @@ mod tests {
         let mut net = NetAdversary::new(7);
         net.command(NetCommand::AddLinkFaults(
             LinkSelector::All,
-            LinkFaults {
-                drop_ppm: 1_000_000,
-                ..LinkFaults::default()
-            },
+            LinkFaults::DROP_ALL,
         ));
         let out = net.process_batch("ct", vec![leg("a@x", "b@x")], resolve_all, 0, None);
         assert!(out.is_empty());
@@ -743,10 +754,7 @@ mod tests {
         net.command(NetCommand::SetReliability(ReliabilityConfig::seeded(7)));
         net.command(NetCommand::AddLinkFaults(
             LinkSelector::All,
-            LinkFaults {
-                drop_ppm: 1_000_000,
-                ..LinkFaults::default()
-            },
+            LinkFaults::DROP_ALL,
         ));
         let out = net.process_batch("ct", vec![leg("a@x", "b@x")], resolve_all, 0, None);
         assert!(out.is_empty());
@@ -969,10 +977,7 @@ mod tests {
         }));
         net.command(NetCommand::AddLinkFaults(
             LinkSelector::All,
-            LinkFaults {
-                drop_ppm: 1_000_000,
-                ..LinkFaults::default()
-            },
+            LinkFaults::DROP_ALL,
         ));
         let batch: ContainerBatch = (0..5).map(|i| leg("s@x", &format!("r{i}@x"))).collect();
         let out = net.process_batch("ct", batch, resolve_all, 0, None);

@@ -1,14 +1,13 @@
 //! Overload protection: bounded per-container mailboxes with
-//! configurable overflow policies, shared by both runtimes.
+//! priority-aware shedding, shared by both runtimes.
 //!
 //! The paper's load-balancing principles (§3.5) pick the best worker for
 //! a task, but say nothing about what happens once *every* worker is
 //! saturated. This module supplies the missing back-stop: each container
-//! gets a per-clock-window delivery budget ([`MailboxConfig::capacity`]),
-//! and traffic beyond the budget is either deferred to a later window
-//! ([`OverflowPolicy::Block`] — the simulated-time equivalent of
-//! backpressuring the sender) or shed ([`OverflowPolicy::ShedOldest`],
-//! [`OverflowPolicy::ShedByPriority`]).
+//! gets a per-clock-window delivery budget ([`MailboxConfig::capacity`]).
+//! Traffic beyond the budget waits for a later window in a queue bounded
+//! by the same capacity; once that queue is full, the least important
+//! candidate is shed.
 //!
 //! # Why windows, not instantaneous queue depth
 //!
@@ -25,9 +24,11 @@
 //!
 //! Shedding is priority-aware via the [`MessageClass`] lattice:
 //! alerts/escalations > broker protocol > reports > raw collection
-//! data. Alert-class messages are **never** shed: when every shedding
-//! candidate is an alert, the bound is deliberately exceeded rather than
-//! dropping one (see [`MessageClass::Alert`]).
+//! data. The victim is the lowest-class candidate among the waiting
+//! queue and the incoming leg (ties: oldest first). Alert-class messages
+//! are **never** shed: when every shedding candidate is an alert, the
+//! bound is deliberately exceeded rather than dropping one (see
+//! [`MessageClass::Alert`]).
 //!
 //! The layer is strictly opt-in: a runtime without a [`MailboxConfig`]
 //! routes exactly as before, byte for byte.
@@ -38,24 +39,6 @@ use std::sync::Arc;
 
 use agentgrid_acl::{AgentId, SharedMessage, Value};
 use agentgrid_telemetry::{Counter, EventKind, Gauge, TelemetryHandle};
-
-/// What to do with traffic beyond a container's per-window budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum OverflowPolicy {
-    /// Backpressure: excess messages wait (unbounded) and are delivered
-    /// in later windows as budget frees up. Nothing is lost; latency
-    /// grows instead.
-    Block,
-    /// Keep a bounded waiting queue; once it is full, evict the oldest
-    /// waiting message to admit the newest (fresh data beats stale).
-    ShedOldest,
-    /// Keep a bounded waiting queue; once it is full, evict the
-    /// lowest-[`MessageClass`] candidate (ties: oldest first).
-    /// [`MessageClass::Alert`] candidates are exempt — if every
-    /// candidate is an alert the queue grows past its bound instead.
-    ShedByPriority,
-}
 
 /// Priority lattice for overload decisions, derived from the ontology
 /// `concept` tag of a message's content. Higher is more important.
@@ -112,20 +95,18 @@ impl MessageClass {
 }
 
 /// Bounded-mailbox knobs: the per-container, per-clock-window delivery
-/// budget and the policy applied beyond it.
+/// budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MailboxConfig {
-    /// Deliveries admitted per container per clock window (also the
-    /// waiting-queue bound under the shed policies). Clamped to ≥ 1.
+    /// Deliveries admitted per container per clock window, and the bound
+    /// on the waiting queue beyond them. Clamped to ≥ 1.
     pub capacity: usize,
-    /// What happens to traffic beyond the budget.
-    pub policy: OverflowPolicy,
 }
 
 impl MailboxConfig {
-    /// A config with the given budget and policy.
-    pub fn new(capacity: usize, policy: OverflowPolicy) -> Self {
-        MailboxConfig { capacity, policy }
+    /// A config with the given budget.
+    pub fn new(capacity: usize) -> Self {
+        MailboxConfig { capacity }
     }
 }
 
@@ -165,8 +146,7 @@ pub struct OverloadStats {
     /// moment it entered the waiting queue).
     pub deferred: u64,
     /// Peak waiting-queue depth across all containers. Bounded by the
-    /// configured capacity under the shed policies (alert exemption
-    /// aside); unbounded under [`OverflowPolicy::Block`].
+    /// configured capacity, except that waiting alerts are never shed.
     pub highwater: usize,
 }
 
@@ -333,55 +313,34 @@ impl MailboxTracker {
             receiver: receiver.clone(),
             class,
         };
-        match self.config.policy {
-            OverflowPolicy::Block => {
-                self.defer(container, waiting);
-                Admission::Deferred
-            }
-            OverflowPolicy::ShedOldest => {
-                if window.backlog.len() < cap {
-                    self.defer(container, waiting);
-                    return Admission::Deferred;
-                }
-                let victim = window
-                    .backlog
-                    .pop_front()
-                    .expect("backlog at capacity ≥ 1 is non-empty");
-                self.record_shed(container, victim.class, now_ms);
-                self.defer(container, waiting);
-                Admission::Deferred
-            }
-            OverflowPolicy::ShedByPriority => {
-                if window.backlog.len() < cap {
-                    self.defer(container, waiting);
-                    return Admission::Deferred;
-                }
-                // Victim: the lowest class among the waiting queue and
-                // the incoming leg; ties break towards the oldest.
-                let (victim_at, victim_class) = window
-                    .backlog
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(index, w)| (w.class, *index))
-                    .map(|(index, w)| (index, w.class))
-                    .expect("backlog at capacity ≥ 1 is non-empty");
-                if class < victim_class {
-                    // The incoming leg is the least important candidate.
-                    self.record_shed(container, class, now_ms);
-                    return Admission::Shed;
-                }
-                if victim_class == MessageClass::Alert {
-                    // Every candidate is an alert: exceed the bound
-                    // rather than drop one.
-                    self.defer(container, waiting);
-                    return Admission::Deferred;
-                }
-                window.backlog.remove(victim_at);
-                self.record_shed(container, victim_class, now_ms);
-                self.defer(container, waiting);
-                Admission::Deferred
-            }
+        if window.backlog.len() < cap {
+            self.defer(container, waiting);
+            return Admission::Deferred;
         }
+        // Victim: the lowest class among the waiting queue and the
+        // incoming leg; ties break towards the oldest.
+        let (victim_at, victim_class) = window
+            .backlog
+            .iter()
+            .enumerate()
+            .min_by_key(|(index, w)| (w.class, *index))
+            .map(|(index, w)| (index, w.class))
+            .expect("backlog at capacity ≥ 1 is non-empty");
+        if class < victim_class {
+            // The incoming leg is the least important candidate.
+            self.record_shed(container, class, now_ms);
+            return Admission::Shed;
+        }
+        if victim_class == MessageClass::Alert {
+            // Every candidate is an alert: exceed the bound rather than
+            // drop one.
+            self.defer(container, waiting);
+            return Admission::Deferred;
+        }
+        window.backlog.remove(victim_at);
+        self.record_shed(container, victim_class, now_ms);
+        self.defer(container, waiting);
+        Admission::Deferred
     }
 
     /// Admits a whole per-container batch in one call — the admission
@@ -484,8 +443,8 @@ mod tests {
         assert!(MessageClass::Report > MessageClass::Bulk);
     }
 
-    fn tracker(capacity: usize, policy: OverflowPolicy) -> MailboxTracker {
-        MailboxTracker::new(MailboxConfig::new(capacity, policy), None, None)
+    fn tracker(capacity: usize) -> MailboxTracker {
+        MailboxTracker::new(MailboxConfig::new(capacity), None, None)
     }
 
     fn receiver() -> AgentId {
@@ -493,8 +452,8 @@ mod tests {
     }
 
     #[test]
-    fn budget_admits_then_defers_under_block() {
-        let mut t = tracker(2, OverflowPolicy::Block);
+    fn budget_admits_then_defers_within_the_queue_bound() {
+        let mut t = tracker(2);
         let r = receiver();
         assert_eq!(t.admit("c", &msg(None), &r, 0), Admission::Deliver);
         assert_eq!(t.admit("c", &msg(None), &r, 0), Admission::Deliver);
@@ -509,28 +468,8 @@ mod tests {
     }
 
     #[test]
-    fn shed_oldest_evicts_the_front_of_the_waiting_queue() {
-        let mut t = tracker(1, OverflowPolicy::ShedOldest);
-        let r = receiver();
-        assert_eq!(t.admit("c", &msg(Some("alert")), &r, 0), Admission::Deliver);
-        assert_eq!(
-            t.admit("c", &msg(Some("collected-batch")), &r, 0),
-            Admission::Deferred
-        );
-        // Queue full: the waiting batch is evicted for the newer alert.
-        assert_eq!(
-            t.admit("c", &msg(Some("alert")), &r, 0),
-            Admission::Deferred
-        );
-        assert_eq!(t.stats().shed(MessageClass::Bulk), 1);
-        assert_eq!(t.stats().highwater, 1);
-        let due = t.begin_window();
-        assert_eq!(due.len(), 1);
-    }
-
-    #[test]
     fn shed_by_priority_prefers_low_classes_and_spares_alerts() {
-        let mut t = tracker(1, OverflowPolicy::ShedByPriority);
+        let mut t = tracker(1);
         let r = receiver();
         assert_eq!(
             t.admit("c", &msg(Some("observation")), &r, 0),
@@ -552,7 +491,7 @@ mod tests {
         assert_eq!(t.stats().shed(MessageClass::Broker), 1);
 
         // A higher-class arrival evicts a lower-class waiter instead.
-        let mut t = tracker(1, OverflowPolicy::ShedByPriority);
+        let mut t = tracker(1);
         assert_eq!(t.admit("c", &msg(None), &r, 0), Admission::Deliver);
         assert_eq!(
             t.admit("c", &msg(Some("collected-batch")), &r, 0),
@@ -568,7 +507,7 @@ mod tests {
 
     #[test]
     fn separate_containers_have_separate_budgets() {
-        let mut t = tracker(1, OverflowPolicy::Block);
+        let mut t = tracker(1);
         let r = receiver();
         assert_eq!(t.admit("a", &msg(None), &r, 0), Admission::Deliver);
         assert_eq!(t.admit("b", &msg(None), &r, 0), Admission::Deliver);
@@ -579,7 +518,7 @@ mod tests {
 
     #[test]
     fn alerts_are_never_shed_even_when_everything_is_an_alert() {
-        let mut t = tracker(1, OverflowPolicy::ShedByPriority);
+        let mut t = tracker(1);
         let r = receiver();
         for _ in 0..5 {
             t.admit("c", &msg(Some("alert")), &r, 0);

@@ -24,8 +24,6 @@ pub enum PlatformError {
     DuplicateAgent(AgentId),
     /// A container with that name already exists.
     DuplicateContainer(String),
-    /// The operation is not supported by this runtime.
-    Unsupported(&'static str),
 }
 
 impl fmt::Display for PlatformError {
@@ -37,89 +35,11 @@ impl fmt::Display for PlatformError {
             PlatformError::DuplicateContainer(name) => {
                 write!(f, "container `{name}` already exists")
             }
-            PlatformError::Unsupported(what) => {
-                write!(f, "operation not supported by this runtime: {what}")
-            }
         }
     }
 }
 
 impl std::error::Error for PlatformError {}
-
-/// Transport fault injection, for resilience tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TransportFault {
-    /// Deliver everything (default).
-    None,
-    /// Silently drop messages addressed to this agent.
-    DropTo(AgentId),
-    /// Silently drop messages sent by this agent.
-    DropFrom(AgentId),
-}
-
-/// A composable set of active [`TransportFault`]s.
-///
-/// The single-fault API used to be replace-semantics: one `SetFault`
-/// clobbered whatever window was open, and one `ClearFault` healed
-/// everything. The set makes concurrent fault windows compose:
-/// **union semantics** (a leg is dropped if *any* active fault matches
-/// it), scoped removal (closing one window leaves the others open), and
-/// [`TransportFault::None`] is the identity (inserting it does
-/// nothing). Duplicated inserts collapse, so a window opened twice
-/// closes with one removal.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FaultSet {
-    active: Vec<TransportFault>,
-}
-
-impl FaultSet {
-    /// The set holding exactly `fault` (empty for
-    /// [`TransportFault::None`]) — the bridge from the legacy
-    /// replace-semantics API.
-    pub fn just(fault: TransportFault) -> Self {
-        let mut set = FaultSet::default();
-        set.insert(fault);
-        set
-    }
-
-    /// Adds a fault to the set. `None` and duplicates are no-ops.
-    pub fn insert(&mut self, fault: TransportFault) {
-        if matches!(fault, TransportFault::None) || self.active.contains(&fault) {
-            return;
-        }
-        self.active.push(fault);
-    }
-
-    /// Removes exactly this fault; other active faults stay in force.
-    pub fn remove(&mut self, fault: &TransportFault) {
-        self.active.retain(|f| f != fault);
-    }
-
-    /// Heals everything.
-    pub fn clear(&mut self) {
-        self.active.clear();
-    }
-
-    /// Whether no fault is active.
-    pub fn is_empty(&self) -> bool {
-        self.active.is_empty()
-    }
-
-    /// Whether any active fault drops messages sent by `sender`.
-    pub fn drops_from(&self, sender: &AgentId) -> bool {
-        self.active
-            .iter()
-            .any(|f| matches!(f, TransportFault::DropFrom(from) if from == sender))
-    }
-
-    /// Whether any active fault drops legs addressed to `receiver`.
-    pub fn drops_to(&self, receiver: &AgentId) -> bool {
-        self.active
-            .iter()
-            .any(|f| matches!(f, TransportFault::DropTo(to) if to == receiver))
-    }
-}
 
 /// The agent platform: containers, message transport, AMS and DF.
 ///
@@ -136,7 +56,6 @@ pub struct Platform {
     pub(crate) df: DirectoryFacilitator,
     pub(crate) in_flight: Vec<SharedMessage>,
     dead_letters: Vec<SharedMessage>,
-    faults: FaultSet,
     /// The seeded network adversary + reliability layer; `None` (the
     /// default) routes exactly as before.
     net: Option<NetAdversary>,
@@ -172,7 +91,6 @@ impl Platform {
             df: DirectoryFacilitator::new(),
             in_flight: Vec::new(),
             dead_letters: Vec::new(),
-            faults: FaultSet::default(),
             net: None,
             now_ms: 0,
             delivered: 0,
@@ -201,7 +119,7 @@ impl Platform {
     /// Enables bounded per-container mailboxes (see
     /// [`overload`](crate::overload)): each container accepts at most
     /// `config.capacity` deliveries per clock window, and excess traffic
-    /// is deferred or shed per `config.policy`. The optional
+    /// is deferred or shed by message class. The optional
     /// `pressure` signal is notified on every deferral/shed so upstream
     /// producers (collectors) can pace themselves.
     pub fn set_overload(&mut self, config: MailboxConfig, pressure: Option<Arc<PressureSignal>>) {
@@ -373,28 +291,13 @@ impl Platform {
         &mut self.df
     }
 
-    /// Injects (or clears) a transport fault, with the legacy
-    /// **replace** semantics: the new fault becomes the whole set
-    /// ([`TransportFault::None`] heals everything). Composable windows
-    /// go through [`net_command`](Self::net_command) with
-    /// [`NetCommand::AddFault`]/[`NetCommand::RemoveFault`].
-    pub fn set_fault(&mut self, fault: TransportFault) {
-        self.faults = FaultSet::just(fault);
-    }
-
-    /// Applies one command against the network layer: legacy fault-set
-    /// edits, per-link fault windows, partitions, the adversary seed,
-    /// or the reliability policy (see [`crate::net`]).
+    /// Applies one command against the network layer: per-link fault
+    /// windows, partitions, the adversary seed, or the reliability
+    /// policy (see [`crate::net`]).
     pub fn net_command(&mut self, command: NetCommand) {
-        match command {
-            NetCommand::AddFault(fault) => self.faults.insert(fault),
-            NetCommand::RemoveFault(fault) => self.faults.remove(&fault),
-            NetCommand::ClearFaults => self.faults.clear(),
-            other => self
-                .net
-                .get_or_insert_with(|| NetAdversary::new(0))
-                .command(other),
-        }
+        self.net
+            .get_or_insert_with(|| NetAdversary::new(0))
+            .command(command);
     }
 
     /// Counters of the network adversary/reliability layer; `None`
@@ -581,11 +484,13 @@ impl Platform {
     }
 
     /// Batch-first routing: the drained queue is grouped into
-    /// per-container batches (transport faults and receiver resolution
-    /// applied once, up front), unresolved legs fail in posted order,
-    /// then each container batch goes through overload admission **once**
-    /// and flushes into mailboxes in container-name order. Fan-out stays
-    /// N `Arc::clone`s of one shared allocation.
+    /// per-container batches (receiver resolution applied once, up
+    /// front), unresolved legs fail in posted order, the network
+    /// adversary sees the batches while it has a rule, a partition or
+    /// reliability to apply, then each container batch goes through
+    /// overload admission **once** and flushes into mailboxes in
+    /// container-name order. Fan-out stays N `Arc::clone`s of one shared
+    /// allocation.
     fn route_batch(
         &mut self,
         batch: &[SharedMessage],
@@ -596,7 +501,6 @@ impl Platform {
             let containers = &self.containers;
             group_into_batches(
                 batch,
-                &self.faults,
                 |receiver| resolve_in(containers, receiver),
                 |message, receiver| failed.push((SharedMessage::clone(message), receiver.clone())),
             )
@@ -605,9 +509,10 @@ impl Platform {
             self.fail_leg(message, receiver, telemetry);
         }
         let now_ms = self.now_ms;
-        if let Some(net) = &mut self.net {
+        if let Some(net) = self.net.as_mut().filter(|net| net.is_active()) {
             // The adversary sits between routing and admission: legs it
-            // drops/delays/parks never reach the overload layer.
+            // drops/delays/parks never reach the overload layer. Once
+            // its last window closes, routing skips it again.
             let containers = &self.containers;
             let mut survived: BTreeMap<String, ContainerBatch> = BTreeMap::new();
             for (container, legs) in batches {
@@ -752,7 +657,7 @@ pub(crate) fn resolve_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AgentCtx;
+    use crate::{AgentCtx, LinkFaults, LinkSelector};
     use agentgrid_acl::{AclMessage, Performative, Value};
 
     /// Counts messages; replies to `ping` with `pong`.
@@ -915,25 +820,51 @@ mod tests {
         ));
     }
 
+    fn request(from: &AgentId, to: &AgentId) -> AclMessage {
+        AclMessage::builder(Performative::Request)
+            .sender(from.clone())
+            .receiver(to.clone())
+            .content(Value::symbol("ping"))
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn drop_to_fault_suppresses_delivery() {
-        let (mut p, _, ponger) = two_agent_platform(2);
-        p.set_fault(TransportFault::DropTo(ponger.clone()));
+        let (mut p, pinger, ponger) = two_agent_platform(2);
+        let window = LinkSelector::To(ponger.clone());
+        p.net_command(NetCommand::AddLinkFaults(
+            window.clone(),
+            LinkFaults::DROP_ALL,
+        ));
         p.run_until_idle(0);
         assert_eq!(p.delivered_count(), 0);
         assert!(
             p.dead_letters().is_empty(),
             "drops are silent, not dead-lettered"
         );
-        p.set_fault(TransportFault::None);
+        assert_eq!(p.net_stats().map(|s| s.dropped), Some(2));
+        // Closing the window restores delivery: one ping in, one pong out.
+        p.net_command(NetCommand::ClearLinkFaults(window));
+        p.post(request(&pinger, &ponger));
+        p.run_until_idle(1);
+        assert_eq!(p.delivered_count(), 2);
     }
 
     #[test]
     fn drop_from_fault_suppresses_sender() {
-        let (mut p, pinger, _) = two_agent_platform(2);
-        p.set_fault(TransportFault::DropFrom(pinger.clone()));
+        let (mut p, pinger, ponger) = two_agent_platform(2);
+        p.net_command(NetCommand::AddLinkFaults(
+            LinkSelector::From(pinger.clone()),
+            LinkFaults::DROP_ALL,
+        ));
         p.run_until_idle(0);
         assert_eq!(p.delivered_count(), 0);
+        assert_eq!(p.net_stats().map(|s| s.dropped), Some(2));
+        // Only the pinger's sends are dropped: the ponger still reaches it.
+        p.post(request(&ponger, &pinger));
+        p.run_until_idle(1);
+        assert_eq!(p.delivered_count(), 1);
     }
 
     #[test]

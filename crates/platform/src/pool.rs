@@ -71,7 +71,7 @@ use crate::container::{Container, DfRef};
 use crate::net::{NetCommand, NetStats};
 use crate::overload::{MailboxConfig, OverloadStats, PressureSignal};
 use crate::runtime::Runtime;
-use crate::{DirectoryFacilitator, Platform, PlatformError, TransportFault};
+use crate::{DirectoryFacilitator, Platform, PlatformError};
 
 /// One container's share of a pool job: taken out of the platform for
 /// the duration of a tick phase, with its private outbox so the merge
@@ -372,10 +372,6 @@ impl Runtime for PoolRuntime {
 
     fn crash_container_silent(&mut self, name: &str) -> Result<Vec<AgentId>, PlatformError> {
         self.inner.crash_container_silent(name)
-    }
-
-    fn set_transport_fault(&mut self, fault: TransportFault) {
-        self.inner.set_fault(fault);
     }
 
     fn set_dead_letter_requeue(&mut self, enabled: bool) {

@@ -51,9 +51,20 @@ use agentgrid_acl::{AgentId, SharedMessage};
 use agentgrid_telemetry::TelemetryHandle;
 
 use crate::agent::Agent;
-use crate::net::{NetCommand, NetStats};
+use crate::net::{LinkFaults, LinkSelector, NetCommand, NetStats};
 use crate::overload::{MailboxConfig, OverloadStats, PressureSignal};
-use crate::{DirectoryFacilitator, Platform, PlatformError, TransportFault};
+use crate::{DirectoryFacilitator, Platform, PlatformError};
+
+/// An agent-scoped drop window, the argument of
+/// [`Runtime::set_transport_fault`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum TransportFault {
+    /// Silently drop messages addressed to this agent.
+    DropTo(AgentId),
+    /// Silently drop messages sent by this agent.
+    DropFrom(AgentId),
+}
 
 /// Common driver surface of the deterministic and pool runtimes.
 ///
@@ -134,10 +145,20 @@ pub trait Runtime {
     /// [`PlatformError::NoSuchContainer`] if absent.
     fn crash_container_silent(&mut self, name: &str) -> Result<Vec<AgentId>, PlatformError>;
 
-    /// Injects (or clears) a transport fault affecting message routing
-    /// from now on; drops are silent (no dead letters), as on a lossy
-    /// network.
-    fn set_transport_fault(&mut self, fault: TransportFault);
+    /// Opens a drop window on the network adversary: a
+    /// [`LinkFaults::DROP_ALL`] rule under [`LinkSelector::To`] or
+    /// [`LinkSelector::From`]. It closes with
+    /// [`NetCommand::ClearLinkFaults`] on the same selector. New code
+    /// calls [`net_command`](Runtime::net_command) directly; this method
+    /// stays only while the benchmark's tracing wrapper (`Traced<R>` in
+    /// `gridbench`) forwards it.
+    fn set_transport_fault(&mut self, fault: TransportFault) {
+        let selector = match fault {
+            TransportFault::DropTo(agent) => LinkSelector::To(agent),
+            TransportFault::DropFrom(agent) => LinkSelector::From(agent),
+        };
+        self.net_command(NetCommand::AddLinkFaults(selector, LinkFaults::DROP_ALL));
+    }
 
     /// Switches the requeue-once dead-letter policy: an undeliverable
     /// message is narrowed to its failed receiver and retried once on
@@ -152,8 +173,8 @@ pub trait Runtime {
     /// The attached telemetry sink, if any.
     fn telemetry(&self) -> Option<TelemetryHandle>;
 
-    /// Enables bounded per-container mailboxes with the given overflow
-    /// policy (see [`MailboxConfig`]). The capacity is a per-container
+    /// Enables bounded per-container mailboxes, shedding by message
+    /// class (see [`MailboxConfig`]). The capacity is a per-container
     /// delivery budget per clock window, so shed/deferred totals depend
     /// only on the simulated clock, never on scheduling. Off by default
     /// (today's unbounded behaviour).
@@ -251,10 +272,6 @@ impl Runtime for Platform {
         Platform::crash_container_silent(self, name)
     }
 
-    fn set_transport_fault(&mut self, fault: TransportFault) {
-        Platform::set_fault(self, fault);
-    }
-
     fn set_dead_letter_requeue(&mut self, enabled: bool) {
         Platform::set_dead_letter_requeue(self, enabled);
     }
@@ -339,6 +356,28 @@ mod tests {
             assert_eq!(hits.load(Ordering::SeqCst), 1);
             assert_eq!(rt.delivered_count(), 1);
             assert_eq!(rt.dead_letter_count(), 0);
+        }
+        check::<Platform>();
+        check::<PoolRuntime>();
+    }
+
+    #[test]
+    fn transport_fault_opens_a_drop_window_on_both_runtimes() {
+        fn check<R: Runtime>() {
+            let hits = Arc::new(AtomicUsize::new(0));
+            let mut rt: R = scenario(&hits);
+            let counter = AgentId::with_platform("counter", "x");
+            rt.set_transport_fault(TransportFault::DropTo(counter.clone()));
+            rt.post(ping(counter.clone()));
+            rt.run_until_idle(1);
+            assert_eq!(hits.load(Ordering::SeqCst), 1, "the window drops the ping");
+            assert_eq!(rt.net_stats().map(|s| s.dropped), Some(1));
+            rt.net_command(NetCommand::ClearLinkFaults(LinkSelector::To(
+                counter.clone(),
+            )));
+            rt.post(ping(counter));
+            rt.run_until_idle(2);
+            assert_eq!(hits.load(Ordering::SeqCst), 2);
         }
         check::<Platform>();
         check::<PoolRuntime>();

@@ -297,7 +297,7 @@ fn telemetry_counters_match_across_runtimes() {
 }
 
 /// Recovery parity: the same seeded [`ChaosPlan`] — crash, restart,
-/// transport-fault windows — must drive both runtimes to the same
+/// drop windows — must drive both runtimes to the same
 /// outcome, to the byte, with zero permanently lost tasks. The
 /// deterministic runtime must further be bit-identical across two
 /// invocations of the same seed.
@@ -449,8 +449,7 @@ fn network_adversary_is_consistent_across_runtimes() {
 fn overload_shedding_is_consistent_across_runtimes() {
     use agentgrid_suite::acl::{AclMessage, AgentId, Performative, Value};
     use agentgrid_suite::platform::{
-        Agent, MailboxConfig, MessageClass, OverflowPolicy, OverloadStats, Platform, PoolRuntime,
-        Runtime,
+        Agent, MailboxConfig, MessageClass, OverloadStats, Platform, PoolRuntime, Runtime,
     };
 
     struct Sink;
@@ -491,7 +490,7 @@ fn overload_shedding_is_consistent_across_runtimes() {
 
     fn scenario<R: Runtime>(seed: u64) -> OverloadStats {
         let mut rt = R::create("x");
-        rt.set_overload(MailboxConfig::new(2, OverflowPolicy::ShedByPriority), None);
+        rt.set_overload(MailboxConfig::new(2), None);
         let sinks: Vec<AgentId> = (0..3)
             .map(|i| {
                 let container = format!("c{i}");
@@ -605,7 +604,7 @@ fn admission_gate_is_consistent_across_runtimes() {
 mod parity_matrix {
     use super::*;
     use agentgrid_suite::core::chaos::ChaosPlan;
-    use agentgrid_suite::core::overload::{AdmissionConfig, OverflowPolicy, OverloadConfig};
+    use agentgrid_suite::core::overload::{AdmissionConfig, OverloadConfig};
     use agentgrid_suite::core::recovery::RecoveryConfig;
     use agentgrid_suite::net::{Device, DeviceKind, Network};
     use proptest::prelude::*;
@@ -654,7 +653,7 @@ mod parity_matrix {
                 .then(|| ChaosPlan::seeded(seed, &analyzers, horizon));
             let protection = (overload_on == 1).then(|| {
                 OverloadConfig::new()
-                    .mailbox(3, OverflowPolicy::ShedByPriority)
+                    .mailbox(3)
                     .admission(AdmissionConfig {
                         bucket_capacity: 4,
                         refill_per_window: 2,

@@ -1,5 +1,5 @@
 //! Chaos tests for the recovery layer: seeded crash/restart schedules
-//! and transport-fault windows against the recovering grid.
+//! and drop windows against the recovering grid.
 //!
 //! The properties under test are the recovery layer's contract:
 //!
@@ -219,6 +219,33 @@ fn network_adversary_with_reliability_loses_nothing_across_64_seeds() {
             );
         }
     }
+}
+
+/// A chaos drop window is a network-adversary link fault: its drops are
+/// counted with the adversary's, and with reliable delivery on, an award
+/// it swallows is retransmitted once the window closes, so the grid's
+/// invariants hold without any re-brokering.
+#[test]
+fn drop_window_is_counted_and_retransmitted_after_it_closes() {
+    let analyzer = agentgrid_suite::acl::AgentId::with_platform("analyzer-pg-1", "grid");
+    let report = ManagementGrid::builder()
+        .network(network(4, 7))
+        .analyzer("pg-1", 1.0, ALL_SKILLS)
+        .analyzer("pg-2", 1.0, ALL_SKILLS)
+        .reliability(ReliabilityConfig::seeded(7))
+        .chaos(ChaosPlan::new().drop_to_between(60_000, 3 * 60_000, analyzer))
+        .build()
+        .run(8 * 60_000, 60_000);
+    let net = report
+        .net
+        .expect("the drop window touched the network layer");
+    assert!(net.dropped > 0, "the window swallowed nothing: {net:?}");
+    assert!(
+        net.delivered_after_retry > 0,
+        "no swallowed award was retransmitted after the close: {net:?}"
+    );
+    assert!(report.rebrokered.is_empty(), "the retransmit, not recovery");
+    assert_eq!(report.audit(), []);
 }
 
 /// The work-stealing pool runtime under the same seeded chaos plan: the

@@ -5,7 +5,7 @@ use agentgrid_suite::acl::AgentId;
 use agentgrid_suite::core::chaos::ChaosPlan;
 use agentgrid_suite::core::recovery::RecoveryConfig;
 use agentgrid_suite::net::{Device, DeviceKind, FaultKind, Network, ScheduledFault};
-use agentgrid_suite::platform::TransportFault;
+use agentgrid_suite::platform::{LinkFaults, LinkSelector, NetCommand};
 use agentgrid_suite::store::{Record, ReplicatedStore};
 use agentgrid_suite::ManagementGrid;
 
@@ -59,7 +59,7 @@ fn analyzer_container_crash_does_not_stop_the_grid() {
 
 /// Regression: a crashed container's **in-flight** tasks — awarded but
 /// not yet reported done — must complete on a surviving container, not
-/// just future work. A transport-fault window swallows the awards sent
+/// just future work. A drop window swallows the awards sent
 /// to `pg-1`'s analyzer right before the crash, guaranteeing stranded
 /// in-flight tasks; heartbeat detection must then reclaim and re-broker
 /// them to `pg-2`, where they finish.
@@ -223,14 +223,18 @@ fn transport_drops_to_classifier_starve_analysis_but_not_collection() {
         .analyzer("pg-1", 1.0, ALL_SKILLS)
         .build();
     let classifier = agentgrid_suite::acl::AgentId::with_platform("classifier", "grid");
-    grid.platform_mut()
-        .set_fault(TransportFault::DropTo(classifier));
+    let window = LinkSelector::To(classifier);
+    grid.platform_mut().net_command(NetCommand::AddLinkFaults(
+        window.clone(),
+        LinkFaults::DROP_ALL,
+    ));
     let report = grid.run(3 * 60_000, 60_000);
     assert_eq!(report.records_stored, 0, "no batch reaches the classifier");
     assert!(report.assignments.is_empty(), "no data-ready → no tasks");
 
-    // Healing the transport restores the pipeline.
-    grid.platform_mut().set_fault(TransportFault::None);
+    // Closing the window restores the pipeline.
+    grid.platform_mut()
+        .net_command(NetCommand::ClearLinkFaults(window));
     let healed = grid.run(3 * 60_000, 60_000);
     assert!(healed.records_stored > 0);
     assert!(!healed.assignments.is_empty());

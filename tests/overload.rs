@@ -1,12 +1,10 @@
 //! Property tests for the overload-protection layer: the alert
-//! exemption of [`OverflowPolicy::ShedByPriority`] must hold for every
+//! exemption of shed-by-priority mailboxes must hold for every
 //! burst shape, mailbox cap and container count — an alert-class
 //! message is deferred past the cap, never dropped.
 
 use agentgrid_suite::acl::{AclMessage, AgentId, Performative, Value};
-use agentgrid_suite::platform::{
-    Agent, MailboxConfig, MessageClass, OverflowPolicy, Platform, Runtime,
-};
+use agentgrid_suite::platform::{Agent, MailboxConfig, MessageClass, Platform, Runtime};
 use proptest::prelude::*;
 
 struct Sink;
@@ -50,10 +48,7 @@ proptest! {
         windows in 2u64..14,
     ) {
         let mut platform = Platform::create("x");
-        platform.set_overload(
-            MailboxConfig::new(capacity, OverflowPolicy::ShedByPriority),
-            None,
-        );
+        platform.set_overload(MailboxConfig::new(capacity), None);
         let mut sinks = Vec::new();
         for i in 0..containers {
             let container = format!("c{i}");
