@@ -1,7 +1,9 @@
 //! End-to-end live-grid benchmark (Fig. 2): the full
 //! collect→classify→broker→analyze→alert pipeline over simulated
 //! minutes, against the centralized and multi-agent baselines on the
-//! identical network — the live-system counterpart of Figure 6.
+//! identical network — the live-system counterpart of Figure 6. A
+//! second group times one round of a grid with a long history, report
+//! included: a round's cost must not grow with the run behind it.
 
 use agentgrid::grid::ManagementGrid;
 use agentgrid_baselines::{CentralizedManager, MultiAgentSystem};
@@ -43,5 +45,26 @@ fn bench_live_grid(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_live_grid);
+/// Rounds run before the timed round.
+const WARM_ROUNDS: u64 = 100;
+
+fn bench_round_after_history(c: &mut Criterion) {
+    let mut group = c.benchmark_group("live_round");
+    group.bench_function("8x4-2shards-after-100-rounds", |b| {
+        let mut grid = ManagementGrid::builder()
+            .network(standard_network(8, 4, 3))
+            .analyzer("pg-1", 1.0, ALL_SKILLS)
+            .analyzer("pg-2", 1.0, ALL_SKILLS)
+            .analyzer("pg-3", 1.0, ALL_SKILLS)
+            .analyzer("pg-4", 1.0, ALL_SKILLS)
+            .shards(2)
+            .build();
+        grid.run(WARM_ROUNDS * 60_000, 60_000);
+        // Each iteration runs one more 60 s round and drops its report.
+        b.iter(|| black_box(grid.run(60_000, 60_000).assignments.len()))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_live_grid, bench_round_after_history);
 criterion_main!(benches);

@@ -1,4 +1,5 @@
 use std::cell::OnceCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -41,6 +42,10 @@ pub struct AnalyzerAgent {
     interface: AgentId,
     /// Grid-wide match-attempt counter, when the grid wants one.
     attempts_counter: Option<Arc<AtomicU64>>,
+    /// The device-free admission filter of [`analyze_task_with`],
+    /// memoised per metric for each of levels 1, 2 and 3: it depends only
+    /// on the knowledge base, so a learned rule clears it.
+    admitted: [HashMap<String, bool>; 3],
     /// Tasks completed.
     pub completed: u64,
     /// Findings emitted.
@@ -77,6 +82,7 @@ impl AnalyzerAgent {
             engine: Engine::shared(kb),
             interface,
             attempts_counter: None,
+            admitted: Default::default(),
             completed: 0,
             findings: 0,
             match_attempts: 0,
@@ -98,7 +104,16 @@ impl AnalyzerAgent {
     fn run_task(&mut self, task: &AnalysisTask, now: u64) -> Vec<Alert> {
         self.engine.set_view(view_for(task.level));
         let store = self.store.lock();
-        let (alerts, match_attempts) = analyze_task_with(&mut self.engine, &store, task, now);
+        let admitted = &mut self.admitted[usize::from(task.level.clamp(1, 3) - 1)];
+        let admit = |keys: &AlphaKeys, metric: &str| {
+            if let Some(&admit) = admitted.get(metric) {
+                return admit;
+            }
+            let admit = Wanted::of(keys, task.level, metric, None).any();
+            admitted.insert(metric.to_owned(), admit);
+            admit
+        };
+        let (alerts, match_attempts) = analyze(&mut self.engine, &store, task, now, admit);
         self.match_attempts += match_attempts;
         if let Some(counter) = &self.attempts_counter {
             counter.fetch_add(match_attempts, Ordering::Relaxed);
@@ -325,12 +340,25 @@ pub fn analyze_task_with(
     task: &AnalysisTask,
     now: u64,
 ) -> (Vec<Alert>, u64) {
-    engine.reset();
-    let keys = engine.alpha_keys();
     // A metric is read only if some pattern may admit a fact of its
     // series on some device; the filter is derived from the engine's
     // current alpha keys, so a learned rule widens it on the next task.
-    let admit = |metric: &str| Wanted::of(keys, task.level, metric, None).any();
+    let admit = |keys: &AlphaKeys, metric: &str| Wanted::of(keys, task.level, metric, None).any();
+    analyze(engine, store, task, now, admit)
+}
+
+/// [`analyze_task_with`] under a given device-free admission filter,
+/// which must answer as [`Wanted::of`] does without a device.
+fn analyze(
+    engine: &mut Engine,
+    store: &ManagementStore,
+    task: &AnalysisTask,
+    now: u64,
+    mut admit: impl FnMut(&AlphaKeys, &str) -> bool,
+) -> (Vec<Alert>, u64) {
+    engine.reset();
+    let keys = engine.alpha_keys();
+    let mut admit = |metric: &str| admit(keys, metric);
     // Fact insertion order feeds the rule engine's recency ordering, so
     // the enumeration stays partition-name order, then (device, metric)
     // order within each partition.
@@ -338,10 +366,10 @@ pub fn analyze_task_with(
         store
             .partitions()
             .into_iter()
-            .flat_map(|p| store.select_scoped(p, None, admit))
+            .flat_map(|p| store.select_scoped(p, None, &mut admit))
             .collect()
     } else {
-        store.select_scoped(&task.partition, task.site.as_deref(), admit)
+        store.select_scoped(&task.partition, task.site.as_deref(), &mut admit)
     };
     let mut facts = Vec::new();
     let mut device: Option<(&str, Term)> = None;
@@ -399,6 +427,7 @@ impl Agent for AnalyzerAgent {
             if let Some(text) = message.content().get("text").and_then(Value::as_str) {
                 if let Ok(rules) = parse_rules(text) {
                     self.engine.knowledge_mut().extend(rules);
+                    self.admitted = Default::default();
                 }
             }
             return;
@@ -650,7 +679,10 @@ mod tests {
         );
         let alerts = analyzer.run_task(&task("memory", 2), 0);
         assert!(alerts.iter().any(|a| a.rule == "ram-rising"), "{alerts:?}");
+        // The analyzer remembers that no rule reads the octets series...
+        assert!(analyzer.run_task(&task("interface", 1), 0).is_empty());
 
+        // ...until a learned rule does.
         learn(
             &mut analyzer,
             r#"rule "octets-seen" { when obs(device: ?d, metric: "if.1.in-octets", value: ?v) if ?v > 0 then emit info ?d "traffic" }"#,

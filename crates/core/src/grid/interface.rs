@@ -1,3 +1,4 @@
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use agentgrid_acl::ontology::{Alert, FromContent, Severity};
@@ -5,10 +6,25 @@ use agentgrid_acl::{AclMessage, AgentId, Performative, Value};
 use agentgrid_platform::{Agent, AgentCtx};
 use parking_lot::Mutex;
 
+use crate::grid::Ledger;
+
 /// A shared sink for alerts and reports — the "output channel" half of
 /// the interface grid, readable from outside the platform (tests,
-/// example binaries, a hypothetical web UI).
-pub type AlertSink = Arc<Mutex<Vec<Alert>>>;
+/// example binaries, a hypothetical web UI). A clone of the ledger is a
+/// snapshot that shares its sealed chunks.
+pub type AlertSink = Arc<Mutex<Ledger<Alert>>>;
+
+/// Critical alerts a rendered report lists, most recent first.
+const RECENT_CRITICAL: usize = 10;
+
+/// An alert's slot in a `[info, warning, critical]` tally.
+fn slot(severity: Severity) -> usize {
+    match severity {
+        Severity::Info => 0,
+        Severity::Warning => 1,
+        Severity::Critical => 2,
+    }
+}
 
 /// The interface-grid agent (paper §3.4): the bidirectional channel
 /// between the grid and the user.
@@ -51,7 +67,7 @@ impl InterfaceAgent {
     /// Renders the alerts as an XML document — the paper's interface
     /// grid is "flexible and multi-protocol ... for example, HTML pages,
     /// e-mail, chat, XML/HTTP" (§3.4); this is the XML/HTTP payload.
-    pub fn render_xml(alerts: &[Alert]) -> String {
+    pub fn render_xml<'a>(alerts: impl IntoIterator<Item = &'a Alert>) -> String {
         fn escape(s: &str) -> String {
             s.replace('&', "&amp;")
                 .replace('<', "&lt;")
@@ -74,22 +90,25 @@ impl InterfaceAgent {
     }
 
     /// Renders the current management report: alert counts by severity
-    /// and the most recent critical findings.
-    pub fn render_report(alerts: &[Alert]) -> String {
-        let count = |s: Severity| alerts.iter().filter(|a| a.severity == s).count();
+    /// and the most recent critical findings, in one pass over `alerts`.
+    pub fn render_report<'a>(alerts: impl IntoIterator<Item = &'a Alert>) -> String {
+        let mut tallies = [0usize; 3];
+        let mut recent = VecDeque::with_capacity(RECENT_CRITICAL);
+        for alert in alerts {
+            tallies[slot(alert.severity)] += 1;
+            if alert.severity == Severity::Critical {
+                if recent.len() == RECENT_CRITICAL {
+                    recent.pop_front();
+                }
+                recent.push_back(alert);
+            }
+        }
         let mut out = String::from("=== management report ===\n");
         out.push_str(&format!(
             "alerts: {} critical, {} warning, {} info\n",
-            count(Severity::Critical),
-            count(Severity::Warning),
-            count(Severity::Info)
+            tallies[2], tallies[1], tallies[0]
         ));
-        for alert in alerts
-            .iter()
-            .filter(|a| a.severity == Severity::Critical)
-            .rev()
-            .take(10)
-        {
+        for alert in recent.iter().rev() {
             out.push_str(&format!(
                 "[{} ms] {} ({}): {}\n",
                 alert.timestamp_ms, alert.device, alert.rule, alert.message
@@ -122,12 +141,7 @@ impl Agent for InterfaceAgent {
             return;
         }
         if let Ok(alert) = Alert::from_content(message.content()) {
-            let slot = match alert.severity {
-                Severity::Info => 0,
-                Severity::Warning => 1,
-                Severity::Critical => 2,
-            };
-            self.tallies[slot] += 1;
+            self.tallies[slot(alert.severity)] += 1;
             self.sink.lock().push(alert);
         }
     }
@@ -153,7 +167,7 @@ mod tests {
 
     #[test]
     fn alerts_reach_the_sink_with_tallies() {
-        let sink: AlertSink = Arc::new(Mutex::new(Vec::new()));
+        let sink: AlertSink = Arc::default();
         let mut agent = InterfaceAgent::new(Arc::clone(&sink));
         let (id, mut outbox, mut df) = ctx_bundle();
         for (severity, n) in [(Severity::Critical, 2usize), (Severity::Info, 1)] {
@@ -175,7 +189,7 @@ mod tests {
 
     #[test]
     fn learn_rule_broadcasts_to_all_analyzers() {
-        let sink: AlertSink = Arc::new(Mutex::new(Vec::new()));
+        let sink: AlertSink = Arc::default();
         let mut agent = InterfaceAgent::new(sink);
         let (id, mut outbox, mut df) = ctx_bundle();
         df.register_service(AgentId::new("an-1@g"), "analysis", ["pg-1"]);
@@ -212,6 +226,19 @@ mod tests {
     }
 
     #[test]
+    fn report_lists_the_ten_latest_critical_alerts_newest_first() {
+        let alerts: Ledger<Alert> = (0..12)
+            .map(|i| Alert::new("r", format!("d{i}"), Severity::Critical, "m", i))
+            .collect();
+        let report = InterfaceAgent::render_report(&alerts);
+        let listed: Vec<&str> = report.lines().skip(2).collect();
+        assert_eq!(listed.len(), 10);
+        assert_eq!(listed[0], "[11 ms] d11 (r): m");
+        assert_eq!(listed[9], "[2 ms] d2 (r): m");
+        assert!(report.contains("12 critical"));
+    }
+
+    #[test]
     fn xml_report_escapes_and_lists_alerts() {
         let alerts = vec![Alert::new(
             "high-cpu",
@@ -237,7 +264,7 @@ mod tests {
 
     #[test]
     fn garbage_messages_are_ignored() {
-        let sink: AlertSink = Arc::new(Mutex::new(Vec::new()));
+        let sink: AlertSink = Arc::default();
         let mut agent = InterfaceAgent::new(Arc::clone(&sink));
         let (id, mut outbox, mut df) = ctx_bundle();
         let junk = AclMessage::builder(Performative::Inform)

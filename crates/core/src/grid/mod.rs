@@ -24,6 +24,7 @@ mod analyzer;
 mod classifier;
 mod collector;
 mod interface;
+mod ledger;
 mod root;
 mod system;
 
@@ -31,6 +32,7 @@ pub use analyzer::{analyze_task, analyze_task_with, facts_for, AnalyzerAgent};
 pub use classifier::ClassifierAgent;
 pub use collector::{CollectorAgent, CollectorInterface};
 pub use interface::{AlertSink, InterfaceAgent};
+pub use ledger::{Ledger, LedgerIter};
 pub use root::{FederationLink, ProcessorRootAgent};
 pub use system::{GridBuilder, GridReport, ManagementGrid, Violation};
 

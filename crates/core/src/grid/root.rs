@@ -13,6 +13,7 @@ use parking_lot::Mutex;
 use crate::balance::{self, LoadBalancer};
 use crate::federation::{self, FederationStats, LoadDigest};
 use crate::grid::classifier::parse_data_ready;
+use crate::grid::Ledger;
 use crate::overload::{AdmissionConfig, AdmissionGate, BreakerBoard, BreakerConfig};
 use crate::recovery::{jitter_key, Liveness, RecoveryConfig};
 
@@ -194,14 +195,14 @@ pub struct RootStats {
     /// award appends here — including re-awards — so for any task id,
     /// `assignments` holds `1 + (times the id appears in rebrokered)`
     /// entries.
-    pub assignments: Vec<(String, String)>,
+    pub assignments: Ledger<(String, String)>,
     /// `done` reports received (deduplicated: one per in-flight award).
     pub completed: u64,
     /// Ids of completed tasks, in completion order.
-    pub completed_ids: Vec<String>,
+    pub completed_ids: Ledger<String>,
     /// Ids of tasks re-awarded via a fresh brokering round, once per
     /// re-award.
-    pub rebrokered: Vec<String>,
+    pub rebrokered: Ledger<String>,
     /// Deadline-driven request retries sent.
     pub retries: u64,
     /// Escalations raised to the interface grid: one per dead container
@@ -1957,7 +1958,7 @@ mod tests {
         let mut ctx = AgentCtx::new(&id, "root-ct", 0, &mut outbox, &mut df);
         root.on_message(&data_ready_msg(&[("cpu", 1)]), &mut ctx);
         drop(ctx);
-        assert_eq!(stats.lock().assignments[0].1, "pg-1");
+        assert_eq!(stats.lock().assignments.iter().next().unwrap().1, "pg-1");
         // pg-1 leaves the directory before reporting done.
         df.deregister_container("pg-1");
         df.close_window();

@@ -20,7 +20,7 @@ use crate::federation::{self, FederationStats};
 use crate::grid::interface::AlertSink;
 use crate::grid::root::{FederationLink, RootStats};
 use crate::grid::{
-    AnalyzerAgent, ClassifierAgent, CollectorAgent, CollectorInterface, InterfaceAgent,
+    AnalyzerAgent, ClassifierAgent, CollectorAgent, CollectorInterface, InterfaceAgent, Ledger,
     ProcessorRootAgent, DEFAULT_RULES,
 };
 use crate::overload::{OverloadConfig, PressureSignal};
@@ -388,7 +388,7 @@ impl GridBuilder {
             .collect();
         let networks = std::iter::once(network).chain(peer_networks);
 
-        let alerts: AlertSink = Arc::new(Mutex::new(Vec::new()));
+        let alerts = AlertSink::default();
         let mut platform = R::create(PLATFORM_NAME);
         platform.set_dead_letter_requeue(true);
         if let Some(seed) = self.net_seed {
@@ -607,12 +607,18 @@ impl GridBuilder {
 /// compares every field, the award log and completion order included);
 /// [`audit`](GridReport::audit) checks the invariants every run must
 /// keep.
+///
+/// A report is a snapshot. Its alert, award, completion and
+/// re-brokering logs are [`Ledger`]s that share their sealed chunks with
+/// the grid's own logs, so building, cloning or dropping a report costs
+/// O(chunks), not O(history), and a report kept while the grid runs on
+/// does not change.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridReport {
     /// Simulated duration covered.
     pub duration_ms: u64,
     /// Alerts raised, in order.
-    pub alerts: Vec<Alert>,
+    pub alerts: Ledger<Alert>,
     /// Points in the management store at the end.
     pub records_stored: usize,
     /// ACL messages delivered.
@@ -620,14 +626,14 @@ pub struct GridReport {
     /// Messages that could not be delivered.
     pub dead_letters: usize,
     /// `(task, container)` assignment log.
-    pub assignments: Vec<(String, String)>,
+    pub assignments: Ledger<(String, String)>,
     /// Tasks completed.
     pub tasks_completed: u64,
     /// Ids of completed tasks, in completion order.
-    pub completed_ids: Vec<String>,
+    pub completed_ids: Ledger<String>,
     /// Ids of tasks re-awarded through a fresh brokering round (once per
     /// re-award).
-    pub rebrokered: Vec<String>,
+    pub rebrokered: Ledger<String>,
     /// Deadline-driven broker retries sent.
     pub retries: u64,
     /// Retry-exhaustion / container-death escalations raised.
@@ -1149,10 +1155,10 @@ impl<R: Runtime> ManagementGrid<R> {
 
     fn report(&self, duration_ms: u64) -> GridReport {
         // Aggregate the shard roots in shard order.
-        let mut assignments = Vec::new();
+        let mut assignments = Ledger::new();
         let mut completed = 0;
-        let mut completed_ids = Vec::new();
-        let mut rebrokered = Vec::new();
+        let mut completed_ids = Ledger::new();
+        let mut rebrokered = Ledger::new();
         let mut retries = 0;
         let mut escalations = 0;
         let mut rejected = 0;
@@ -1163,10 +1169,10 @@ impl<R: Runtime> ManagementGrid<R> {
         for shard in &self.shards {
             let stats = shard.root_stats.lock();
             shard_created.push(stats.created);
-            assignments.extend(stats.assignments.iter().cloned());
+            assignments.extend_shared(&stats.assignments);
             completed += stats.completed;
-            completed_ids.extend(stats.completed_ids.iter().cloned());
-            rebrokered.extend(stats.rebrokered.iter().cloned());
+            completed_ids.extend_shared(&stats.completed_ids);
+            rebrokered.extend_shared(&stats.rebrokered);
             retries += stats.retries;
             escalations += stats.escalations;
             rejected += stats.rejected;
@@ -1270,8 +1276,9 @@ impl<R: Runtime> ManagementGrid<R> {
         &mut self.platform
     }
 
-    /// Alerts raised so far.
-    pub fn alerts(&self) -> Vec<Alert> {
+    /// A snapshot of the alerts raised so far (it shares the sink's
+    /// sealed chunks and does not change as the grid runs on).
+    pub fn alerts(&self) -> Ledger<Alert> {
         self.alerts.lock().clone()
     }
 
@@ -1349,7 +1356,8 @@ mod tests {
         let clean = grid.run(5 * 60_000, 60_000);
         assert_eq!(clean.audit(), [], "{clean}");
         assert!(clean.rebrokered.is_empty() && clean.outstanding.is_empty());
-        let task = clean.assignments[0].0.clone();
+        let task = clean.assignments.iter().next().unwrap().0.clone();
+        let first_done = clean.completed_ids.iter().next().unwrap().clone();
         let done = clean.tasks_completed;
         let created = clean.tasks_created;
         let planted = |defect: fn(&mut GridReport)| {
@@ -1359,20 +1367,31 @@ mod tests {
         };
 
         assert_eq!(
-            planted(|r| r.assignments.push(r.assignments[0].clone())),
+            planted(|r| {
+                let first = r.assignments.iter().next().unwrap().clone();
+                r.assignments.push(first);
+            }),
             [Violation::Awards(task.clone(), 2, 0)]
         );
         assert_eq!(
-            planted(|r| r.completed_ids.push(r.completed_ids[0].clone())),
+            planted(|r| {
+                let first = r.completed_ids.iter().next().unwrap().clone();
+                r.completed_ids.push(first);
+            }),
             [
-                Violation::CompletedTwice(clean.completed_ids[0].clone()),
+                Violation::CompletedTwice(first_done),
                 Violation::CompletionCount(done as usize + 1, done),
             ]
         );
         assert_eq!(
             planted(|r| {
-                let task = r.assignments[0].0.clone();
-                r.completed_ids.retain(|id| *id != task);
+                let task = r.assignments.iter().next().unwrap().0.clone();
+                r.completed_ids = r
+                    .completed_ids
+                    .iter()
+                    .filter(|id| **id != task)
+                    .cloned()
+                    .collect();
                 r.outstanding.retain(|id| *id != task);
             }),
             [

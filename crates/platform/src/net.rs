@@ -32,9 +32,11 @@
 //! Tie-breaking when several fault rules match one link is **union
 //! semantics**: drop and duplication probabilities add (saturating at
 //! certainty), delays and reorder windows take the maximum. A fault
-//! window is closed by removing exactly the rules its selector opened
-//! ([`NetCommand::ClearLinkFaults`]), so overlapping windows no longer
-//! clobber each other.
+//! window is closed by removing every rule under its selector
+//! ([`NetCommand::ClearLinkFaults`]). So windows on different selectors
+//! compose, but two overlapping windows on one selector do not: the
+//! first to close also ends the other. Naming link-fault windows as
+//! partitions are named fixes that (ROADMAP.md, item 9).
 //!
 //! This is the platform's only way to lose a message on purpose. A
 //! chaos drop window (`ChaosPlan::drop_to_between` in the core crate)

@@ -2,6 +2,8 @@
 //! devices → collectors → classifier/store → broker → analyzers →
 //! interface grid.
 
+use agentgrid_suite::core::chaos::ChaosPlan;
+use agentgrid_suite::core::grid::GridReport;
 use agentgrid_suite::net::{Device, DeviceKind, FaultKind, Network, ScheduledFault};
 use agentgrid_suite::ManagementGrid;
 
@@ -173,14 +175,78 @@ fn collectors_with_different_interfaces_feed_identical_partitions() {
     }
 }
 
+/// Whether `earlier`'s entries appear in `later` in the same order.
+fn in_order_within<T: PartialEq>(
+    earlier: impl IntoIterator<Item = T>,
+    later: impl IntoIterator<Item = T>,
+) -> bool {
+    let mut later = later.into_iter();
+    earlier.into_iter().all(|entry| later.any(|l| l == entry))
+}
+
 #[test]
 fn incremental_runs_accumulate_consistently() {
-    let mut grid = ManagementGrid::builder()
-        .network(network(1, 3, 41))
-        .analyzer("pg-1", 1.0, ALL_SKILLS)
-        .build();
-    let first = grid.run(3 * 60_000, 60_000);
-    let second = grid.run(3 * 60_000, 60_000);
-    assert!(second.records_stored > first.records_stored);
-    assert!(second.assignments.len() > first.assignments.len());
+    const ROUNDS: u64 = 24;
+    let build = || {
+        ManagementGrid::builder()
+            .network(network(4, 4, 41))
+            .analyzer("pg-1", 1.0, ALL_SKILLS)
+            .analyzer("pg-2", 1.0, ALL_SKILLS)
+            .analyzer("pg-3", 1.0, ALL_SKILLS)
+            .fault(ScheduledFault::from(
+                "s1d2",
+                FaultKind::CpuRunaway,
+                2 * 60_000,
+            ))
+            .chaos(
+                ChaosPlan::new()
+                    .crash_at(6 * 60_000, "pg-3")
+                    .restart_at(12 * 60_000, "pg-3"),
+            )
+            .shards(2)
+            .build()
+    };
+    let mut grid = build();
+    let reports: Vec<GridReport> = (0..ROUNDS).map(|_| grid.run(60_000, 60_000)).collect();
+    let whole = build().run(ROUNDS * 60_000, 60_000);
+    assert!(
+        whole.assignments.len() > 256,
+        "the awards span several sealed chunks: {}",
+        whole.assignments.len()
+    );
+    assert!(!whole.alerts.is_empty() && !whole.rebrokered.is_empty());
+    assert_eq!(whole.audit(), []);
+
+    // One-round runs add up to the one long run, `duration_ms` aside.
+    let mut last = reports.last().unwrap().clone();
+    assert_eq!(last.duration_ms, 60_000);
+    last.duration_ms = whole.duration_ms;
+    assert_eq!(last, whole);
+    assert_eq!(last.render(), whole.render());
+
+    // Each report extends the one before: the single alert sink as a
+    // prefix, the per-shard root logs (concatenated in shard order) as
+    // an in-order subsequence.
+    for (before, after) in reports.iter().zip(&reports[1..]) {
+        assert!(after.records_stored > before.records_stored);
+        assert!(after
+            .alerts
+            .iter()
+            .take(before.alerts.len())
+            .eq(&before.alerts));
+        assert!(in_order_within(&before.assignments, &after.assignments));
+        assert!(in_order_within(&before.completed_ids, &after.completed_ids));
+        assert!(in_order_within(&before.rebrokered, &after.rebrokered));
+    }
+
+    // A report kept across later rounds is an unchanged snapshot.
+    let early = &reports[ROUNDS as usize / 4];
+    let mut replay = build();
+    let fresh = (0..=ROUNDS / 4)
+        .map(|_| replay.run(60_000, 60_000))
+        .last()
+        .unwrap();
+    assert_eq!(*early, fresh);
+    assert_eq!(early.render(), fresh.render());
+    assert!(early.assignments.len() < whole.assignments.len());
 }

@@ -47,7 +47,11 @@ fn analyzer_container_crash_does_not_stop_the_grid() {
     let after = grid.run(5 * 60_000, 60_000);
 
     // New work flows to the survivor.
-    let new_assignments = &after.assignments[before.assignments.len()..];
+    let new_assignments: Vec<_> = after
+        .assignments
+        .iter()
+        .skip(before.assignments.len())
+        .collect();
     assert!(!new_assignments.is_empty(), "brokering must continue");
     assert!(
         new_assignments.iter().all(|(_, c)| c == "pg-2"),
@@ -106,7 +110,7 @@ fn crashed_containers_in_flight_tasks_complete_elsewhere() {
     );
     for id in moved {
         assert!(
-            report.completed_ids.contains(&id.to_owned()),
+            report.completed_ids.iter().any(|done| done == id),
             "moved task {id} never completed on the survivor"
         );
     }
@@ -152,7 +156,7 @@ fn killed_containers_in_flight_tasks_are_rebrokered_on_the_next_tick() {
     let next_tick = grid.run(60_000, 60_000);
     for id in &stranded {
         assert!(
-            next_tick.rebrokered.contains(id),
+            next_tick.rebrokered.iter().any(|re| re == id),
             "{id} not re-brokered on the next tick: {:?}",
             next_tick.rebrokered
         );
@@ -163,7 +167,10 @@ fn killed_containers_in_flight_tasks_are_rebrokered_on_the_next_tick() {
     let report = grid.run(5 * 60_000, 60_000);
     assert_eq!(report.audit(), []);
     for id in &stranded {
-        assert!(report.completed_ids.contains(id), "{id} never completed");
+        assert!(
+            report.completed_ids.iter().any(|done| done == id),
+            "{id} never completed"
+        );
     }
     assert_eq!(report.escalations, 0, "an orderly removal raises no alert");
     assert!(!report
@@ -209,8 +216,9 @@ fn fault_clearing_stops_new_alerts() {
     // Several healthy minutes later, no *new* high-cpu alerts appear.
     grid.run(5 * 60_000, 60_000);
     let after = grid.alerts();
-    let new_high_cpu = after[during..]
+    let new_high_cpu = after
         .iter()
+        .skip(during)
         .filter(|a| a.rule == "high-cpu")
         .count();
     assert_eq!(new_high_cpu, 0, "cleared fault must stop alerting");

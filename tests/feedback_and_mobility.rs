@@ -57,8 +57,10 @@ fn taught_rules_fire_and_replace_by_name() {
     );
     let alerts_before = grid.alerts().len();
     grid.run(3 * 60_000, 60_000);
-    let new_notes = grid.alerts()[alerts_before..]
+    let new_notes = grid
+        .alerts()
         .iter()
+        .skip(alerts_before)
         .filter(|a| a.rule == "ops-note")
         .count();
     assert_eq!(new_notes, 0, "replaced rule must stop firing");
@@ -86,8 +88,9 @@ fn taught_rules_run_at_the_level_their_pattern_count_picks() {
     let run = |grid: &mut ManagementGrid, rounds: u64| -> Vec<String> {
         let before = grid.alerts().len();
         grid.run(rounds * 60_000, 60_000);
-        grid.alerts()[before..]
+        grid.alerts()
             .iter()
+            .skip(before)
             .filter(|a| a.rule == "failover-storm")
             .map(|a| a.message.clone())
             .collect()
@@ -163,7 +166,11 @@ fn rebalancer_moves_analyzer_to_spare_and_work_follows() {
     assert_eq!(migrations[0].to, "spare");
 
     let after = grid.run(4 * 60_000, 60_000);
-    let new_assignments = &after.assignments[before.assignments.len()..];
+    let new_assignments: Vec<_> = after
+        .assignments
+        .iter()
+        .skip(before.assignments.len())
+        .collect();
     assert!(!new_assignments.is_empty());
     assert!(
         new_assignments.iter().all(|(_, c)| c == "spare"),
@@ -203,8 +210,10 @@ fn spare_survives_liveness_and_takes_work_after_migration() {
     assert_eq!(migrations[0].to, "spare");
 
     let after = grid.run(4 * 60_000, 60_000);
-    let on_spare = after.assignments[before.assignments.len()..]
+    let on_spare = after
+        .assignments
         .iter()
+        .skip(before.assignments.len())
         .filter(|(_, c)| c == "spare")
         .count();
     assert!(on_spare > 0, "work must follow the migrated analyzer");

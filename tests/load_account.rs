@@ -123,7 +123,11 @@ fn a_saturated_analyzer_migrates_to_a_spare_at_fixed_watermarks() {
     );
 
     let after = grid.run(3 * 60_000, 60_000);
-    let new_work = &after.assignments[before.assignments.len()..];
+    let new_work: Vec<_> = after
+        .assignments
+        .iter()
+        .skip(before.assignments.len())
+        .collect();
     assert!(!new_work.is_empty() && new_work.iter().all(|(_, c)| c == "spare"));
     assert!(after.outstanding.is_empty());
     let df = grid.platform_mut().df();
