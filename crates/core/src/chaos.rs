@@ -1,8 +1,8 @@
 //! Deterministic chaos schedules for recovery testing.
 //!
 //! A [`ChaosPlan`] is a seeded, simulated-time-driven schedule of
-//! container crashes, restarts and network-adversary windows (link
-//! faults, drop windows among them, and partitions). The grid
+//! container crashes, restarts and named network-adversary windows
+//! (link faults, drop windows among them, and partitions). The grid
 //! applies due actions at the top of each tick, so the same plan
 //! produces the same failure sequence on the deterministic runtime and
 //! the pool runtime — no wall clocks, no global RNG.
@@ -32,17 +32,19 @@
 //! ```
 
 use agentgrid_acl::AgentId;
-use agentgrid_platform::{LinkFaults, LinkSelector};
+use agentgrid_platform::{LinkFaults, LinkSelector, Window};
 
 use crate::recovery::splitmix64;
 
 /// One scheduled failure (or repair) event.
 ///
-/// Fault windows are **composable**: a
-/// [`LinkFaultsOpen`](Self::LinkFaultsOpen) rule joins the active set
-/// (union semantics with other matching rules), and
-/// [`LinkFaultsClear`](Self::LinkFaultsClear) closes only the rules
-/// opened under its selector.
+/// Network-adversary windows are **named**: a
+/// [`WindowOpen`](Self::WindowOpen) opens a window under its name
+/// (replacing one already open under that name), and a
+/// [`WindowClose`](Self::WindowClose) closes exactly that name. So
+/// windows compose: while several link windows cover one link their
+/// faults are a union (probabilities add, delays take the maximum), and
+/// closing one leaves the others in force.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChaosAction {
     /// Silent crash: the container vanishes, the directory keeps its
@@ -50,16 +52,13 @@ pub enum ChaosAction {
     Crash(String),
     /// The container rejoins the grid with fresh analyzer agents.
     Restart(String),
-    /// A per-link fault window (probabilistic drop, delay, duplication,
-    /// reordering) opens under this selector.
-    LinkFaultsOpen(LinkSelector, LinkFaults),
-    /// Every per-link window opened under exactly this selector closes.
-    LinkFaultsClear(LinkSelector),
-    /// A named partition opens: containers in different groups can no
-    /// longer exchange messages (containers in no group are unaffected).
-    PartitionOpen(String, Vec<Vec<String>>),
-    /// The named partition heals.
-    PartitionHeal(String),
+    /// The named window opens: per-link faults (probabilistic drop,
+    /// delay, duplication, reordering) or a partition (containers in
+    /// different groups can no longer exchange messages; containers in
+    /// no group are unaffected).
+    WindowOpen(String, Window),
+    /// The named window closes (a partition heals).
+    WindowClose(String),
 }
 
 /// A sorted schedule of [`ChaosAction`]s against simulated time.
@@ -94,48 +93,39 @@ impl ChaosPlan {
 
     /// Schedules a window `[from_ms, until_ms)` during which messages
     /// **to** `agent` are dropped silently: a [`LinkFaults::DROP_ALL`]
-    /// rule under [`LinkSelector::To`]. The close clears that selector's
-    /// rules, leaving windows on other selectors in force.
+    /// window under [`LinkSelector::To`], named
+    /// `drop-to:<agent>@<from_ms>..<until_ms>`, so its close ends only
+    /// this window.
     pub fn drop_to_between(self, from_ms: u64, until_ms: u64, agent: AgentId) -> Self {
-        self.link_faults_between(
-            from_ms,
-            until_ms,
-            LinkSelector::To(agent),
-            LinkFaults::DROP_ALL,
-        )
+        let name = format!("drop-to:{agent}@{from_ms}..{until_ms}");
+        let window = Window::Link(LinkSelector::To(agent), LinkFaults::DROP_ALL);
+        self.window_between(from_ms, until_ms, name, window)
     }
 
-    /// Schedules a per-link fault window `[from_ms, until_ms)` under
-    /// `selector`. The close clears exactly that selector's rules, so
-    /// overlapping windows compose (union semantics while both are
-    /// open).
-    pub fn link_faults_between(
-        self,
-        from_ms: u64,
-        until_ms: u64,
-        selector: LinkSelector,
-        faults: LinkFaults,
-    ) -> Self {
-        self.push(
-            from_ms,
-            ChaosAction::LinkFaultsOpen(selector.clone(), faults),
-        )
-        .push(until_ms, ChaosAction::LinkFaultsClear(selector))
-    }
-
-    /// Schedules a named partition over `[from_ms, until_ms)`:
-    /// containers in different `groups` cannot exchange messages until
-    /// the heal.
-    pub fn partition_between(
+    /// Schedules the named adversary `window` over `[from_ms, until_ms)`.
+    /// The close ends exactly this name, so windows under other names
+    /// stay open.
+    pub fn window_between(
         self,
         from_ms: u64,
         until_ms: u64,
         name: impl Into<String>,
-        groups: Vec<Vec<String>>,
+        window: Window,
     ) -> Self {
         let name = name.into();
-        self.push(from_ms, ChaosAction::PartitionOpen(name.clone(), groups))
-            .push(until_ms, ChaosAction::PartitionHeal(name))
+        self.push(from_ms, ChaosAction::WindowOpen(name.clone(), window))
+            .push(until_ms, ChaosAction::WindowClose(name))
+    }
+
+    /// Merges two plans by time. At equal times `self`'s events come
+    /// first, in their order, then `other`'s. Windows keep their names,
+    /// so two plans that open one name share that window: the later
+    /// open replaces it and either close ends it.
+    pub fn merge(self, other: ChaosPlan) -> Self {
+        other
+            .events
+            .into_iter()
+            .fold(self, |plan, (at_ms, action)| plan.push(at_ms, action))
     }
 
     /// Generates a crash/restart (and possibly one drop window) schedule
@@ -175,9 +165,10 @@ impl ChaosPlan {
 
     /// Generates a pure-**network** adversary schedule (no crashes) as a
     /// pure function of `seed`: a long loss+duplication window across
-    /// every link, a delay+reorder window aimed at the seeded victim's
-    /// analyzer, and one named partition separating the victim container
-    /// from the rest of the grid, healed a few minutes later. Designed
+    /// every link (`seeded-net-loss`), a delay+reorder window aimed at
+    /// the seeded victim's analyzer (`seeded-net-delay`), and a partition
+    /// (`seeded-net`) separating the victim container from the rest of
+    /// the grid, healed a few minutes later. Designed
     /// to run with the reliability layer on: the loss and partition
     /// windows force retransmissions, the duplication window forces
     /// dedup suppressions, and no task may be lost.
@@ -208,23 +199,23 @@ impl ChaosPlan {
         let part_open = (3 + splitmix64(seed ^ 4) % 3) * minute;
         let part_heal = part_open + (3 + splitmix64(seed ^ 5) % 2) * minute;
         ChaosPlan::new()
-            .link_faults_between(
+            .window_between(
                 minute,
                 horizon_ms.saturating_sub(2 * minute),
-                LinkSelector::All,
-                loss,
+                "seeded-net-loss",
+                Window::Link(LinkSelector::All, loss),
             )
-            .link_faults_between(
+            .window_between(
                 2 * minute,
                 horizon_ms.saturating_sub(3 * minute),
-                LinkSelector::To(analyzer),
-                churn,
+                "seeded-net-delay",
+                Window::Link(LinkSelector::To(analyzer), churn),
             )
-            .partition_between(
+            .window_between(
                 part_open,
                 part_heal.min(horizon_ms.saturating_sub(3 * minute)),
                 "seeded-net",
-                vec![vec![victim], rest],
+                Window::Partition(vec![vec![victim], rest]),
             )
     }
 
@@ -311,51 +302,62 @@ mod tests {
     fn drop_windows_open_and_close_only_their_own_fault() {
         let plan = ChaosPlan::new()
             .drop_to_between(100, 300, AgentId::new("x"))
-            .drop_to_between(200, 400, AgentId::new("y"));
-        let to = |agent: &str| LinkSelector::To(AgentId::new(agent));
-        let open = |agent: &str| ChaosAction::LinkFaultsOpen(to(agent), LinkFaults::DROP_ALL);
+            .drop_to_between(200, 400, AgentId::new("x"));
+        let open = |name: &str| {
+            let window = Window::Link(LinkSelector::To(AgentId::new("x")), LinkFaults::DROP_ALL);
+            ChaosAction::WindowOpen(name.into(), window)
+        };
+        let close = |name: &str| ChaosAction::WindowClose(name.into());
         assert_eq!(
             plan.events(),
             [
-                (100, open("x")),
-                (200, open("y")),
-                // The close at 300 names exactly x's selector, so y's
-                // window (200–400) survives it.
-                (300, ChaosAction::LinkFaultsClear(to("x"))),
-                (400, ChaosAction::LinkFaultsClear(to("y"))),
+                (100, open("drop-to:x@100..300")),
+                (200, open("drop-to:x@200..400")),
+                // The close at 300 names exactly the first window, so
+                // the second (200–400) on the same selector survives it.
+                (300, close("drop-to:x@100..300")),
+                (400, close("drop-to:x@200..400")),
             ]
         );
     }
 
     #[test]
     fn link_fault_and_partition_windows_pair_open_with_close() {
+        let faults = LinkFaults {
+            drop_ppm: 1,
+            ..LinkFaults::default()
+        };
+        let groups = vec![vec!["a".into()], vec!["b".into()]];
         let plan = ChaosPlan::new()
-            .link_faults_between(
-                100,
-                200,
-                LinkSelector::All,
-                LinkFaults {
-                    drop_ppm: 1,
-                    ..LinkFaults::default()
-                },
-            )
-            .partition_between(150, 250, "p", vec![vec!["a".into()], vec!["b".into()]]);
+            .window_between(100, 200, "l", Window::Link(LinkSelector::All, faults))
+            .window_between(150, 250, "p", Window::Partition(groups));
         assert!(matches!(
-            plan.events()[0],
-            (100, ChaosAction::LinkFaultsOpen(LinkSelector::All, _))
+            &plan.events()[0],
+            (100, ChaosAction::WindowOpen(name, Window::Link(LinkSelector::All, _))) if name == "l"
         ));
         assert!(matches!(
-            plan.events()[1],
-            (150, ChaosAction::PartitionOpen(..))
+            &plan.events()[1],
+            (150, ChaosAction::WindowOpen(name, Window::Partition(_))) if name == "p"
         ));
-        assert!(matches!(
-            plan.events()[2],
-            (200, ChaosAction::LinkFaultsClear(LinkSelector::All))
-        ));
-        assert!(matches!(
-            plan.events()[3],
-            (250, ChaosAction::PartitionHeal(_))
-        ));
+        assert!(matches!(&plan.events()[2], (200, ChaosAction::WindowClose(name)) if name == "l"));
+        assert!(matches!(&plan.events()[3], (250, ChaosAction::WindowClose(name)) if name == "p"));
+    }
+
+    #[test]
+    fn merge_orders_by_time_and_self_first_at_ties() {
+        let merged = ChaosPlan::new()
+            .crash_at(100, "a")
+            .restart_at(300, "a")
+            .merge(ChaosPlan::new().crash_at(100, "b").crash_at(200, "c"));
+        assert_eq!(
+            merged.events(),
+            [
+                (100, ChaosAction::Crash("a".into())),
+                (100, ChaosAction::Crash("b".into())),
+                (200, ChaosAction::Crash("c".into())),
+                (300, ChaosAction::Restart("a".into())),
+            ]
+        );
     }
 
     #[test]
@@ -371,12 +373,17 @@ mod tests {
             let open = plan
                 .events()
                 .iter()
-                .find_map(|(t, a)| matches!(a, ChaosAction::PartitionOpen(..)).then_some(*t))
+                .find_map(|(t, a)| {
+                    matches!(a, ChaosAction::WindowOpen(_, Window::Partition(_))).then_some(*t)
+                })
                 .expect("seeded net plans always partition");
             let heal = plan
                 .events()
                 .iter()
-                .find_map(|(t, a)| matches!(a, ChaosAction::PartitionHeal(_)).then_some(*t))
+                .find_map(|(t, a)| {
+                    matches!(a, ChaosAction::WindowClose(name) if name == "seeded-net")
+                        .then_some(*t)
+                })
                 .expect("…and always heal");
             assert!(open < heal, "seed {seed}: {plan:?}");
             assert!(plan.victims().next().is_none(), "no crashes in net plans");

@@ -8,6 +8,7 @@ use agentgrid_acl::{AclMessage, AgentId, Performative, Value};
 use agentgrid_net::{FaultInjector, Network, ScheduledFault};
 use agentgrid_platform::{
     NetCommand, NetStats, Platform, PoolRuntime, ReliabilityConfig, Runtime, TelemetryHandle,
+    Window,
 };
 use agentgrid_rules::{parse_rules, KnowledgeBase};
 use agentgrid_store::{Classifier, ManagementStore};
@@ -931,9 +932,9 @@ pub struct ManagementGrid<R: Runtime = Platform> {
     /// is Suspect, never Dead — see
     /// [`ProcessorRootAgent::set_quarantine`].
     quarantine: Arc<Mutex<BTreeMap<String, u64>>>,
-    /// Members of each open named partition that are cut off from their
-    /// shard root's container, kept so the matching heal can start
-    /// their quarantine grace period.
+    /// Members of each open partition window, by name, that are cut off
+    /// from their shard root's container (possibly none), kept so the
+    /// matching close can start their quarantine grace period.
     partition_members: BTreeMap<String, Vec<String>>,
     /// Stretched-poll counter shared with every pacing collector.
     paced_polls: Arc<AtomicU64>,
@@ -1090,45 +1091,35 @@ impl<R: Runtime> ManagementGrid<R> {
                         t.record_event(now, EventKind::Restart { container: name });
                     }
                 }
-                ChaosAction::LinkFaultsOpen(selector, faults) => {
-                    self.platform
-                        .net_command(NetCommand::AddLinkFaults(selector, faults));
-                }
-                ChaosAction::LinkFaultsClear(selector) => {
-                    self.platform
-                        .net_command(NetCommand::ClearLinkFaults(selector));
-                }
-                ChaosAction::PartitionOpen(name, groups) => {
-                    // Analyzers in a different group than their own
-                    // shard root's container cannot reach their broker:
-                    // quarantine them (Suspect, not Dead) until the
-                    // heal + grace.
-                    let cut: Vec<String> = self
-                        .shards
-                        .iter()
-                        .flat_map(|shard| {
-                            let cut_off = containers_cut_from(&shard.root_container, &groups);
-                            shard
-                                .analyzers
-                                .iter()
-                                .filter(move |a| cut_off.contains(&a.name))
-                                .map(|a| a.name.clone())
-                        })
-                        .collect();
-                    if !cut.is_empty() {
-                        let mut quarantine = self.quarantine.lock();
-                        for container in &cut {
-                            quarantine.insert(container.clone(), u64::MAX);
-                        }
+                ChaosAction::WindowOpen(name, window) => {
+                    if let Window::Partition(groups) = &window {
+                        // Analyzers in a different group than their own
+                        // shard root's container cannot reach their
+                        // broker: quarantine them (Suspect, not Dead)
+                        // until the heal + grace.
+                        let cut: Vec<String> = self
+                            .shards
+                            .iter()
+                            .flat_map(|shard| {
+                                let cut_off = containers_cut_from(&shard.root_container, groups);
+                                shard
+                                    .analyzers
+                                    .iter()
+                                    .filter(move |a| cut_off.contains(&a.name))
+                                    .map(|a| a.name.clone())
+                            })
+                            .collect();
+                        let held = cut.iter().map(|c| (c.clone(), u64::MAX));
+                        self.quarantine.lock().extend(held);
                         self.partition_members.insert(name.clone(), cut);
-                    }
-                    if let Some(t) = self.platform.telemetry() {
-                        t.record_event(now, EventKind::PartitionOpen { name: name.clone() });
+                        if let Some(t) = self.platform.telemetry() {
+                            t.record_event(now, EventKind::PartitionOpen { name: name.clone() });
+                        }
                     }
                     self.platform
-                        .net_command(NetCommand::OpenPartition(name, groups));
+                        .net_command(NetCommand::OpenWindow(name, window));
                 }
-                ChaosAction::PartitionHeal(name) => {
+                ChaosAction::WindowClose(name) => {
                     if let Some(members) = self.partition_members.remove(&name) {
                         let mut quarantine = self.quarantine.lock();
                         for container in members {
@@ -1143,11 +1134,11 @@ impl<R: Runtime> ManagementGrid<R> {
                                 quarantine.insert(container, now + QUARANTINE_GRACE_MS);
                             }
                         }
+                        if let Some(t) = self.platform.telemetry() {
+                            t.record_event(now, EventKind::PartitionHeal { name: name.clone() });
+                        }
                     }
-                    if let Some(t) = self.platform.telemetry() {
-                        t.record_event(now, EventKind::PartitionHeal { name: name.clone() });
-                    }
-                    self.platform.net_command(NetCommand::HealPartition(name));
+                    self.platform.net_command(NetCommand::CloseWindow(name));
                 }
             }
         }
@@ -1584,7 +1575,12 @@ mod tests {
                 .analyzer("pg-1", 1.0, ALL_SKILLS)
                 .analyzer("pg-2", 1.0, ALL_SKILLS)
                 .shards(shards)
-                .chaos(ChaosPlan::new().partition_between(open_ms, heal_ms, "cut", groups))
+                .chaos(ChaosPlan::new().window_between(
+                    open_ms,
+                    heal_ms,
+                    "cut",
+                    Window::Partition(groups),
+                ))
                 .telemetry(telemetry.clone())
                 .build();
             let liveness = |container: &str| {

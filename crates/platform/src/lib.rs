@@ -78,7 +78,7 @@ pub use agent::{Agent, AgentCtx, AgentState};
 pub use agentgrid_acl::ontology::ResourceProfile;
 pub use container::Container;
 pub use df::{window_load, DirectoryFacilitator, ServiceEntry, RECORDS_PER_WINDOW};
-pub use net::{LinkFaults, LinkSelector, NetCommand, NetStats, ReliabilityConfig};
+pub use net::{LinkFaults, LinkSelector, NetCommand, NetStats, ReliabilityConfig, Window};
 pub use overload::{MailboxConfig, MessageClass, OverloadStats, PressureSignal};
 pub use platform::{Platform, PlatformError};
 pub use pool::PoolRuntime;

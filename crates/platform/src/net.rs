@@ -4,11 +4,11 @@
 //! transport hostile **on purpose**, and then makes delivery survive it.
 //! Two independent, individually opt-in pieces share one state machine:
 //!
-//! * **The adversary** — a composable set of per-link fault rules
-//!   ([`LinkFaults`]: probabilistic drop, fixed-plus-jittered sim-time
-//!   delay, duplication, bounded reordering) selected by [`LinkSelector`],
-//!   plus **named partitions** (groups of containers that cannot exchange
-//!   messages until the partition heals). Every decision is a pure
+//! * **The adversary** — a table of **named fault windows**
+//!   ([`Window`]): per-link fault bundles ([`LinkFaults`]: probabilistic
+//!   drop, fixed-plus-jittered sim-time delay, duplication, bounded
+//!   reordering) selected by [`LinkSelector`], and partitions (groups of
+//!   containers that cannot exchange messages). Every decision is a pure
 //!   function of `(seed, link, sequence, attempt)` through a splitmix64
 //!   mixer, so the same seed replays the same faults bit-for-bit on the
 //!   deterministic runtimes.
@@ -29,18 +29,19 @@
 //! partitions on the *data* path) is fully exercised, without modelling
 //! a second lossy channel whose failures reduce to more retransmits.
 //!
-//! Tie-breaking when several fault rules match one link is **union
-//! semantics**: drop and duplication probabilities add (saturating at
-//! certainty), delays and reorder windows take the maximum. A fault
-//! window is closed by removing every rule under its selector
-//! ([`NetCommand::ClearLinkFaults`]). So windows on different selectors
-//! compose, but two overlapping windows on one selector do not: the
-//! first to close also ends the other. Naming link-fault windows as
-//! partitions are named fixes that (ROADMAP.md, item 9).
+//! Every window is opened and closed **by name**
+//! ([`NetCommand::OpenWindow`] / [`NetCommand::CloseWindow`]). Opening a
+//! name that is already open replaces that window; a close removes
+//! exactly its own name, so windows compose whatever links they cover.
+//! While several link windows match one link their faults are a
+//! **union**: drop and duplication probabilities add (saturating at
+//! certainty), delays and reorder windows take the maximum. The union
+//! does not depend on the order the windows opened in. A leg is blocked
+//! while any open partition separates its containers.
 //!
 //! This is the platform's only way to lose a message on purpose. A
 //! chaos drop window (`ChaosPlan::drop_to_between` in the core crate)
-//! is a [`LinkFaults::DROP_ALL`] rule under [`LinkSelector::To`], so its
+//! is a [`LinkFaults::DROP_ALL`] window under [`LinkSelector::To`], so its
 //! drops count in [`NetStats::dropped`] and, with reliability on, are
 //! retransmitted once the window closes.
 //!
@@ -50,7 +51,7 @@
 //! adversary sits in the one shared routing path, after receiver
 //! resolution and before overload admission, so the deterministic
 //! stepper and the pool misbehave identically. Routing hands it batches
-//! only while a rule, a partition or reliability is in force: with every
+//! only while a window or reliability is in force: with every
 //! window closed, a batch costs what it did before the first opened.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -100,7 +101,7 @@ fn link_label(sender: &AgentId, receiver: &AgentId) -> String {
     format!("{}->{}", sender.name(), receiver.name())
 }
 
-/// Which links a fault rule applies to.
+/// Which links a link-fault window applies to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LinkSelector {
@@ -160,8 +161,8 @@ impl LinkFaults {
         *self == LinkFaults::default()
     }
 
-    /// Union-merge of two matching rules: probabilities add (capped at
-    /// certainty), delays and windows take the maximum.
+    /// Union-merge of two matching windows: probabilities add (capped at
+    /// certainty), delays and reorder windows take the maximum.
     fn merge(&mut self, other: &LinkFaults) {
         self.drop_ppm = self.drop_ppm.saturating_add(other.drop_ppm).min(1_000_000);
         self.delay_ms = self.delay_ms.max(other.delay_ms);
@@ -233,6 +234,18 @@ impl ReliabilityConfig {
     }
 }
 
+/// One fault window of the adversary, opened under a name with
+/// [`NetCommand::OpenWindow`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Window {
+    /// Per-link faults on every link the selector covers (union
+    /// semantics with the other open windows matching a link).
+    Link(LinkSelector, LinkFaults),
+    /// A partition: containers in different groups cannot exchange
+    /// messages; containers in no group talk to everyone.
+    Partition(Vec<Vec<String>>),
+}
+
 /// One command against the network layer, accepted by every runtime via
 /// [`Runtime::net_command`](crate::runtime::Runtime::net_command).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,17 +253,11 @@ impl ReliabilityConfig {
 pub enum NetCommand {
     /// Replaces the adversary's seed (decision stream).
     Seed(u64),
-    /// Opens a per-link fault window: the rule joins the active set
-    /// (union semantics with other matching rules).
-    AddLinkFaults(LinkSelector, LinkFaults),
-    /// Closes every window opened under exactly this selector.
-    ClearLinkFaults(LinkSelector),
-    /// Opens (or replaces) a named partition: containers in different
-    /// groups cannot exchange messages; containers in no group talk to
-    /// everyone.
-    OpenPartition(String, Vec<Vec<String>>),
-    /// Heals the named partition.
-    HealPartition(String),
+    /// Opens the named window, replacing one already open under that
+    /// name.
+    OpenWindow(String, Window),
+    /// Closes the named window; windows under other names stay open.
+    CloseWindow(String),
     /// Enables the reliable-delivery layer with this policy.
     SetReliability(ReliabilityConfig),
 }
@@ -261,7 +268,7 @@ pub struct NetStats {
     /// Legs dropped by probabilistic loss (first attempts and
     /// retransmissions alike).
     pub dropped: u64,
-    /// Legs held back by a delay rule.
+    /// Legs held back by a delay window.
     pub delayed: u64,
     /// Duplicate legs injected.
     pub duplicated: u64,
@@ -313,8 +320,7 @@ struct PendingRetransmit {
 /// from the shared routing path.
 pub(crate) struct NetAdversary {
     seed: u64,
-    rules: Vec<(LinkSelector, LinkFaults)>,
-    partitions: BTreeMap<String, Vec<Vec<String>>>,
+    windows: BTreeMap<String, Window>,
     reliability: Option<ReliabilityConfig>,
     /// Per-link monotone sequence counters (the "wire" seq numbers).
     seqs: BTreeMap<u64, u64>,
@@ -330,8 +336,7 @@ pub(crate) struct NetAdversary {
 impl std::fmt::Debug for NetAdversary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetAdversary")
-            .field("rules", &self.rules.len())
-            .field("partitions", &self.partitions.len())
+            .field("windows", &self.windows.len())
             .field("reliability", &self.reliability.is_some())
             .field("delayed", &self.delayed.len())
             .field("retransmit", &self.retransmit.len())
@@ -347,8 +352,7 @@ impl NetAdversary {
     pub(crate) fn new(seed: u64) -> Self {
         NetAdversary {
             seed,
-            rules: Vec::new(),
-            partitions: BTreeMap::new(),
+            windows: BTreeMap::new(),
             reliability: None,
             seqs: BTreeMap::new(),
             seen: BTreeMap::new(),
@@ -363,26 +367,22 @@ impl NetAdversary {
     pub(crate) fn command(&mut self, command: NetCommand) {
         match command {
             NetCommand::Seed(seed) => self.seed = seed,
-            NetCommand::AddLinkFaults(selector, faults) => self.rules.push((selector, faults)),
-            NetCommand::ClearLinkFaults(selector) => {
-                self.rules.retain(|(s, _)| s != &selector);
+            NetCommand::OpenWindow(name, window) => {
+                self.windows.insert(name, window);
             }
-            NetCommand::OpenPartition(name, groups) => {
-                self.partitions.insert(name, groups);
-            }
-            NetCommand::HealPartition(name) => {
-                self.partitions.remove(&name);
+            NetCommand::CloseWindow(name) => {
+                self.windows.remove(&name);
             }
             NetCommand::SetReliability(config) => self.reliability = Some(config),
         }
     }
 
     /// Whether freshly routed batches must pass through
-    /// [`process_batch`](Self::process_batch): some fault rule,
-    /// partition or reliability policy is in force. Delayed and
-    /// retransmit legs drain through [`due`](Self::due) either way.
+    /// [`process_batch`](Self::process_batch): some window or the
+    /// reliability policy is in force. Delayed and retransmit legs
+    /// drain through [`due`](Self::due) either way.
     pub(crate) fn is_active(&self) -> bool {
-        !self.rules.is_empty() || !self.partitions.is_empty() || self.reliability.is_some()
+        !self.windows.is_empty() || self.reliability.is_some()
     }
 
     pub(crate) fn stats(&self) -> NetStats {
@@ -401,13 +401,15 @@ impl NetAdversary {
         )
     }
 
-    /// Union of every rule matching the link (see module docs for the
-    /// tie-breaking contract).
+    /// Union of every link window matching the link (see module docs
+    /// for the contract).
     fn effective(&self, sender: &AgentId, receiver: &AgentId) -> LinkFaults {
         let mut merged = LinkFaults::default();
-        for (selector, faults) in &self.rules {
-            if selector.matches(sender, receiver) {
-                merged.merge(faults);
+        for window in self.windows.values() {
+            if let Window::Link(selector, faults) = window {
+                if selector.matches(sender, receiver) {
+                    merged.merge(faults);
+                }
             }
         }
         merged
@@ -421,7 +423,10 @@ impl NetAdversary {
         if s == r {
             return false;
         }
-        for groups in self.partitions.values() {
+        for window in self.windows.values() {
+            let Window::Partition(groups) = window else {
+                continue;
+            };
             let side_of = |ct: &str| groups.iter().position(|g| g.iter().any(|c| c == ct));
             if let (Some(sg), Some(rg)) = (side_of(s), side_of(r)) {
                 if sg != rg {
@@ -721,6 +726,10 @@ mod tests {
         Some("ct".to_owned())
     }
 
+    fn open(name: &str, selector: LinkSelector, faults: LinkFaults) -> NetCommand {
+        NetCommand::OpenWindow(name.into(), Window::Link(selector, faults))
+    }
+
     #[test]
     fn benign_adversary_passes_batches_through() {
         let mut net = NetAdversary::new(7);
@@ -737,10 +746,7 @@ mod tests {
     #[test]
     fn certain_drop_loses_the_leg_without_reliability() {
         let mut net = NetAdversary::new(7);
-        net.command(NetCommand::AddLinkFaults(
-            LinkSelector::All,
-            LinkFaults::DROP_ALL,
-        ));
+        net.command(open("w", LinkSelector::All, LinkFaults::DROP_ALL));
         let out = net.process_batch("ct", vec![leg("a@x", "b@x")], resolve_all, 0, None);
         assert!(out.is_empty());
         assert_eq!(net.stats().dropped, 1);
@@ -754,10 +760,7 @@ mod tests {
     fn reliability_retransmits_until_the_window_closes() {
         let mut net = NetAdversary::new(7);
         net.command(NetCommand::SetReliability(ReliabilityConfig::seeded(7)));
-        net.command(NetCommand::AddLinkFaults(
-            LinkSelector::All,
-            LinkFaults::DROP_ALL,
-        ));
+        net.command(open("w", LinkSelector::All, LinkFaults::DROP_ALL));
         let out = net.process_batch("ct", vec![leg("a@x", "b@x")], resolve_all, 0, None);
         assert!(out.is_empty());
         // While the window is open every due retransmission re-drops.
@@ -768,7 +771,7 @@ mod tests {
         }
         assert!(net.stats().retransmits >= 3);
         // Close the window: the next retransmission delivers, exactly once.
-        net.command(NetCommand::ClearLinkFaults(LinkSelector::All));
+        net.command(NetCommand::CloseWindow("w".into()));
         let delivered = net.due(now + 120_000, resolve_all, None);
         assert_eq!(delivered.len(), 1);
         assert_eq!(net.stats().delivered_after_retry, 1);
@@ -782,13 +785,13 @@ mod tests {
             ..LinkFaults::default()
         };
         let mut lossy = NetAdversary::new(3);
-        lossy.command(NetCommand::AddLinkFaults(LinkSelector::All, dup));
+        lossy.command(open("w", LinkSelector::All, dup));
         let out = lossy.process_batch("ct", vec![leg("a@x", "b@x")], resolve_all, 0, None);
         assert_eq!(out.len(), 2, "without reliability the duplicate delivers");
         assert_eq!(lossy.stats().duplicated, 1);
 
         let mut reliable = NetAdversary::new(3);
-        reliable.command(NetCommand::AddLinkFaults(LinkSelector::All, dup));
+        reliable.command(open("w", LinkSelector::All, dup));
         reliable.command(NetCommand::SetReliability(ReliabilityConfig::seeded(3)));
         let out = reliable.process_batch("ct", vec![leg("a@x", "b@x")], resolve_all, 0, None);
         assert_eq!(out.len(), 1, "the dedup window suppresses the duplicate");
@@ -798,7 +801,8 @@ mod tests {
     #[test]
     fn delayed_legs_re_enter_on_the_clock() {
         let mut net = NetAdversary::new(5);
-        net.command(NetCommand::AddLinkFaults(
+        net.command(open(
+            "w",
             LinkSelector::All,
             LinkFaults {
                 delay_ms: 1_000,
@@ -817,9 +821,9 @@ mod tests {
     #[test]
     fn partitions_block_across_groups_only() {
         let mut net = NetAdversary::new(1);
-        net.command(NetCommand::OpenPartition(
+        net.command(NetCommand::OpenWindow(
             "island".into(),
-            vec![vec!["pg-1".into()], vec!["pg-2".into()]],
+            Window::Partition(vec![vec!["pg-1".into()], vec!["pg-2".into()]]),
         ));
         let resolve = |a: &AgentId| {
             Some(if a.name().contains("one") {
@@ -849,7 +853,7 @@ mod tests {
         );
         assert_eq!(out.len(), 1, "containers outside every group talk to all");
         // Heal: cross-group traffic flows again.
-        net.command(NetCommand::HealPartition("island".into()));
+        net.command(NetCommand::CloseWindow("island".into()));
         let out = net.process_batch("pg-2", vec![leg("one@x", "two@x")], resolve, 0, None);
         assert_eq!(out.len(), 1);
     }
@@ -858,9 +862,9 @@ mod tests {
     fn partitioned_legs_deliver_after_heal_with_reliability() {
         let mut net = NetAdversary::new(1);
         net.command(NetCommand::SetReliability(ReliabilityConfig::seeded(1)));
-        net.command(NetCommand::OpenPartition(
+        net.command(NetCommand::OpenWindow(
             "island".into(),
-            vec![vec!["pg-1".into()], vec!["rest".into()]],
+            Window::Partition(vec![vec!["pg-1".into()], vec!["rest".into()]]),
         ));
         let resolve = |a: &AgentId| {
             Some(if a.name() == "one@x" {
@@ -875,7 +879,7 @@ mod tests {
             net.due(60_000, resolve, None).is_empty(),
             "still partitioned"
         );
-        net.command(NetCommand::HealPartition("island".into()));
+        net.command(NetCommand::CloseWindow("island".into()));
         let healed = net.due(240_000, resolve, None);
         assert_eq!(healed.len(), 1, "the parked leg crosses after the heal");
         assert_eq!(healed[0].1, AgentId::new("two@x"));
@@ -885,7 +889,8 @@ mod tests {
     fn reordering_is_bounded_and_deterministic() {
         let build = || {
             let mut net = NetAdversary::new(11);
-            net.command(NetCommand::AddLinkFaults(
+            net.command(open(
+                "w",
                 LinkSelector::All,
                 LinkFaults {
                     reorder_window: 4,
@@ -921,17 +926,21 @@ mod tests {
     }
 
     #[test]
-    fn fault_windows_compose_and_clear_by_selector() {
+    fn fault_windows_compose_and_close_by_name() {
         let mut net = NetAdversary::new(2);
         let to = LinkSelector::To(AgentId::new("b@x"));
-        net.command(NetCommand::AddLinkFaults(
+        let effective =
+            |net: &NetAdversary| net.effective(&AgentId::new("a@x"), &AgentId::new("b@x"));
+        net.command(open(
+            "all",
             LinkSelector::All,
             LinkFaults {
                 drop_ppm: 600_000,
                 ..LinkFaults::default()
             },
         ));
-        net.command(NetCommand::AddLinkFaults(
+        net.command(open(
+            "to-b",
             to.clone(),
             LinkFaults {
                 drop_ppm: 600_000,
@@ -939,21 +948,32 @@ mod tests {
                 ..LinkFaults::default()
             },
         ));
-        let merged = net.effective(&AgentId::new("a@x"), &AgentId::new("b@x"));
+        let merged = effective(&net);
         assert_eq!(merged.drop_ppm, 1_000_000, "probabilities add, capped");
         assert_eq!(merged.delay_ms, 250);
-        // Scoped clear: only the To window closes.
-        net.command(NetCommand::ClearLinkFaults(to));
-        let merged = net.effective(&AgentId::new("a@x"), &AgentId::new("b@x"));
+        // Named close: only the To window closes.
+        net.command(NetCommand::CloseWindow("to-b".into()));
+        let merged = effective(&net);
         assert_eq!(merged.drop_ppm, 600_000);
         assert_eq!(merged.delay_ms, 0);
+        // Two overlapping windows on one selector: closing one leaves
+        // the other in force.
+        net.command(NetCommand::CloseWindow("all".into()));
+        net.command(open("first", to.clone(), LinkFaults::DROP_ALL));
+        net.command(open("second", to, LinkFaults::DROP_ALL));
+        net.command(NetCommand::CloseWindow("second".into()));
+        assert_eq!(effective(&net).drop_ppm, 1_000_000, "first is still open");
+        net.command(NetCommand::CloseWindow("first".into()));
+        assert!(effective(&net).is_benign());
+        assert!(!net.is_active(), "every window closed");
     }
 
     #[test]
     fn decisions_are_pure_functions_of_seed_link_and_seq() {
         let run = |seed: u64| {
             let mut net = NetAdversary::new(seed);
-            net.command(NetCommand::AddLinkFaults(
+            net.command(open(
+                "w",
                 LinkSelector::All,
                 LinkFaults {
                     drop_ppm: 400_000,
@@ -977,10 +997,7 @@ mod tests {
             retransmit_cap: 2,
             ..ReliabilityConfig::seeded(4)
         }));
-        net.command(NetCommand::AddLinkFaults(
-            LinkSelector::All,
-            LinkFaults::DROP_ALL,
-        ));
+        net.command(open("w", LinkSelector::All, LinkFaults::DROP_ALL));
         let batch: ContainerBatch = (0..5).map(|i| leg("s@x", &format!("r{i}@x"))).collect();
         let out = net.process_batch("ct", batch, resolve_all, 0, None);
         assert!(out.is_empty());

@@ -657,7 +657,7 @@ pub(crate) fn resolve_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AgentCtx, LinkFaults, LinkSelector};
+    use crate::{AgentCtx, LinkFaults, LinkSelector, Window};
     use agentgrid_acl::{AclMessage, Performative, Value};
 
     /// Counts messages; replies to `ping` with `pong`.
@@ -832,11 +832,8 @@ mod tests {
     #[test]
     fn drop_to_fault_suppresses_delivery() {
         let (mut p, pinger, ponger) = two_agent_platform(2);
-        let window = LinkSelector::To(ponger.clone());
-        p.net_command(NetCommand::AddLinkFaults(
-            window.clone(),
-            LinkFaults::DROP_ALL,
-        ));
+        let window = Window::Link(LinkSelector::To(ponger.clone()), LinkFaults::DROP_ALL);
+        p.net_command(NetCommand::OpenWindow("drop".into(), window));
         p.run_until_idle(0);
         assert_eq!(p.delivered_count(), 0);
         assert!(
@@ -845,7 +842,7 @@ mod tests {
         );
         assert_eq!(p.net_stats().map(|s| s.dropped), Some(2));
         // Closing the window restores delivery: one ping in, one pong out.
-        p.net_command(NetCommand::ClearLinkFaults(window));
+        p.net_command(NetCommand::CloseWindow("drop".into()));
         p.post(request(&pinger, &ponger));
         p.run_until_idle(1);
         assert_eq!(p.delivered_count(), 2);
@@ -854,10 +851,8 @@ mod tests {
     #[test]
     fn drop_from_fault_suppresses_sender() {
         let (mut p, pinger, ponger) = two_agent_platform(2);
-        p.net_command(NetCommand::AddLinkFaults(
-            LinkSelector::From(pinger.clone()),
-            LinkFaults::DROP_ALL,
-        ));
+        let window = Window::Link(LinkSelector::From(pinger.clone()), LinkFaults::DROP_ALL);
+        p.net_command(NetCommand::OpenWindow("drop".into(), window));
         p.run_until_idle(0);
         assert_eq!(p.delivered_count(), 0);
         assert_eq!(p.net_stats().map(|s| s.dropped), Some(2));

@@ -51,7 +51,7 @@ use agentgrid_acl::{AgentId, SharedMessage};
 use agentgrid_telemetry::TelemetryHandle;
 
 use crate::agent::Agent;
-use crate::net::{LinkFaults, LinkSelector, NetCommand, NetStats};
+use crate::net::{LinkFaults, LinkSelector, NetCommand, NetStats, Window};
 use crate::overload::{MailboxConfig, OverloadStats, PressureSignal};
 use crate::{DirectoryFacilitator, Platform, PlatformError};
 
@@ -146,18 +146,22 @@ pub trait Runtime {
     fn crash_container_silent(&mut self, name: &str) -> Result<Vec<AgentId>, PlatformError>;
 
     /// Opens a drop window on the network adversary: a
-    /// [`LinkFaults::DROP_ALL`] rule under [`LinkSelector::To`] or
-    /// [`LinkSelector::From`]. It closes with
-    /// [`NetCommand::ClearLinkFaults`] on the same selector. New code
-    /// calls [`net_command`](Runtime::net_command) directly; this method
-    /// stays only while the benchmark's tracing wrapper (`Traced<R>` in
+    /// [`LinkFaults::DROP_ALL`] window under [`LinkSelector::To`] or
+    /// [`LinkSelector::From`], named `drop-to:<agent>` or
+    /// `drop-from:<agent>`. It closes with [`NetCommand::CloseWindow`]
+    /// under that name. New code calls
+    /// [`net_command`](Runtime::net_command) directly; this method stays
+    /// only while the benchmark's tracing wrapper (`Traced<R>` in
     /// `gridbench`) forwards it.
     fn set_transport_fault(&mut self, fault: TransportFault) {
-        let selector = match fault {
-            TransportFault::DropTo(agent) => LinkSelector::To(agent),
-            TransportFault::DropFrom(agent) => LinkSelector::From(agent),
+        let (name, selector) = match fault {
+            TransportFault::DropTo(agent) => (format!("drop-to:{agent}"), LinkSelector::To(agent)),
+            TransportFault::DropFrom(agent) => {
+                (format!("drop-from:{agent}"), LinkSelector::From(agent))
+            }
         };
-        self.net_command(NetCommand::AddLinkFaults(selector, LinkFaults::DROP_ALL));
+        let window = Window::Link(selector, LinkFaults::DROP_ALL);
+        self.net_command(NetCommand::OpenWindow(name, window));
     }
 
     /// Switches the requeue-once dead-letter policy: an undeliverable
@@ -372,9 +376,7 @@ mod tests {
             rt.run_until_idle(1);
             assert_eq!(hits.load(Ordering::SeqCst), 1, "the window drops the ping");
             assert_eq!(rt.net_stats().map(|s| s.dropped), Some(1));
-            rt.net_command(NetCommand::ClearLinkFaults(LinkSelector::To(
-                counter.clone(),
-            )));
+            rt.net_command(NetCommand::CloseWindow(format!("drop-to:{counter}")));
             rt.post(ping(counter));
             rt.run_until_idle(2);
             assert_eq!(hits.load(Ordering::SeqCst), 2);

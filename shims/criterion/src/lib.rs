@@ -7,6 +7,9 @@
 //!   no statistical analysis, plots or saved baselines;
 //! - under `cargo test` (no `--bench` flag) each benchmark body runs
 //!   exactly once as a smoke test, so broken benches fail the suite fast;
+//! - `--test` picks that one-shot smoke run even under `cargo bench`, as
+//!   with real criterion: `cargo bench --bench foo -- --test` runs each
+//!   body once and prints no timing;
 //! - like real criterion, a positional argument is a substring filter:
 //!   `cargo bench --bench foo -- some_group` runs only the benchmarks
 //!   whose full label contains `some_group`.
@@ -68,7 +71,7 @@ impl From<String> for BenchmarkId {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
-    /// `cargo test`: run each body once, no timing.
+    /// `cargo test`, or `--test`: run each body once, no timing.
     Smoke,
     /// `cargo bench`: calibrate and measure.
     Measure,
@@ -83,23 +86,37 @@ pub struct Criterion {
 
 impl Default for Criterion {
     fn default() -> Self {
+        Criterion::from_args(std::env::args().skip(1))
+    }
+}
+
+impl Criterion {
+    /// The harness for these command-line arguments (program name
+    /// excluded): measuring under `--bench` unless `--test` is also
+    /// given, and the first positional argument as the filter.
+    fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         let mut bench = false;
+        let mut test = false;
         let mut filter = None;
-        for arg in std::env::args().skip(1) {
+        for arg in args {
             if arg == "--bench" {
                 bench = true;
+            } else if arg == "--test" {
+                test = true;
             } else if !arg.starts_with('-') && filter.is_none() {
                 filter = Some(arg);
             }
         }
         Criterion {
-            mode: if bench { Mode::Measure } else { Mode::Smoke },
+            mode: if bench && !test {
+                Mode::Measure
+            } else {
+                Mode::Smoke
+            },
             filter,
         }
     }
-}
 
-impl Criterion {
     /// Runs a standalone benchmark.
     pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
         run_one(self.mode, self.filter.as_deref(), name, f);
@@ -306,6 +323,15 @@ mod tests {
         bencher.iter(|| calls += 1);
         assert_eq!(calls, 1);
         assert!(bencher.mean_ns.is_none());
+    }
+
+    #[test]
+    fn test_flag_wins_over_bench() {
+        let args = |a: &[&str]| Criterion::from_args(a.iter().map(|s| s.to_string()));
+        assert_eq!(args(&["--bench"]).mode, Mode::Measure);
+        assert_eq!(args(&["--bench", "--test"]).mode, Mode::Smoke);
+        assert_eq!(args(&[]).mode, Mode::Smoke);
+        assert_eq!(args(&["--bench", "live"]).filter.as_deref(), Some("live"));
     }
 
     #[test]

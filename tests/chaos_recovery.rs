@@ -281,3 +281,58 @@ fn pool_runtime_survives_chaos_and_matches_the_stepper() {
     );
     assert_eq!(det, pool, "pool must match the stepper under chaos");
 }
+
+/// Merged plans compose window by window: `seeded_net(7, ..)` opens a
+/// delay window on pg-2's analyzer (minutes 2–12), and a hand-written
+/// drop window on the same analyzer opens and closes inside it. The
+/// drop window's close ends only its own window, so the adversary still
+/// delays legs to that analyzer afterwards; the merged run keeps the
+/// grid's invariants and replays identically on the pool runtime.
+#[test]
+fn merged_plans_close_only_their_own_windows() {
+    use agentgrid_suite::telemetry::{EventKind, Telemetry};
+
+    let horizon = 15 * 60_000;
+    let containers: Vec<String> = ["pg-1", "pg-2", "pg-root-ct", "clg", "ig", "cg-hq"]
+        .iter()
+        .map(|s| (*s).to_string())
+        .collect();
+    let analyzer = agentgrid_suite::acl::AgentId::with_platform("analyzer-pg-2", "grid");
+    let (drop_open, drop_close) = (7 * 60_000, 8 * 60_000);
+    let plan = ChaosPlan::seeded_net(7, &containers, horizon)
+        .merge(ChaosPlan::new().drop_to_between(drop_open, drop_close, analyzer.clone()));
+    let build = || {
+        let telemetry = Telemetry::new();
+        telemetry.flight_recorder().enable();
+        let builder = ManagementGrid::builder()
+            .network(network(4, 7))
+            .collectors_per_site(2)
+            .analyzer("pg-1", 1.0, ALL_SKILLS)
+            .analyzer("pg-2", 1.0, ALL_SKILLS)
+            .recovery(RecoveryConfig::seeded(7))
+            .net_adversary(7)
+            .reliability(ReliabilityConfig::seeded(7))
+            .chaos(plan.clone())
+            .telemetry(telemetry.clone());
+        (builder, telemetry)
+    };
+    let (det, telemetry) = build();
+    let report = det.build().run(horizon, 60_000);
+    assert_eq!(report.audit(), []);
+    let (pool, _) = build();
+    assert_eq!(
+        report,
+        pool.build_pool().run(horizon, 60_000),
+        "det == pool"
+    );
+
+    let to_analyzer = format!("->{analyzer}");
+    let delayed_after_close = telemetry.flight_recorder().events().iter().any(|e| {
+        e.sim_ms >= drop_close
+            && matches!(&e.kind, EventKind::Delayed { link, .. } if link.ends_with(&to_analyzer))
+    });
+    assert!(
+        delayed_after_close,
+        "the drop window's close also ended seeded_net's delay window on {analyzer}"
+    );
+}

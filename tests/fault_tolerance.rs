@@ -5,7 +5,7 @@ use agentgrid_suite::acl::AgentId;
 use agentgrid_suite::core::chaos::ChaosPlan;
 use agentgrid_suite::core::recovery::RecoveryConfig;
 use agentgrid_suite::net::{Device, DeviceKind, FaultKind, Network, ScheduledFault};
-use agentgrid_suite::platform::{LinkFaults, LinkSelector, NetCommand};
+use agentgrid_suite::platform::{LinkFaults, LinkSelector, NetCommand, Window};
 use agentgrid_suite::store::{Record, ReplicatedStore};
 use agentgrid_suite::ManagementGrid;
 
@@ -231,18 +231,16 @@ fn transport_drops_to_classifier_starve_analysis_but_not_collection() {
         .analyzer("pg-1", 1.0, ALL_SKILLS)
         .build();
     let classifier = agentgrid_suite::acl::AgentId::with_platform("classifier", "grid");
-    let window = LinkSelector::To(classifier);
-    grid.platform_mut().net_command(NetCommand::AddLinkFaults(
-        window.clone(),
-        LinkFaults::DROP_ALL,
-    ));
+    let window = Window::Link(LinkSelector::To(classifier), LinkFaults::DROP_ALL);
+    grid.platform_mut()
+        .net_command(NetCommand::OpenWindow("drop".into(), window));
     let report = grid.run(3 * 60_000, 60_000);
     assert_eq!(report.records_stored, 0, "no batch reaches the classifier");
     assert!(report.assignments.is_empty(), "no data-ready → no tasks");
 
     // Closing the window restores the pipeline.
     grid.platform_mut()
-        .net_command(NetCommand::ClearLinkFaults(window));
+        .net_command(NetCommand::CloseWindow("drop".into()));
     let healed = grid.run(3 * 60_000, 60_000);
     assert!(healed.records_stored > 0);
     assert!(!healed.assignments.is_empty());
